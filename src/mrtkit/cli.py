@@ -71,8 +71,7 @@ class RunConfig:
         self.out = out if out is not None else self.get("run", "out", fallback=None)
         if self.out is None:
             raise ConfigError(f"{path}: no output path ([run] out or --out)")
-        seed_raw = self.get("run", "seed", fallback="0")
-        self.seed = seed if seed is not None else int(seed_raw)
+        self.seed = seed if seed is not None else self.get_int("run", "seed", 0)
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"{path}: seed must fit in 64 bits")
         self.units = self.get("run", "units", fallback="natural")
@@ -91,21 +90,33 @@ class RunConfig:
             raise ConfigError(f"{self.path}: missing [{section}] {key}")
         return value
 
-    def require_float(self, section: str, key: str) -> float:
-        raw = self.require(section, key)
+    def _convert(self, section: str, key: str, raw: str, kind):
         try:
-            return float(raw)
+            return kind(raw)
         except ValueError:
-            raise ConfigError(f"{self.path}: [{section}] {key} = {raw!r} is not a number")
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(
+                f"{self.path}: [{section}] {key} = {raw!r} is not {noun}"
+            ) from None
 
-    def get_float(self, section: str, key: str, fallback: float) -> float:
+    def require_float(self, section: str, key: str) -> float:
+        return self._convert(section, key, self.require(section, key), float)
+
+    def get_float(self, section: str, key: str, fallback: float | None) -> float | None:
         raw = self.get(section, key)
-        if raw is None:
-            return fallback
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{self.path}: [{section}] {key} = {raw!r} is not a number")
+        return fallback if raw is None else self._convert(section, key, raw, float)
+
+    def require_int(self, section: str, key: str) -> int:
+        return self._convert(section, key, self.require(section, key), int)
+
+    def get_int(self, section: str, key: str, fallback: int) -> int:
+        raw = self.get(section, key)
+        return fallback if raw is None else self._convert(section, key, raw, int)
+
+    def require_floats(self, section: str, key: str) -> list[float]:
+        """A whitespace-separated list of numbers."""
+        raw = self.require(section, key)
+        return [self._convert(section, key, part, float) for part in raw.split()]
 
     def comments(self) -> dict[str, str]:
         items = {
@@ -138,10 +149,9 @@ def load_config(scenario: str, path: str, out: str | None, seed: int | None) -> 
 def build_model(config: RunConfig):
     kind = config.require("spectral", "kind").lower()
     if kind == "white":
-        t_raw = config.get("spectral", "temperature")
         return White(
             s0=config.require_float("spectral", "s0"),
-            temperature=float(t_raw) if t_raw is not None else None,
+            temperature=config.get_float("spectral", "temperature", None),
         )
     if kind in ("ohmic", "ohmic-cutoff"):
         return OhmicCutoff(
@@ -151,8 +161,13 @@ def build_model(config: RunConfig):
         )
     if kind == "tabulated":
         csv_path = config.require("spectral", "csv")
-        t_raw = config.get("spectral", "temperature")
-        return Tabulated.from_csv(csv_path, float(t_raw) if t_raw is not None else None)
+        temperature = config.get_float("spectral", "temperature", None)
+        try:
+            return Tabulated.from_csv(csv_path, temperature)
+        except OSError as err:
+            raise ConfigError(
+                f"{config.path}: [spectral] csv = {csv_path}: {err.strerror or err}"
+            ) from None
     raise ConfigError(f"{config.path}: unknown spectral kind {kind!r}")
 
 
@@ -173,11 +188,7 @@ def build_params(config: RunConfig) -> TwoStateParams:
 def read_grid(config: RunConfig, section: str) -> np.ndarray:
     start = config.require_float(section, "start")
     stop = config.require_float(section, "stop")
-    steps_raw = config.require(section, "steps")
-    try:
-        steps = int(steps_raw)
-    except ValueError:
-        raise ConfigError(f"{config.path}: [{section}] steps = {steps_raw!r} is not an integer")
+    steps = config.require_int(section, "steps")
     if steps < 2:
         raise ConfigError(f"{config.path}: [{section}] needs at least 2 grid points")
     if steps > 10**6:
@@ -191,7 +202,7 @@ def _resolve_eps_p(config: RunConfig, section: str, model) -> float:
     raw = config.get(section, "eps_p", fallback="auto")
     if raw.strip().lower() == "auto":
         return reorganization_shift(model)
-    return float(raw)
+    return config.require_float(section, "eps_p")
 
 
 def write_csv(path: str, comments: dict[str, str], warnings_seen: list[str],
@@ -312,15 +323,15 @@ def _read_levels(config: RunConfig) -> WellLevels:
         raise ConfigError(f"{config.path}: multichannel scenario needs a [levels] section")
     rows = []
     for index in range(len(config.parser.items("levels"))):
-        raw = config.get("levels", f"level_{index}")
-        if raw is None:
+        key = f"level_{index}"
+        if config.get("levels", key) is None:
             break
-        parts = raw.split()
+        parts = config.require_floats("levels", key)
         if len(parts) != 3:
             raise ConfigError(
-                f"{config.path}: [levels] level_{index} must be 'energy delta gamma'"
+                f"{config.path}: [levels] {key} must be 'energy delta gamma'"
             )
-        rows.append(tuple(float(p) for p in parts))
+        rows.append(tuple(parts))
     if not rows:
         raise ConfigError(f"{config.path}: [levels] must define level_0, level_1, ...")
     return WellLevels(
@@ -348,8 +359,8 @@ def _oracle_static_noise(config: RunConfig):
     w_rms = config.require_float("oracle", "w")
     delta = config.require_float("oracle", "delta")
     probe = config.require_float("oracle", "probe_time")
-    samples = int(config.require("oracle", "samples"))
-    eps_values = [float(x) for x in config.require("oracle", "eps").split()]
+    samples = config.require_int("oracle", "samples")
+    eps_values = config.require_floats("oracle", "eps")
     tolerance = config.get_float("oracle", "tolerance_rel", 0.05)
     gp = peak_rate(delta, w_rms)
     cols = {k: [] for k in ("eps", "estimate", "stderr", "expected", "rel_error", "status")}

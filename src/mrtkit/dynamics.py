@@ -23,11 +23,13 @@ response frequency.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import minimize_scalar
 
@@ -61,6 +63,10 @@ __all__ = [
 ]
 
 
+# Roundoff allowance on trace preservation and on rho11 staying in [0, 1].
+_ROUNDOFF = 1e-12
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Populations on a strictly increasing time grid; trace-preserving."""
@@ -77,9 +83,9 @@ class Trajectory:
             raise ValueError("time grid must be strictly increasing")
         if r0.shape != t.shape or r1.shape != t.shape:
             raise ValueError("population arrays must match the time grid")
-        if np.any(np.abs(r0 + r1 - 1.0) > 1e-12):
+        if np.any(np.abs(r0 + r1 - 1.0) > _ROUNDOFF):
             raise ValueError("trace violated: rho00 + rho11 != 1")
-        if np.any(r1 < -1e-12) or np.any(r1 > 1.0 + 1e-12):
+        if np.any(r1 < -_ROUNDOFF) or np.any(r1 > 1.0 + _ROUNDOFF):
             raise ValueError("rho11 outside [0, 1]")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "rho00", r0)
@@ -87,7 +93,16 @@ class Trajectory:
 
     @classmethod
     def from_rho11(cls, t, rho11) -> "Trajectory":
-        rho11 = np.clip(np.asarray(rho11, dtype=float), 0.0, 1.0)
+        """Build from rho11 alone, clipping roundoff excursions out of [0, 1].
+
+        An excursion above the roundoff allowance (or a NaN) is a solver
+        fault and raises ValueError instead of being clipped away.
+        """
+        rho11 = np.asarray(rho11, dtype=float)
+        excursion = float(np.max(np.maximum(-rho11, rho11 - 1.0), initial=0.0))
+        if not excursion <= _ROUNDOFF:
+            raise ValueError(f"rho11 leaves [0, 1] by {excursion:.3g}")
+        rho11 = np.clip(rho11, 0.0, 1.0)
         return cls(t=np.asarray(t, dtype=float), rho00=1.0 - rho11, rho11=rho11)
 
 
@@ -211,6 +226,8 @@ def evolve_nonlocal(
     smooth part is accumulated over the history with trapezoid weights, and
     each step solves the (linear) implicit trapezoid update exactly.  The
     history starts at the first grid point (state initialization time).
+    The history sums cost O(n log^2 n) for n grid points; the direct O(n^2)
+    loop is kept as ``mrtkit.oracle.direct_nonlocal_reference``.
     """
     if not 0.0 <= rho11_0 <= 1.0:
         raise ValueError("rho11_0 must lie in [0, 1]")
@@ -218,7 +235,7 @@ def evolve_nonlocal(
     if t.ndim != 1 or t.size < 2:
         raise ValueError("time grid needs at least two points")
     steps = np.diff(t)
-    h = steps[0]
+    h = float(steps[0])
     if np.any(steps <= 0) or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
         raise ValueError("nonlocal evolution requires a uniform increasing grid")
 
@@ -235,31 +252,92 @@ def evolve_nonlocal(
         )
 
     n = t.size
-    taus = h * np.arange(n)
-    eps_p, deps = _shift_arrays(model, taus)
+    eps_p, deps = _shift_arrays(model, h * np.arange(n))
     lam_m = gp * np.exp(-0.5 * ((eps - eps_p) / w) ** 2)
     lam_p = gp * np.exp(-0.5 * ((eps + eps_p) / w) ** 2)
     # smooth kernel parts dLambda_pm/dtau; both vanish at tau = 0
     dm = lam_m * (eps - eps_p) * deps / (w * w)
     dp = -lam_p * (eps + eps_p) * deps / (w * w)
-
-    lam0 = lam_m[0]
-    total0 = 2.0 * lam0
-    y = np.empty(n)
-    rhs = np.empty(n)
-    y[0] = rho11_0
-    rhs[0] = lam0 * (1.0 - 2.0 * y[0])
-    for m in range(1, n):
-        head = 0.5 * (dm[m] * (1.0 - y[0]) - dp[m] * y[0])
-        if m > 1:
-            window = slice(m - 1, 0, -1)
-            hist = dm[window] @ (1.0 - y[1:m]) - dp[window] @ y[1:m]
-        else:
-            hist = 0.0
-        known = lam0 + h * (head + hist)
-        y[m] = (y[m - 1] + 0.5 * h * (rhs[m - 1] + known)) / (1.0 + 0.5 * h * total0)
-        rhs[m] = known - total0 * y[m]
+    lam0 = float(lam_m[0])
+    del eps_p, deps, lam_m, lam_p
+    y = _trapezoid_history_solve(dm, dp, lam0, h, float(rho11_0))
     return Trajectory.from_rho11(t, y)
+
+
+# Steps per leaf of the history recursion.  Inside a leaf the history is
+# summed directly on Python floats; below this size that beats an FFT.
+_LEAF = 32
+
+
+def _trapezoid_history_solve(
+    dm: np.ndarray, dp: np.ndarray, lam0: float, h: float, rho11_0: float
+) -> np.ndarray:
+    """Implicit product-trapezoid steps of the memory-kernel equation.
+
+    With s = dm + dp the smooth history at step m is
+
+        sum_{j=1}^{m-1} dm[m-j] (1 - y_j) - dp[m-j] y_j
+            = sum_{i=1}^{m-1} dm[i] - sum_{j=1}^{m-1} s[m-j] y_j,
+
+    a cumulative sum plus a causal convolution with the unknowns.  The
+    convolution is built by divide and conquer (Hairer, Lubich & Schlichte,
+    SIAM J. Sci. Stat. Comput. 6, 1985): once the left half of [lo, hi) is
+    solved, its whole contribution to the right half is added with one FFT
+    product, for O(n log^2 n) work in total.  The weights and the per-step
+    linear solve are those of the direct O(n^2) loop; only the order of
+    summation differs.  The history starts at index 1: y_0 enters through
+    the half-weighted head term.
+    """
+    n = dm.size
+    s = dm + dp
+    # known[m] = lam0 + h * (head[m] + sum_{i=1}^{m-1} dm[i]) - h * conv[m]
+    base = np.zeros(n)
+    np.cumsum(dm[1:-1], out=base[2:])
+    base += 0.5 * (dm * (1.0 - rho11_0) - dp * rho11_0)
+    base *= h
+    base += lam0
+    conv = np.zeros(n)
+    y = np.empty(n)
+    y[0] = rho11_0
+
+    total0 = 2.0 * lam0
+    half = 0.5 * h
+    denom = 1.0 + half * total0
+    leaf_kernel = s[min(_LEAF, n - 1):0:-1].tolist()  # s[L], ..., s[1]
+    top = len(leaf_kernel)
+    y_prev = rho11_0
+    rhs_prev = lam0 * (1.0 - 2.0 * rho11_0)
+
+    def leaf(lo: int, hi: int) -> None:
+        nonlocal y_prev, rhs_prev
+        outside = conv[lo:hi].tolist()
+        known0 = base[lo:hi].tolist()
+        ys: list[float] = []
+        for k in range(hi - lo):
+            inside = sum(map(operator.mul, leaf_kernel[top - k:], ys))
+            known = known0[k] - h * (outside[k] + inside)
+            y_prev = (y_prev + half * (rhs_prev + known)) / denom
+            rhs_prev = known - total0 * y_prev
+            ys.append(y_prev)
+        y[lo:hi] = ys
+
+    def solve(lo: int, hi: int) -> None:
+        if hi - lo <= _LEAF:
+            leaf(lo, hi)
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        # middle product: a cyclic length >= hi - lo - 1 keeps the wrapped
+        # terms out of the outputs kept for [mid, hi)
+        width = hi - lo
+        size = sp_fft.next_fast_len(width - 1, real=True)
+        product = sp_fft.rfft(y[lo:mid], size) * sp_fft.rfft(s[1:width], size)
+        part = sp_fft.irfft(product, size)
+        conv[mid:hi] += part[mid - lo - 1:width - 1]
+        solve(mid, hi)
+
+    solve(1, n)
+    return y
 
 
 def _as_rate(schedule) -> Callable[[float], float]:

@@ -3,8 +3,9 @@
 Nothing here shares code with the paths it checks: the Monte Carlo
 transition rate averages exact closed-system Rabi oscillations over static
 Gaussian noise, the convolution reference integrates the Gaussian-
-Lorentzian product directly, and the refined references rerun the solvers
-at much finer resolution.
+Lorentzian product directly, the refined references rerun the solvers
+at much finer resolution, and the direct nonlocal reference sums the
+memory-kernel history step by step in O(n^2).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from scipy.integrate import quad
 
 from .dynamics import Trajectory, evolve_local, evolve_nonlocal
 from .errors import RegimeError
-from .rates import TwoStateParams
-from .spectral import SpectralModel
+from .rates import TwoStateParams, peak_rate
+from .spectral import SpectralModel, _shift_arrays, noise_rms
 
 __all__ = [
     "McConfig",
@@ -221,3 +222,52 @@ def refined_reference(request: EvolutionRequest) -> Trajectory:
         )
     keep = slice(None, None, request.refinement)
     return Trajectory(t=full.t[keep], rho00=full.rho00[keep], rho11=full.rho11[keep])
+
+
+def direct_nonlocal_reference(
+    model: SpectralModel,
+    params: TwoStateParams,
+    rho11_0: float,
+    t_grid,
+    *,
+    w_rms: float | None = None,
+) -> np.ndarray:
+    """rho11 on a uniform grid from the direct O(n^2) memory-kernel loop.
+
+    The same product-trapezoid discretisation as ``evolve_nonlocal``, with
+    every history sum taken as one dot product per step.  Inputs are taken
+    as valid (constant schedules, uniform grid, resolved step); the result
+    is returned unclipped.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    h = t[1] - t[0]
+    delta = params.delta_schedule.initial
+    eps = params.eps_schedule.initial
+    w = noise_rms(model) if w_rms is None else w_rms
+    gp = peak_rate(delta, w)
+
+    n = t.size
+    taus = h * np.arange(n)
+    eps_p, deps = _shift_arrays(model, taus)
+    lam_m = gp * np.exp(-0.5 * ((eps - eps_p) / w) ** 2)
+    lam_p = gp * np.exp(-0.5 * ((eps + eps_p) / w) ** 2)
+    dm = lam_m * (eps - eps_p) * deps / (w * w)
+    dp = -lam_p * (eps + eps_p) * deps / (w * w)
+
+    lam0 = lam_m[0]
+    total0 = 2.0 * lam0
+    y = np.empty(n)
+    rhs = np.empty(n)
+    y[0] = rho11_0
+    rhs[0] = lam0 * (1.0 - 2.0 * y[0])
+    for m in range(1, n):
+        head = 0.5 * (dm[m] * (1.0 - y[0]) - dp[m] * y[0])
+        if m > 1:
+            window = slice(m - 1, 0, -1)
+            hist = dm[window] @ (1.0 - y[1:m]) - dp[window] @ y[1:m]
+        else:
+            hist = 0.0
+        known = lam0 + h * (head + hist)
+        y[m] = (y[m - 1] + 0.5 * h * (rhs[m - 1] + known)) / (1.0 + 0.5 * h * total0)
+        rhs[m] = known - total0 * y[m]
+    return y

@@ -442,6 +442,34 @@ out = x.csv
         )
         assert main(["mrt-scan", "--config", config]) == 2
 
+    @pytest.mark.parametrize(
+        "scenario, section, body",
+        [
+            ("mrt-scan", "run", "seed = abc"),
+            ("mrt-scan", "mrt-scan", "shape = gaussian\neps_p = abc"),
+            ("mrt-scan", "bias-grid", "start = -1.0\nstop = 1.0\nsteps = abc"),
+            ("oracle", "oracle", "name = static-noise\nw = 1.0\ndelta = 0.01\n"
+                                 "probe_time = 18.0\nsamples = lots\neps = 0.0"),
+            ("mrt-scan", "spectral", "kind = tabulated\ncsv = {tmp}/absent.csv"),
+        ],
+        ids=["seed", "eps_p", "steps", "samples", "missing-csv"],
+    )
+    def test_bad_value_is_config_error(self, tmp_path, capsys, scenario, section, body):
+        out = tmp_path / "x.csv"
+        sections = {
+            "run": f"scenario = {scenario}\nout = {out}",
+            "spectral": "kind = ohmic\neta = 8.0\nomega_c = 0.02\ntemperature = 1.0",
+            "two-state": "delta = 0.001\neps = 0.0\ntemperature = 1.0",
+            "bias-grid": "start = -1.0\nstop = 1.0\nsteps = 5",
+        }
+        body = body.format(tmp=tmp_path)
+        sections[section] = sections[section] + "\n" + body if section == "run" else body
+        text = "".join(f"[{name}]\n{lines}\n\n" for name, lines in sections.items())
+        config = write_config(tmp_path, text)
+        assert main([scenario, "--config", config]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_divergent_model_is_physics_error(self, tmp_path):
         out = tmp_path / "x.csv"
         config = write_config(

@@ -57,6 +57,14 @@ class TestTrajectory:
         traj = Trajectory.from_rho11(t, np.array([0.25, 0.5]))
         assert np.array_equal(traj.rho00, np.array([0.75, 0.5]))
 
+    def test_from_rho11_clips_roundoff_only(self):
+        t = np.array([0.0, 1.0])
+        traj = Trajectory.from_rho11(t, np.array([-1e-12, 1.0 + 5e-13]))
+        assert np.array_equal(traj.rho11, np.array([0.0, 1.0]))
+        for bad in ([-2e-12, 0.5], [0.5, 1.0 + 2e-12], [0.5, math.nan]):
+            with pytest.raises(ValueError, match="leaves"):
+                Trajectory.from_rho11(t, np.array(bad))
+
 
 class TestLambdaPm:
     def test_zero_delay_common_value(self):
@@ -178,6 +186,15 @@ class TestEvolveNonlocal:
         plus = gaussian_rate(params, 1.0, 0.1, +1)
         local_traj = evolve_local(minus, plus, 0.0, grid)
         assert np.max(np.abs(nonlocal_traj.rho11 - local_traj.rho11)) <= 1e-4
+
+    def test_excursion_out_of_unit_interval_is_reported(self):
+        # Gamma_p/omega_c = 0.3: the memory kernel drives rho11 below 0 by
+        # ~0.017, converged in the step; the solver must not clip it away
+        model = fdt_model(2.0, 1.0)
+        delta = math.sqrt(0.3 / math.sqrt(math.pi / 8.0))
+        params = TwoStateParams(delta=delta, eps=-2.0, temperature=model.temperature)
+        with pytest.raises(ValueError, match="leaves"):
+            evolve_nonlocal(model, params, 1.0, np.linspace(0.0, 20.0, 201), w_rms=1.0)
 
     def test_step_size_guard(self):
         model = fdt_model(0.5, 1.0)
