@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import logging
 import math
 import os
@@ -168,6 +169,8 @@ def build_model(config: RunConfig):
             raise ConfigError(
                 f"{config.path}: [spectral] csv = {csv_path}: {err.strerror or err}"
             ) from None
+        except ValueError as err:
+            raise ConfigError(f"{config.path}: [spectral] csv = {csv_path}: {err}") from None
     raise ConfigError(f"{config.path}: unknown spectral kind {kind!r}")
 
 
@@ -476,21 +479,27 @@ def run(config: RunConfig) -> int:
 
 
 def run_validate(out: str | None, seed: int) -> int:
-    records = validation.run_all(seed)
-    criteria = sorted({r.criterion for r in records})
-    all_ok = True
-    for cid in criteria:
-        group = [r for r in records if r.criterion == cid]
-        ok = all(r.passed for r in group)
-        all_ok = all_ok and ok
-        name = group[0].name
-        detail = "; ".join(
-            f"{r.metric} = {r.value:.6g} ({r.cmp} {r.bound:g})" for r in group if not r.passed
-        ) or f"{group[0].metric} = {group[0].value:.6g} ({group[0].cmp} {group[0].bound:g})"
-        print(f"criterion {cid:02d} [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    if out:
-        with open(out, "w", newline="") as handle:
+    # open the output before the suite runs, so a bad path fails at once
+    try:
+        sink = open(out, "w", newline="") if out else contextlib.nullcontext()
+    except OSError as err:
+        raise ConfigError(f"--out {out}: {err.strerror or err}") from None
+    with sink as handle:
+        records = validation.run_all(seed)
+        criteria = sorted({r.criterion for r in records})
+        all_ok = True
+        for cid in criteria:
+            group = [r for r in records if r.criterion == cid]
+            ok = all(r.passed for r in group)
+            all_ok = all_ok and ok
+            name = group[0].name
+            detail = "; ".join(
+                f"{r.metric} = {r.value:.6g} ({r.cmp} {r.bound:g})" for r in group if not r.passed
+            ) or f"{group[0].metric} = {group[0].value:.6g} ({group[0].cmp} {group[0].bound:g})"
+            print(f"criterion {cid:02d} [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        if handle is not None:
             handle.write(validation.render_csv(records, seed=seed))
+    if out:
         log.info("wrote %s", out)
     return 0 if all_ok else 1
 
@@ -516,9 +525,9 @@ def _build_argparser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("MRTKIT_LOG", "WARNING").upper())
     args = _build_argparser().parse_args(argv)
-    if args.command == "validate":
-        return run_validate(args.out, args.seed)
     try:
+        if args.command == "validate":
+            return run_validate(args.out, args.seed)
         config = load_config(args.command, args.config, args.out, args.seed)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .schedules import LinearSchedule, as_schedule
 from .spectral import (
+    _HEAD_PERIODS,
     OhmicCutoff,
     SpectralModel,
     Tabulated,
@@ -33,8 +34,6 @@ from .spectral import (
 )
 
 __all__ = ["DephasingResult", "dephasing_exponent", "offdiag_element", "dephasing_result"]
-
-_HEAD_PERIODS = 3
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import minimize_scalar
 
 from .errors import RegimeError, RegimeWarning
 from .rates import TwoStateParams, peak_rate, warn_weak_coupling
@@ -208,6 +205,8 @@ def kernel_integral(spec: KernelSpec, t: float, direction: int = -1) -> float:
     dlam = spec.dlambda_minus if direction == -1 else spec.dlambda_plus
     if t == 0.0:
         return spec.value_at_zero
+    from scipy.integrate import quad
+
     smooth, _ = quad(dlam, 0.0, t, epsabs=1e-13, epsrel=1e-11, limit=400)
     return spec.value_at_zero + smooth
 
@@ -330,9 +329,9 @@ def _trapezoid_history_solve(
         # middle product: a cyclic length >= hi - lo - 1 keeps the wrapped
         # terms out of the outputs kept for [mid, hi)
         width = hi - lo
-        size = sp_fft.next_fast_len(width - 1, real=True)
-        product = sp_fft.rfft(y[lo:mid], size) * sp_fft.rfft(s[1:width], size)
-        part = sp_fft.irfft(product, size)
+        size = 1 << (width - 2).bit_length()
+        product = np.fft.rfft(y[lo:mid], size) * np.fft.rfft(s[1:width], size)
+        part = np.fft.irfft(product, size)
         conv[mid:hi] += part[mid - lo - 1:width - 1]
         solve(mid, hi)
 
@@ -378,6 +377,8 @@ def evolve_local(
 
     def rhs(time, state):
         return [gm(time) * (1.0 - state[0]) - gp(time) * state[0]]
+
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
         rhs,
@@ -427,6 +428,8 @@ def nonlocal_corrected_rates(
             - 1.0
         )
         return base_minus * factor, base_plus * factor
+
+    from scipy.integrate import quad
 
     lam_inf = base_minus + base_plus
 
@@ -486,6 +489,9 @@ def peak_summary(
             gauss_supp * math.cosh(0.5 * e / temperature) - 1.0
         )
         return base * factor
+
+    from scipy.integrate import quad
+    from scipy.optimize import minimize_scalar
 
     span = 3.0 * w
     opt = minimize_scalar(
@@ -564,6 +570,8 @@ def short_time_rho11(
             RegimeWarning,
             stacklevel=2,
         )
+
+    from scipy.integrate import quad
 
     inner_cap = 12.0 / w
 

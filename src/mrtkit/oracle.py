@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dynamics import Trajectory, evolve_local, evolve_nonlocal
 from .errors import RegimeError
@@ -137,6 +136,8 @@ def convolution_reference(
         raise ValueError("convolution_reference requires gamma_ij > 0")
     if w_rms <= 0:
         raise ValueError("w_rms must be positive")
+    from scipy.integrate import quad
+
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
     prefactor = delta_ij**2 * gamma_ij / (math.sqrt(8.0 * math.pi) * w_rms)
     lo = eps_p - 45.0 * w_rms

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from .errors import RegimeError, RegimeWarning
 from .schedules import LinearSchedule, as_schedule
@@ -199,6 +198,8 @@ def faddeeva(z):
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag < 0):
         raise ValueError("faddeeva is restricted to Im(z) >= 0")
+    from scipy.special import wofz
+
     result = wofz(z)
     return result if result.shape else complex(result)
 
@@ -220,6 +221,8 @@ def voigt_rate(delta_ij: float, w_rms: float, eps, eps_p: float, gamma_ij: float
     if gamma_ij == 0.0:
         out = amplitude * np.exp(-0.5 * ((eps - eps_p) / w_rms) ** 2)
     else:
+        from scipy.special import wofz
+
         z = (eps - eps_p + 1j * gamma_ij) / (math.sqrt(2.0) * w_rms)
         out = amplitude * wofz(z).real
     return out if out.shape else float(out)

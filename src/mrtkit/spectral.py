@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DecompositionError, DivergentMomentError
 
@@ -85,6 +83,68 @@ class OhmicCutoff:
             raise ValueError("OhmicCutoff requires eta > 0, omega_c > 0, T > 0")
 
 
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant; NaN outside the grid.
+
+    Fritsch & Butland (SIAM J. Sci. Stat. Comput. 5, 300, 1984) interior
+    slopes -- zero at a sign change or a flat side, else the weighted
+    harmonic mean of the adjacent secants -- with one-sided three-point end
+    slopes clamped to preserve shape (Moler, Numerical Computing with
+    MATLAB, 3.6).  These are the rules of ``scipy.interpolate.
+    PchipInterpolator``.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.zeros_like(y)
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        keep = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1][keep] = 1.0 / whmean[keep]
+        d[0] = self._end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self.x = x
+        # power-basis coefficients in s = x - x_i, highest degree first
+        self.c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+        # whole-grid integral; each Hermite cubic integrates exactly to
+        # h (y0 + y1)/2 + h^2 (d0 - d1)/12
+        pieces = h * 0.5 * (y[:-1] + y[1:]) + h * h * (d[:-1] - d[1:]) / 12.0
+        self.integral = float(np.sum(pieces))
+
+    @staticmethod
+    def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    def __call__(self, w):
+        w = np.asarray(w, dtype=float)
+        x, c = self.x, self.c
+        inside = (w >= x[0]) & (w <= x[-1])
+        w = np.where(inside, w, x[0])
+        # interval i with x[i] <= w < x[i+1]: np.interp on the knot index
+        # searches with a locality guess (fast on sorted nodes); its fraction
+        # can round up to the next integer, which the last step undoes
+        i = np.interp(w, x, np.arange(x.size, dtype=float)).astype(np.intp)
+        i = np.minimum(i, x.size - 2)
+        i = i - (np.take(x, i) > w)
+        s = w - np.take(x, i)
+        # Horner, in place: ((c0 s + c1) s + c2) s + c3
+        value = np.take(c[0], i) * s
+        for row in c[1:3]:
+            value += np.take(row, i)
+            value *= s
+        value += np.take(c[3], i)
+        return np.where(inside, value, np.nan)
+
+
 @dataclass(frozen=True, eq=False)
 class Tabulated:
     """Spectrum interpolated from samples; S = 0 outside the grid.
@@ -99,10 +159,14 @@ class Tabulated:
     temperature: float | None = None
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        # contiguous: the interpolant searches omega on every call, and a
+        # strided column (as from_csv yields) would be copied each time
+        omega = np.ascontiguousarray(self.omega, dtype=float)
+        values = np.ascontiguousarray(self.values, dtype=float)
         if omega.ndim != 1 or omega.size < 4:
             raise ValueError("tabulated spectrum needs at least 4 grid points")
+        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(values))):
+            raise ValueError("tabulated omega and S(omega) must be finite")
         if np.any(np.diff(omega) <= 0):
             raise ValueError("tabulated omega grid must be strictly increasing")
         if values.shape != omega.shape:
@@ -111,9 +175,7 @@ class Tabulated:
             raise ValueError("tabulated S(omega) must be nonnegative")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self, "_interp", PchipInterpolator(omega, values, extrapolate=False)
-        )
+        object.__setattr__(self, "_interp", _Pchip(omega, values))
 
     @classmethod
     def from_csv(cls, path, temperature: float | None = None) -> "Tabulated":
@@ -123,6 +185,8 @@ class Tabulated:
             rows = [row for row in reader if row and not row[0].lstrip().startswith("#")]
         if not rows or [c.strip() for c in rows[0][:2]] != ["omega", "S"]:
             raise ValueError(f"{path}: expected header 'omega,S'")
+        if any(len(r) < 2 for r in rows[1:]):
+            raise ValueError(f"{path}: every data row needs two columns")
         data = np.array([[float(r[0]), float(r[1])] for r in rows[1:]], dtype=float)
         if data.size == 0:
             raise ValueError(f"{path}: no data rows")
@@ -258,6 +322,8 @@ def _positive_overlap(model: Tabulated) -> float:
 
 
 def _quad(f, a, b, epsabs, points=None, limit=400):
+    from scipy.integrate import quad
+
     val, _ = quad(f, a, b, epsabs=epsabs, epsrel=_EPSREL, limit=limit, points=points)
     return val
 
@@ -270,7 +336,9 @@ def _piecewise_gauss(f, a, b, knots):
 
     The adaptive rules cannot certify tight tolerances across the curvature
     jumps of a piecewise-cubic interpolant; panel-aligned fixed rules are
-    effectively exact there.  f must accept arrays.
+    effectively exact there.  f must accept arrays.  It may return a stack
+    of integrands on the same nodes (extra leading axes); the result then
+    has that leading shape.
     """
     edges = np.concatenate(([a], np.asarray(knots, dtype=float), [b]))
     edges = np.unique(edges[(edges >= a) & (edges <= b)])
@@ -278,8 +346,10 @@ def _piecewise_gauss(f, a, b, knots):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    values = f(nodes.ravel()).reshape(nodes.shape)
-    return float(np.sum(half * (values @ _GL_WEIGHTS)))
+    values = f(nodes.ravel())
+    values = values.reshape(values.shape[:-1] + nodes.shape)
+    total = np.sum(half * (values @ _GL_WEIGHTS), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def _oscillation_edges(a: float, b: float, t: float) -> np.ndarray:
@@ -308,6 +378,8 @@ def _smooth_integral(f, a, b, epsabs, scale, points=()):
         cut = a + 2.0 * _MASS_SPAN * scale
         pts = sorted(p for p in points if a < p < cut) or None
         head = _quad(f, a, cut, 0.5 * epsabs, points=pts)
+        from scipy.integrate import quad
+
         tail, _ = quad(f, cut, np.inf, epsabs=0.5 * epsabs, epsrel=_EPSREL, limit=200)
         return head + tail
     pts = sorted(p for p in points if a < p < b) or None
@@ -316,6 +388,8 @@ def _smooth_integral(f, a, b, epsabs, scale, points=()):
 
 def _cosine_integral(f, a, b, t, epsabs):
     """integral_a^b f(w) cos(w t) dw via the oscillation-aware QUADPACK rules."""
+    from scipy.integrate import quad
+
     if b == np.inf:
         val, _ = quad(
             f, a, np.inf, weight="cos", wvar=t, epsabs=epsabs, limlst=300, limit=300
@@ -374,9 +448,7 @@ def noise_rms(model: SpectralModel) -> float:
         ) / math.pi
         return math.sqrt(w2)
     if isinstance(model, Tabulated):
-        w2 = float(model._interp.integrate(model.omega[0], model.omega[-1])) / (
-            2.0 * math.pi
-        )
+        w2 = model._interp.integral / (2.0 * math.pi)
         if w2 <= 0:
             raise ValueError("tabulated spectrum integrates to zero")
         return math.sqrt(w2)
@@ -459,16 +531,7 @@ def shift_function(model: SpectralModel, t: float, method: str = "auto") -> floa
             return 0.0
         upper = _positive_overlap(model)
         _assert_shift_integrand_finite(model, upper)
-        interp = model._interp
-
-        def integrand(w):
-            s = np.sin(0.5 * w * t)
-            return 0.5 * (interp(w) - interp(-w)) / w * 2.0 * s * s
-
-        val = _piecewise_gauss(
-            integrand, 0.0, upper, _tabulated_panel_edges(model, upper, t)
-        )
-        return val / math.pi
+        return float(_tabulated_shift_pair(model, upper, t)[0])
     raise TypeError(f"unknown spectral model {type(model)!r}")
 
 
@@ -485,17 +548,21 @@ def shift_function_derivative(model: SpectralModel, t: float) -> float:
     if isinstance(model, Tabulated):
         if t == 0.0:
             return 0.0
-        upper = _positive_overlap(model)
-        interp = model._interp
-
-        def integrand(w):
-            return 0.5 * (interp(w) - interp(-w)) * np.sin(w * t)
-
-        val = _piecewise_gauss(
-            integrand, 0.0, upper, _tabulated_panel_edges(model, upper, t)
-        )
-        return val / math.pi
+        return float(_tabulated_shift_pair(model, _positive_overlap(model), t)[1])
     raise TypeError(f"unknown spectral model {type(model)!r}")
+
+
+def _tabulated_shift_pair(model: Tabulated, upper: float, t: float) -> np.ndarray:
+    """(eps_p(t), d eps_p/dt) for t > 0 from one evaluation of S_a on shared nodes."""
+    interp = model._interp
+
+    def integrands(w):
+        s_a = 0.5 * (interp(w) - interp(-w))
+        s = np.sin(0.5 * w * t)
+        return np.stack((s_a / w * 2.0 * s * s, s_a * np.sin(w * t)))
+
+    edges = _tabulated_panel_edges(model, upper, t)
+    return _piecewise_gauss(integrands, 0.0, upper, edges) / math.pi
 
 
 def _shift_arrays(model: SpectralModel, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -512,15 +579,25 @@ def _shift_arrays(model: SpectralModel, taus: np.ndarray) -> tuple[np.ndarray, n
         )
         rate = eps_p0 * model.omega_c * x * decay
         return shift, rate
-    shift = np.array([shift_function(model, float(t)) for t in taus])
-    rate = np.array([shift_function_derivative(model, float(t)) for t in taus])
-    return shift, rate
+    if not isinstance(model, Tabulated):
+        raise DivergentMomentError("model has no antisymmetric part")
+    taus = np.asarray(taus, dtype=float)
+    if np.any(taus < 0):
+        raise ValueError("shift arrays require tau >= 0")
+    upper = _positive_overlap(model)
+    _assert_shift_integrand_finite(model, upper)
+    pairs = np.zeros((2, taus.size))
+    for i, t in enumerate(taus.tolist()):
+        if t > 0.0:
+            pairs[:, i] = _tabulated_shift_pair(model, upper, t)
+    return pairs[0], pairs[1]
 
 
 def _tabulated_tau_r(model: Tabulated) -> float:
     upper = _positive_overlap(model)
     grid = np.linspace(0.0, upper, 8193)[1:]
-    g = np.array([_antisymmetric_part(model, float(w)) / float(w) for w in grid])
+    interp = model._interp
+    g = 0.5 * (interp(grid) - interp(-grid)) / grid
     cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(grid))))
     total = cumulative[-1]
     if total <= 0:

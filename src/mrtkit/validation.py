@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import __version__
 from .dynamics import evolve_nonlocal, peak_summary, short_time_rho11
@@ -122,6 +121,8 @@ def _static_noise_expectation(delta, w_rms, eps, probe_time) -> float:
             0.5 * math.sqrt(rabi_sq) * probe_time
         ) ** 2
 
+    from scipy.integrate import quad
+
     resonance = [-eps - 2.0 * delta, -eps, -eps + 2.0 * delta]
     total = 0.0
     edges = np.linspace(-8.0 * w_rms, 8.0 * w_rms, 33)
@@ -184,6 +185,8 @@ def check_voigt_consistency(seed: int) -> list[CriterionRecord]:
             _le(5, "voigt-consistency", f"max rel |faddeeva-convolution| g/W={gamma:g}",
                 rel, 1e-8)
         )
+
+    from scipy.integrate import quad
 
     gamma = 1.0
     profile = lambda e: voigt_rate(delta, w_rms, e, eps_p, gamma)

@@ -470,6 +470,44 @@ out = x.csv
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rows",
+        ["-1.0,1.0\n0.0,abc\n1.0,1.0\n2.0,1.0",
+         "-1.0,1.0\n0.0,1.0\n0.0,2.0\n1.0,1.0",
+         "-1.0,1.0\n0.0\n1.0,1.0\n2.0,1.0",
+         "-1.0,1.0\n0.0,nan\n1.0,1.0\n2.0,1.0"],
+        ids=["non-numeric", "repeated-omega", "missing-column", "nan-value"],
+    )
+    def test_malformed_tabulated_csv_is_config_error(self, tmp_path, capsys, rows):
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("omega,S\n" + rows + "\n")
+        out = tmp_path / "x.csv"
+        config = write_config(
+            tmp_path,
+            f"""\
+[run]
+scenario = mrt-scan
+out = {out}
+
+[spectral]
+kind = tabulated
+csv = {spectrum}
+
+[two-state]
+delta = 0.001
+eps = 0.0
+temperature = 1.0
+
+[bias-grid]
+start = -1.0
+stop = 1.0
+steps = 5
+""",
+        )
+        assert main(["mrt-scan", "--config", config]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_divergent_model_is_physics_error(self, tmp_path):
         out = tmp_path / "x.csv"
         config = write_config(
@@ -620,6 +658,14 @@ class TestValidateCommand:
         text = out.read_text()
         assert text.startswith("# artifact = mrtkit")
         assert "criterion,name,metric,value,cmp,bound,status" in text
+
+    def test_unwritable_out_fails_before_the_suite(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "validation.csv"
+        assert main(["validate", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert "criterion" not in captured.out
+        assert not out.exists()
 
     def test_csv_byte_identical_across_runs(self, tmp_path):
         first = tmp_path / "v1.csv"

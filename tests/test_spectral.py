@@ -100,6 +100,10 @@ class TestModelValidation:
             Tabulated(np.array([0.0, 1.0, 1.0, 2.0]), np.ones(4))
         with pytest.raises(ValueError, match="nonnegative"):
             Tabulated(np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, -0.1, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            Tabulated(np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, np.nan, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            Tabulated(np.array([0.0, 1.0, 2.0, np.inf]), np.ones(4))
 
     def test_csv_round_trip(self, tmp_path):
         model = ohmic_grid_model(span=5.0, points=101)
