@@ -147,15 +147,25 @@ def load_config(scenario: str, path: str, out: str | None, seed: int | None) -> 
     return RunConfig(scenario, parser, path, out, seed)
 
 
+def _construct(config: RunConfig, section: str, cls, **kwargs):
+    """cls(**kwargs); a value the constructor rejects is a config error."""
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{config.path}: [{section}] {err}") from None
+
+
 def build_model(config: RunConfig):
     kind = config.require("spectral", "kind").lower()
     if kind == "white":
-        return White(
+        return _construct(
+            config, "spectral", White,
             s0=config.require_float("spectral", "s0"),
             temperature=config.get_float("spectral", "temperature", None),
         )
     if kind in ("ohmic", "ohmic-cutoff"):
-        return OhmicCutoff(
+        return _construct(
+            config, "spectral", OhmicCutoff,
             eta=config.require_float("spectral", "eta"),
             omega_c=config.require_float("spectral", "omega_c"),
             temperature=config.require_float("spectral", "temperature"),
@@ -183,8 +193,9 @@ def build_params(config: RunConfig) -> TwoStateParams:
         config.require_float("two-state", "eps"),
         config.get_float("two-state", "eps_rate", 0.0),
     )
-    return TwoStateParams(
-        delta=delta, eps=eps, temperature=config.require_float("two-state", "temperature")
+    return _construct(
+        config, "two-state", TwoStateParams,
+        delta=delta, eps=eps, temperature=config.require_float("two-state", "temperature"),
     )
 
 
@@ -206,6 +217,24 @@ def _resolve_eps_p(config: RunConfig, section: str, model) -> float:
     if raw.strip().lower() == "auto":
         return reorganization_shift(model)
     return config.require_float(section, "eps_p")
+
+
+def _check_writable(path: str) -> None:
+    """Fail fast with a ConfigError when the output file cannot be written.
+
+    Leaves an existing file as it is and creates no file: a new path is
+    probed by creating it exclusively and removing it again.
+    """
+    try:
+        if os.path.exists(path):
+            with open(path, "a"):
+                pass
+        else:
+            with open(path, "x"):
+                pass
+            os.remove(path)
+    except OSError as err:
+        raise ConfigError(f"output {path}: {err.strerror or err}") from None
 
 
 def write_csv(path: str, comments: dict[str, str], warnings_seen: list[str],
@@ -450,6 +479,7 @@ def run_oracle(config: RunConfig):
 
 def run(config: RunConfig) -> int:
     """Dispatch a parsed configuration; write CSV; return the exit status."""
+    _check_writable(config.out)
     oracle_failures = 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -11,6 +11,10 @@ noise seen by the two-state system.  Three families are supported:
   zero outside the grid.
 
 Derived moments: the r.m.s. noise W = sqrt(integral S(omega) domega / 2pi),
+which for the ohmic-cutoff model is the closed Matsubara sum
+W^2 = (eta T omega_c / 2) [1 + 2 x^2 psi'(1 + x)], x = omega_c / (2 pi T),
+with the trigamma psi' from recurrence and its asymptotic Bernoulli series
+(Abramowitz & Stegun, Handbook of Mathematical Functions, 6.4.12);
 the zero-frequency resonance shift eps_p0 = integral (domega/2pi) S(omega)/omega
 (full line, equilibrium reflection S(-w) = e^{-w/T} S(w) implied), and the
 time-dependent shift eps_p(t) = eps_p0 - integral (domega/2pi) (S/omega) cos(omega t).
@@ -428,25 +432,48 @@ def _one_minus_cos_integral(f, t, scale, upper, epsabs, points=()):
 # moments
 
 
+# Bernoulli numbers B_2 ... B_14 of the trigamma asymptotic series
+_TRIGAMMA_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
+
+def _trigamma(x: float) -> float:
+    """psi'(x) for x > 0, to about 1e-15 relative.
+
+    Upward recurrence psi'(x) = psi'(x + 1) + 1/x^2 until x >= 10, then
+    psi'(x) ~ 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) through B_14
+    (Abramowitz & Stegun 6.4.12; DLMF 5.15.8).
+    """
+    head = 0.0
+    while x < 10.0:
+        head += 1.0 / (x * x)
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    series = 0.0
+    for b in reversed(_TRIGAMMA_BERNOULLI):
+        series = series * inv2 + b
+    return head + inv * (1.0 + inv * (0.5 + inv * series))
+
+
 def noise_rms(model: SpectralModel) -> float:
     """W = sqrt(integral_{-inf}^{inf} S(omega) domega / 2pi).
 
+    The ohmic-cutoff model is summed in closed form: with the Matsubara
+    expansion omega coth(omega/2T) = 2T [1 + 2 sum_n omega^2/(omega^2 + nu_n^2)],
+    nu_n = 2 pi n T, every term integrates exactly against the cutoff, and
+
+        W^2 = (eta T omega_c / 2) [1 + 2 x^2 psi'(1 + x)],  x = omega_c / (2 pi T),
+
+    with the trigamma psi' from its asymptotic series (Abramowitz & Stegun
+    6.4.12).  A tabulated model integrates its interpolant exactly.
     Raises DivergentMomentError for the flat spectrum.
     """
     if isinstance(model, White):
         raise DivergentMomentError("flat spectrum: integral of S(omega) diverges")
     if isinstance(model, OhmicCutoff):
-        scale = _mass_scale(model)
-        pts = (min(model.omega_c, model.temperature), model.omega_c, model.temperature)
-        w2 = _smooth_integral(
-            lambda w: _symmetric_part(model, w),
-            0.0,
-            np.inf,
-            epsabs=1e-13,
-            scale=scale,
-            points=pts,
-        ) / math.pi
-        return math.sqrt(w2)
+        x = model.omega_c / (2.0 * math.pi * model.temperature)
+        bracket = 1.0 + 2.0 * x * x * _trigamma(1.0 + x)
+        return math.sqrt(0.5 * model.eta * model.temperature * model.omega_c * bracket)
     if isinstance(model, Tabulated):
         w2 = model._interp.integral / (2.0 * math.pi)
         if w2 <= 0:

@@ -317,9 +317,14 @@ def check_multichannel(seed: int) -> list[CriterionRecord]:
     return records
 
 
-def check_determinism(seed: int) -> list[CriterionRecord]:
-    """10: two full runs at the same seed render byte-identical CSV."""
-    first = render_csv(_core_records(seed))
+def check_determinism(seed: int, first: str | None = None) -> list[CriterionRecord]:
+    """10: two full runs at the same seed render byte-identical CSV.
+
+    `first` is the rendering of a run of criteria 1-9 already made at this
+    seed (``run_all`` passes its own); without it both runs happen here.
+    """
+    if first is None:
+        first = render_csv(_core_records(seed))
     second = render_csv(_core_records(seed))
     mismatch = 0.0 if first == second else 1.0
     return [_le(10, "determinism", "csv byte mismatch (two runs, fixed seed)", mismatch, 0.0)]
@@ -358,7 +363,8 @@ def _core_records(seed: int) -> list[CriterionRecord]:
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CriterionRecord]:
-    return _core_records(seed) + check_determinism(seed)
+    core = _core_records(seed)
+    return core + check_determinism(seed, first=render_csv(core))
 
 
 def render_csv(records: list[CriterionRecord], seed: int | None = None) -> str:

@@ -508,6 +508,67 @@ steps = 5
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, body",
+        [("spectral", "kind = ohmic\neta = 8.0\nomega_c = 0.02\ntemperature = -1.0"),
+         ("two-state", "delta = -0.001\neps = 0.0\ntemperature = 1.0")],
+        ids=["negative-temperature", "negative-delta"],
+    )
+    def test_bad_parameter_value_is_config_error(self, tmp_path, capsys, section, body):
+        out = tmp_path / "x.csv"
+        sections = {
+            "run": f"scenario = mrt-scan\nout = {out}",
+            "spectral": "kind = ohmic\neta = 8.0\nomega_c = 0.02\ntemperature = 1.0",
+            "two-state": "delta = 0.001\neps = 0.0\ntemperature = 1.0",
+            "bias-grid": "start = -1.0\nstop = 1.0\nsteps = 5",
+        }
+        sections[section] = body
+        text = "".join(f"[{name}]\n{lines}\n\n" for name, lines in sections.items())
+        config = write_config(tmp_path, text)
+        assert main(["mrt-scan", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"[{section}]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["absent/x.csv", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                    target):
+        out = tmp_path / target
+        config = TestMrtScan().config(tmp_path, out)
+        computed = []
+        monkeypatch.setattr("mrtkit.cli.run_mrt_scan", lambda cfg: computed.append(cfg))
+        assert main(["mrt-scan", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert str(out) in err
+        assert computed == []
+
+    def test_existing_output_is_kept_on_config_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_text("previous\n")
+        config = write_config(
+            tmp_path,
+            f"""\
+[run]
+scenario = mrt-scan
+out = {out}
+
+{BASE_SPECTRAL}
+[two-state]
+delta = 0.001
+eps = 0.0
+temperature = 1.0
+
+[bias-grid]
+start = -1.0
+stop = 1.0
+steps = abc
+""",
+        )
+        assert main(["mrt-scan", "--config", config]) == 2
+        assert out.read_text() == "previous\n"
+
     def test_divergent_model_is_physics_error(self, tmp_path):
         out = tmp_path / "x.csv"
         config = write_config(

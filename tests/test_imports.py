@@ -1,9 +1,11 @@
 """Import contract: SciPy is loaded only by the functions that call into it.
 
 Each case runs in a fresh interpreter and reports the ``scipy`` modules in
-``sys.modules`` afterwards.  Startup, config errors and every tabulated
-scenario need NumPy alone; a Voigt line shape is the positive control that
-the probe does see a SciPy import.
+``sys.modules`` afterwards.  Startup, config errors, every tabulated
+scenario, the ohmic moments and the ohmic nonlocal evolve and gaussian,
+classical and first-order nonlocal-corrected scans need NumPy alone; a
+Voigt line shape is the positive control that the probe does see a SciPy
+import.
 """
 
 import json
@@ -98,6 +100,43 @@ def test_tabulated_scenarios_import_no_scipy(tmp_path, scenario, body):
     report = run_probe(cli_body([scenario, "--config", config]))
     assert report == {"code": 0, "scipy": []}
     assert (tmp_path / "out.csv").exists()
+
+
+def ohmic_config(tmp_path, scenario, body):
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[run]\nscenario = {scenario}\nout = {tmp_path / 'out.csv'}\n\n"
+        "[spectral]\nkind = ohmic\neta = 8.0\nomega_c = 0.02\ntemperature = 1.0\n\n"
+        "[two-state]\ndelta = 0.003\neps = 0.05\ntemperature = 1.0\n\n" + body
+    )
+    return str(config)
+
+
+_BIAS_GRID = "[bias-grid]\nstart = -0.5\nstop = 0.5\nsteps = 3\n"
+
+
+@pytest.mark.parametrize(
+    "scenario, body",
+    [
+        ("evolve", "[evolve]\nmode = nonlocal\n\n"
+                   "[time-grid]\nstart = 0.0\nstop = 40.0\nsteps = 41\n"),
+        ("mrt-scan", "[mrt-scan]\nshape = gaussian\neps_p = auto\n\n" + _BIAS_GRID),
+        ("mrt-scan", "[mrt-scan]\nshape = classical\n\n" + _BIAS_GRID),
+        ("mrt-scan", "[mrt-scan]\nshape = nonlocal-corrected\n\n" + _BIAS_GRID),
+    ],
+    ids=["evolve-nonlocal", "scan-gaussian", "scan-classical", "scan-nonlocal-corrected"],
+)
+def test_ohmic_scenarios_import_no_scipy(tmp_path, scenario, body):
+    config = ohmic_config(tmp_path, scenario, body)
+    report = run_probe(cli_body([scenario, "--config", config]))
+    assert report == {"code": 0, "scipy": []}
+    assert (tmp_path / "out.csv").exists()
+
+
+def test_ohmic_moments_import_no_scipy():
+    body = ("from mrtkit import OhmicCutoff, noise_moments\n"
+            "noise_moments(OhmicCutoff(eta=1.0, omega_c=1.0, temperature=0.1))")
+    assert run_probe(body)["scipy"] == []
 
 
 def test_probe_sees_a_scipy_import():

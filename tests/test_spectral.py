@@ -1,9 +1,12 @@
 """Spectral-density models and their frequency moments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrtkit import (
     DecompositionError,
@@ -19,6 +22,7 @@ from mrtkit import (
     shift_function_derivative,
     symmetric_antisymmetric,
 )
+from mrtkit.spectral import _mass_scale, _smooth_integral, _symmetric_part, _trigamma
 
 
 def ohmic_grid_model(eta=1.0, omega_c=1.0, temperature=1.0, span=30.0, points=2401):
@@ -49,6 +53,36 @@ def rms_trapezoid_oracle(eta, omega_c, temperature):
     total += np.trapezoid(positive_side(head) * np.exp(-head / temperature), head)
     total += np.trapezoid(positive_side(tail) * np.exp(-tail / temperature), tail)
     return math.sqrt(total / (2.0 * math.pi))
+
+
+def rms_quad_oracle(model):
+    """The adaptive-quadrature ohmic W that the closed Matsubara sum replaced."""
+    scale = _mass_scale(model)
+    pts = (min(model.omega_c, model.temperature), model.omega_c, model.temperature)
+    w2 = _smooth_integral(
+        lambda w: _symmetric_part(model, w),
+        0.0,
+        np.inf,
+        epsabs=1e-13,
+        scale=scale,
+        points=pts,
+    ) / math.pi
+    return math.sqrt(w2)
+
+
+def rms_mpmath_oracle(eta, omega_c, temperature, digits=30):
+    """W from mpmath.quad at `digits` significant digits, split at the scales."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        eta, omega_c, temperature = map(mpmath.mpf, (eta, omega_c, temperature))
+
+        def symmetric(w):
+            if w == 0:
+                return 2 * eta * temperature
+            return eta * w / mpmath.tanh(w / (2 * temperature)) / (1 + (w / omega_c) ** 2) ** 2
+
+        edges = sorted({mpmath.mpf(0), omega_c, temperature}) + [mpmath.inf]
+        return float(mpmath.sqrt(mpmath.quad(symmetric, edges) / mpmath.pi))
 
 
 class TestEvalSpectralDensity:
@@ -170,6 +204,48 @@ class TestNoiseRms:
         assert noise_rms(model) == pytest.approx(
             rms_trapezoid_oracle(0.8, 0.05, 2.0), rel=1e-8
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eta=st.floats(0.1, 10.0),
+        omega_c=st.floats(0.1, 10.0),
+        log_ratio=st.floats(-3.0, 3.0),
+    )
+    def test_closed_form_matches_quad_oracle(self, eta, omega_c, log_ratio):
+        # omega_c / T spans 1e-3 .. 1e3; rel = the oracle's requested epsrel
+        model = OhmicCutoff(eta=eta, omega_c=omega_c, temperature=omega_c / 10.0**log_ratio)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = rms_quad_oracle(model)
+        assert noise_rms(model) == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "eta, omega_c, temperature",
+        [(1.0, 1.0, 1.0), (0.8, 0.05, 2.0), (8.0, 1.0, 0.25), (2.0, 40.0, 1.0)],
+    )
+    def test_closed_form_matches_mpmath(self, eta, omega_c, temperature):
+        expected = rms_mpmath_oracle(eta, omega_c, temperature)
+        model = OhmicCutoff(eta=eta, omega_c=omega_c, temperature=temperature)
+        assert abs(noise_rms(model) - expected) <= 1e-15 * expected
+
+
+class TestTrigamma:
+    def test_matches_mpmath_log_spaced(self):
+        mpmath = pytest.importorskip("mpmath")
+        for x in np.geomspace(1e-4, 1e4, 2001).tolist():
+            expected = float(mpmath.polygamma(1, x))
+            assert abs(_trigamma(x) - expected) <= 1e-15 * expected, x
+
+    def test_recurrence_asymptotic_switch(self):
+        # x = 10 is where the recurrence hands over to the asymptotic series
+        mpmath = pytest.importorskip("mpmath")
+        for x in (9.0, math.nextafter(10.0, 0.0), 10.0, math.nextafter(10.0, 20.0), 11.0):
+            expected = float(mpmath.polygamma(1, x))
+            assert abs(_trigamma(x) - expected) <= 1e-15 * expected, x
+
+    def test_special_values(self):
+        assert _trigamma(1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-15)
+        assert _trigamma(0.5) == pytest.approx(math.pi**2 / 2.0, rel=1e-15)
 
 
 class TestReorganizationShift:
