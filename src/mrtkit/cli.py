@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from . import __version__, validation
-from .coherence import dephasing_result
+from .coherence import DephasingResult, dephasing_exponent
 from .dynamics import (
     evolve_local,
     evolve_nonlocal,
@@ -264,7 +264,12 @@ def run_envelope(config: RunConfig) -> list[tuple[str, np.ndarray]]:
         config.get_float("two-state", "eps_rate", 0.0),
     )
     grid = read_grid(config, "time-grid")
-    results = [dephasing_result(model, eps, float(t)) for t in grid]
+    # one call for the whole grid; every row passes DephasingResult's [0, 1] check
+    exponents = dephasing_exponent(model, grid)
+    results = [
+        DephasingResult(t=t, magnitude_ratio=math.exp(-x), phase=-eps.integral(t))
+        for t, x in zip(grid.tolist(), exponents.tolist())
+    ]
     return [
         ("t", grid),
         ("magnitude_ratio", np.array([r.magnitude_ratio for r in results])),

@@ -26,11 +26,11 @@ from .spectral import (
     White,
     _cosine_integral,
     _mass_scale,
-    _oscillation_edges,
-    _piecewise_gauss,
     _quad,
+    _sine_contraction,
     _smooth_integral,
     _symmetric_part,
+    _tabulated_nodes,
 )
 
 __all__ = ["DephasingResult", "dephasing_exponent", "offdiag_element", "dephasing_result"]
@@ -71,10 +71,24 @@ def _halfline_exponent(s_of, t: float, scale: float, upper: float) -> float:
     return total
 
 
-def dephasing_exponent(model: SpectralModel, t: float) -> float:
-    """Positive decay exponent X(t); the envelope is exp(-X(t))."""
-    if t < 0:
+def dephasing_exponent(model: SpectralModel, t):
+    """Positive decay exponent X(t); the envelope is exp(-X(t)).
+
+    t may be a float (a float is returned) or an array of times (an array of
+    the same shape is returned).  A tabulated model evaluates all times in
+    one contraction on shared nodes; the other models loop the scalar path.
+    """
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0):
         raise ValueError("dephasing_exponent requires t >= 0")
+    if isinstance(model, Tabulated):
+        values = _tabulated_exponent(model, times)
+    else:
+        values = np.array([_scalar_exponent(model, x) for x in times.ravel().tolist()])
+    return float(values[0]) if times.ndim == 0 else values.reshape(times.shape)
+
+
+def _scalar_exponent(model: SpectralModel, t: float) -> float:
     if t == 0.0:
         return 0.0
     if isinstance(model, White):
@@ -85,24 +99,17 @@ def dephasing_exponent(model: SpectralModel, t: float) -> float:
             lambda w: _symmetric_part(model, w), t, _mass_scale(model), np.inf
         )
         return 2.0 * val / math.pi
-    if isinstance(model, Tabulated):
-        # S = 0 outside the grid; fold each side of the line onto [0, upper]
-        # and integrate on panels aligned to knots and oscillation nodes.
-        interp = model._interp
-        total = 0.0
-        for sign, upper in ((1.0, float(model.omega[-1])), (-1.0, float(-model.omega[0]))):
-            if upper <= 0:
-                continue
-
-            def integrand(w, sign=sign):
-                s = np.sin(0.5 * w * t) / w
-                return interp(sign * w) * s * s
-
-            knots = np.abs(model.omega[(sign * model.omega > 0)])
-            edges = np.concatenate((knots, _oscillation_edges(0.0, upper, t)))
-            total += _piecewise_gauss(integrand, 0.0, upper, edges)
-        return total / math.pi
     raise TypeError(f"unknown spectral model {type(model)!r}")
+
+
+def _tabulated_exponent(model: Tabulated, times: np.ndarray) -> np.ndarray:
+    # S = 0 outside the grid: both sides of the line fold onto [0, upper]
+    # as S(w) + S(-w), with NaN (outside the interpolant) read as zero
+    upper = float(max(model.omega[-1], -model.omega[0]))
+    nodes, weights = _tabulated_nodes(model, upper, float(np.max(times, initial=0.0)))
+    interp = model._interp
+    density = np.nan_to_num(interp(nodes)) + np.nan_to_num(interp(-nodes))
+    return _sine_contraction(times, nodes, weights * density / (math.pi * nodes * nodes))[0]
 
 
 def offdiag_element(

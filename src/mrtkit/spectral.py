@@ -313,12 +313,13 @@ def _mass_scale(model: SpectralModel) -> float:
 
 def _positive_overlap(model: Tabulated) -> float:
     """Largest frequency where both +w and -w lie inside the grid."""
-    if not model.two_sided:
+    upper = min(model.omega[-1], -model.omega[0])
+    if upper <= 0.0:
         raise DecompositionError(
-            "tabulated model has no negative-frequency data; "
+            "tabulated model needs data on both sides of omega = 0; "
             "frequency moments need a two-sided grid"
         )
-    return min(model.omega[-1], -model.omega[0])
+    return upper
 
 
 # ---------------------------------------------------------------------------
@@ -333,27 +334,9 @@ def _quad(f, a, b, epsabs, points=None, limit=400):
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _piecewise_gauss(f, a, b, knots):
-    """Gauss-Legendre panel quadrature aligned to interpolation knots.
-
-    The adaptive rules cannot certify tight tolerances across the curvature
-    jumps of a piecewise-cubic interpolant; panel-aligned fixed rules are
-    effectively exact there.  f must accept arrays.  It may return a stack
-    of integrands on the same nodes (extra leading axes); the result then
-    has that leading shape.
-    """
-    edges = np.concatenate(([a], np.asarray(knots, dtype=float), [b]))
-    edges = np.unique(edges[(edges >= a) & (edges <= b)])
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    values = f(nodes.ravel())
-    values = values.reshape(values.shape[:-1] + nodes.shape)
-    total = np.sum(half * (values @ _GL_WEIGHTS), axis=-1)
-    return float(total) if total.ndim == 0 else total
+# Largest tau-by-node block (elements) of one sine contraction: a fixed
+# bound, so the peak memory of a call does not grow with the number of tau.
+_BLOCK = 2**15
 
 
 def _oscillation_edges(a: float, b: float, t: float) -> np.ndarray:
@@ -370,10 +353,50 @@ def _oscillation_edges(a: float, b: float, t: float) -> np.ndarray:
     return a + half_period * np.arange(1, count + 1)
 
 
-def _tabulated_panel_edges(model: "Tabulated", upper: float, t: float = 0.0) -> np.ndarray:
-    pos = model.omega[(model.omega > 0.0) & (model.omega < upper)]
-    neg = -model.omega[(model.omega < 0.0) & (model.omega > -upper)]
-    return np.concatenate((pos, neg, _oscillation_edges(0.0, upper, t)))
+def _tabulated_nodes(
+    model: "Tabulated", upper: float, t_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, upper] shared by every tau <= t_max.
+
+    16-point panels are aligned to the knots on both sides of the line
+    (|omega|) and split at the half-periods pi/t_max of the largest tau, so
+    the panels stay sub-oscillatory for every smaller tau as well.  Fixed
+    panel rules are effectively exact across the curvature jumps of the
+    piecewise-cubic interpolant, where adaptive rules cannot certify tight
+    tolerances.  An edge within 1e-12 upper of its left neighbour (a mirrored
+    knot that misses its twin by an ulp) is dropped; upper itself is kept.
+    """
+    knots = np.abs(model.omega)
+    edges = np.unique(np.concatenate((
+        [0.0], knots[knots < upper], _oscillation_edges(0.0, upper, t_max), [upper]
+    )))
+    inner = edges[1:-1]
+    keep = (np.diff(edges[:-1]) > 1e-12 * upper) & (upper - inner > 1e-12 * upper)
+    edges = np.concatenate(([0.0], inner[keep], [upper]))
+    half = 0.5 * np.diff(edges)
+    nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+    weights = half[:, None] * _GL_WEIGHTS
+    return nodes.ravel(), weights.ravel()
+
+
+def _sine_contraction(taus, nodes, sin2_weights, sin_weights=None) -> np.ndarray:
+    """Rows sin^2(tau w / 2) @ sin2_weights and, if given, sin(tau w) @ sin_weights.
+
+    Returns shape (1, n) or (2, n) for n values of tau, which are processed
+    in blocks of at most _BLOCK tau-node elements.
+    """
+    taus = np.asarray(taus, dtype=float).ravel()
+    out = np.zeros((1 if sin_weights is None else 2, taus.size))
+    rows = max(1, _BLOCK // max(nodes.size, 1))
+    half_nodes = 0.5 * nodes
+    for start in range(0, taus.size, rows):
+        block = slice(start, start + rows)
+        phase = np.multiply.outer(taus[block], half_nodes)
+        s = np.sin(phase)
+        out[0, block] = (s * s) @ sin2_weights
+        if sin_weights is not None:
+            out[1, block] = np.sin(phase + phase) @ sin_weights
+    return out
 
 
 def _smooth_integral(f, a, b, epsabs, scale, points=()):
@@ -505,13 +528,10 @@ def reorganization_shift(model: SpectralModel) -> float:
     if isinstance(model, Tabulated):
         upper = _positive_overlap(model)
         _assert_shift_integrand_finite(model, upper)
+        nodes, weights = _tabulated_nodes(model, upper, 0.0)
         interp = model._interp
-
-        def integrand(w):
-            return 0.5 * (interp(w) - interp(-w)) / w
-
-        val = _piecewise_gauss(integrand, 0.0, upper, _tabulated_panel_edges(model, upper))
-        return val / math.pi
+        s_a = 0.5 * (interp(nodes) - interp(-nodes))
+        return float(np.sum(weights * s_a / nodes)) / math.pi
     raise TypeError(f"unknown spectral model {type(model)!r}")
 
 
@@ -554,11 +574,7 @@ def shift_function(model: SpectralModel, t: float, method: str = "auto") -> floa
     if isinstance(model, Tabulated):
         if method == "closed":
             raise ValueError("tabulated models have no closed-form shift")
-        if t == 0.0:
-            return 0.0
-        upper = _positive_overlap(model)
-        _assert_shift_integrand_finite(model, upper)
-        return float(_tabulated_shift_pair(model, upper, t)[0])
+        return float(_shift_arrays(model, np.array([t]))[0][0])
     raise TypeError(f"unknown spectral model {type(model)!r}")
 
 
@@ -573,23 +589,16 @@ def shift_function_derivative(model: SpectralModel, t: float) -> float:
         eps_p0 = 0.25 * model.eta * model.omega_c
         return eps_p0 * model.omega_c * x * math.exp(-x)
     if isinstance(model, Tabulated):
-        if t == 0.0:
-            return 0.0
-        return float(_tabulated_shift_pair(model, _positive_overlap(model), t)[1])
+        return float(_tabulated_shift(model, _positive_overlap(model), np.array([t]))[1][0])
     raise TypeError(f"unknown spectral model {type(model)!r}")
 
 
-def _tabulated_shift_pair(model: Tabulated, upper: float, t: float) -> np.ndarray:
-    """(eps_p(t), d eps_p/dt) for t > 0 from one evaluation of S_a on shared nodes."""
+def _tabulated_shift(model: Tabulated, upper: float, taus: np.ndarray) -> np.ndarray:
+    """Rows (eps_p(tau), d eps_p/dtau) from one evaluation of S_a on shared nodes."""
+    nodes, weights = _tabulated_nodes(model, upper, float(np.max(taus, initial=0.0)))
     interp = model._interp
-
-    def integrands(w):
-        s_a = 0.5 * (interp(w) - interp(-w))
-        s = np.sin(0.5 * w * t)
-        return np.stack((s_a / w * 2.0 * s * s, s_a * np.sin(w * t)))
-
-    edges = _tabulated_panel_edges(model, upper, t)
-    return _piecewise_gauss(integrands, 0.0, upper, edges) / math.pi
+    rate_weights = weights * 0.5 * (interp(nodes) - interp(-nodes)) / math.pi
+    return _sine_contraction(taus, nodes, 2.0 * rate_weights / nodes, rate_weights)
 
 
 def _shift_arrays(model: SpectralModel, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -613,11 +622,7 @@ def _shift_arrays(model: SpectralModel, taus: np.ndarray) -> tuple[np.ndarray, n
         raise ValueError("shift arrays require tau >= 0")
     upper = _positive_overlap(model)
     _assert_shift_integrand_finite(model, upper)
-    pairs = np.zeros((2, taus.size))
-    for i, t in enumerate(taus.tolist()):
-        if t > 0.0:
-            pairs[:, i] = _tabulated_shift_pair(model, upper, t)
-    return pairs[0], pairs[1]
+    return tuple(_tabulated_shift(model, upper, taus))
 
 
 def _tabulated_tau_r(model: Tabulated) -> float:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mrtkit import LinearSchedule, OhmicCutoff, White, dephasing_result
 from mrtkit.cli import main
 
 BASE_SPECTRAL = """\
@@ -406,6 +407,46 @@ steps = 4
             t = float(t_s)
             assert float(mag_s) == pytest.approx(math.exp(-t), rel=1e-12)
             assert float(phase_s) == pytest.approx(-1.5 * t, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spectral, model",
+        [("kind = white\ns0 = 0.3", White(s0=0.3)),
+         ("kind = ohmic\neta = 8.0\nomega_c = 0.02\ntemperature = 1.0",
+          OhmicCutoff(eta=8.0, omega_c=0.02, temperature=1.0))],
+        ids=["white", "ohmic"],
+    )
+    def test_matches_per_t_scalar_rendering(self, tmp_path, spectral, model):
+        # the envelope evaluates its grid in one call; for these models the
+        # CSV is byte-identical to rendering dephasing_result row by row
+        out = tmp_path / "env.csv"
+        config = write_config(
+            tmp_path,
+            f"[run]\nscenario = envelope\nout = {out}\n\n[spectral]\n{spectral}\n\n"
+            "[two-state]\neps = 0.2\neps_rate = 0.01\n\n"
+            "[time-grid]\nstart = 0.0\nstop = 12.0\nsteps = 7\n",
+        )
+        assert main(["envelope", "--config", config]) == 0
+        rows = [
+            dephasing_result(model, LinearSchedule(0.2, 0.01), float(t))
+            for t in np.linspace(0.0, 12.0, 7)
+        ]
+        expected = "t,magnitude_ratio,phase\n" + "".join(
+            f"{r.t!r},{r.magnitude_ratio!r},{r.phase!r}\n" for r in rows
+        )
+        assert out.read_text().endswith(expected)
+
+    def test_every_row_is_range_checked(self, tmp_path, monkeypatch):
+        out = tmp_path / "env.csv"
+        config = write_config(
+            tmp_path,
+            f"[run]\nscenario = envelope\nout = {out}\n\n[spectral]\nkind = white\n"
+            "s0 = 0.3\n\n[time-grid]\nstart = 0.0\nstop = 1.0\nsteps = 3\n",
+        )
+        monkeypatch.setattr(
+            "mrtkit.cli.dephasing_exponent", lambda model, t: np.array([0.0, 0.1, -1.0])
+        )
+        assert main(["envelope", "--config", config]) == 3
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -67,6 +67,30 @@ class TestDephasingExponent:
                 dephasing_exponent(source, t), rel=1e-4
             )
 
+    @pytest.mark.parametrize(
+        "model",
+        [White(s0=2.0), OhmicCutoff(1.0, 1.0, 1.0),
+         Tabulated(np.linspace(-5.0, 5.0, 41), np.exp(-np.linspace(-5.0, 5.0, 41) ** 2), 1.0)],
+        ids=["white", "ohmic", "tabulated"],
+    )
+    def test_array_contract(self, model):
+        # a float in gives a float out; an array in gives an array of its shape
+        times = np.array([[0.0, 0.4], [1.3, 2.0]])
+        values = dephasing_exponent(model, times)
+        assert isinstance(values, np.ndarray) and values.shape == times.shape
+        scalar = dephasing_exponent(model, 1.3)
+        assert type(scalar) is float
+        if isinstance(model, Tabulated):
+            # the array shares one node set, laid for its largest time
+            assert values[1, 0] == pytest.approx(scalar, rel=1e-13)
+        else:
+            # the other models loop the scalar path
+            assert values.ravel().tolist() == [
+                dephasing_exponent(model, t) for t in times.ravel().tolist()
+            ]
+        with pytest.raises(ValueError):
+            dephasing_exponent(model, np.array([1.0, -0.5]))
+
     def test_tabulated_one_sided_supported(self):
         # dephasing needs no decomposition; S = 0 outside the grid
         grid = np.linspace(0.0, 10.0, 401)

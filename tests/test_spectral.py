@@ -187,6 +187,18 @@ class TestSymmetricAntisymmetric:
         with pytest.raises(DecompositionError):
             symmetric_antisymmetric(model, 1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 10.0), (-10.0, 0.0), (-10.0, -1.0)])
+    def test_moments_need_data_on_both_sides(self, lo, hi):
+        # the moments pair S(w) with S(-w): a grid that ends at or starts
+        # from omega = 0 has nothing to pair
+        grid = np.linspace(lo, hi, 11)
+        model = Tabulated(grid, 1.0 + grid * grid, temperature=1.0)
+        for moment in (reorganization_shift, noise_moments,
+                       lambda m: shift_function(m, 1.0),
+                       lambda m: shift_function_derivative(m, 1.0)):
+            with pytest.raises(DecompositionError):
+                moment(model)
+
 
 class TestNoiseRms:
     def test_white_diverges(self):
