@@ -18,6 +18,7 @@ from .dynamics import (
     kernel_integral,
     lambda_pm,
     nonlocal_corrected_rates,
+    nonlocal_corrected_scan,
     peak_summary,
     short_time_rho11,
 )
@@ -25,6 +26,7 @@ from .errors import (
     ConfigError,
     DecompositionError,
     DivergentMomentError,
+    IntegrationWarning,
     RegimeError,
     RegimeWarning,
 )

@@ -29,7 +29,7 @@ from .coherence import DephasingResult, dephasing_exponent
 from .dynamics import (
     evolve_local,
     evolve_nonlocal,
-    nonlocal_corrected_rates,
+    nonlocal_corrected_scan,
     peak_summary,
     short_time_rho11,
 )
@@ -300,9 +300,7 @@ def run_mrt_scan(config: RunConfig) -> list[tuple[str, np.ndarray]]:
         gm = np.asarray(voigt_rate(delta, w_rms, grid, eps_p, gamma))
         gp = np.asarray(voigt_rate(delta, w_rms, grid, -eps_p, gamma))
     elif shape == "nonlocal-corrected":
-        for i, eps in enumerate(grid):
-            point = TwoStateParams(params.delta, float(eps), params.temperature)
-            gm[i], gp[i] = nonlocal_corrected_rates(model, point, w_rms)
+        gm, gp = nonlocal_corrected_scan(model, params, w_rms, grid)
     else:
         raise ConfigError(f"{config.path}: unknown mrt-scan shape {shape!r}")
     curve = RateCurve(bias=grid, gamma_minus=gm, gamma_plus=gp, shape=shape)

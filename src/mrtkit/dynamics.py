@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import RegimeError, RegimeWarning
+from .quadrature import bounded_minimum, gauss_kronrod
 from .rates import TwoStateParams, peak_rate, warn_weak_coupling
 from .spectral import (
     OhmicCutoff,
@@ -55,6 +56,7 @@ __all__ = [
     "evolve_nonlocal",
     "evolve_local",
     "nonlocal_corrected_rates",
+    "nonlocal_corrected_scan",
     "peak_summary",
     "short_time_rho11",
 ]
@@ -409,17 +411,49 @@ def nonlocal_corrected_rates(
     """
     if form not in ("first_order", "exact"):
         raise ValueError(f"unknown form {form!r}")
+    return _corrected_rates(model, params, w_rms, form, *_memory_moments(model))
+
+
+def nonlocal_corrected_scan(
+    model: SpectralModel, params: TwoStateParams, w_rms: float, biases
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-order corrected (Gamma_-, Gamma_+) at every bias of a scan.
+
+    Equal to ``nonlocal_corrected_rates`` at each bias, with the model's
+    response frequency and eps_p0 computed once for the whole scan.
+    """
+    moments = _memory_moments(model)
+    rates = [
+        _corrected_rates(
+            model, TwoStateParams(params.delta, float(eps), params.temperature),
+            w_rms, "first_order", *moments,
+        )
+        for eps in biases
+    ]
+    return np.array([r[0] for r in rates]), np.array([r[1] for r in rates])
+
+
+def _memory_moments(model: SpectralModel) -> tuple[float, float]:
+    """(response frequency, eps_p0): the model moments of the memory correction."""
+    return _response_frequency(model), reorganization_shift(model)
+
+
+def _corrected_rates(
+    model: SpectralModel,
+    params: TwoStateParams,
+    w: float,
+    form: str,
+    omega_resp: float,
+    eps_p0: float,
+) -> tuple[float, float]:
     delta, eps = _require_constant(params)
-    w = w_rms
     gp = peak_rate(delta, w)
     warn_weak_coupling(delta, w)
-    omega_resp = _response_frequency(model)
     ratio = gp / omega_resp
     if ratio >= 0.5:
         raise RegimeError(
             f"Gamma_p/omega_c = {ratio:.3g} >= 0.5: memory correction out of regime"
         )
-    eps_p0 = reorganization_shift(model)
     base_minus = gp * math.exp(-0.5 * ((eps - eps_p0) / w) ** 2)
     base_plus = gp * math.exp(-0.5 * ((eps + eps_p0) / w) ** 2)
     if form == "first_order":
@@ -483,47 +517,36 @@ def peak_summary(
     temperature = params.temperature
     gauss_supp = math.exp(-0.5 * (eps_p0 / w) ** 2)
 
-    def curve(e: float) -> float:
-        base = gp * math.exp(-0.5 * ((e - eps_p0) / w) ** 2)
-        factor = 1.0 + 2.0 * ratio * math.exp(-0.5 * (e / w) ** 2) * (
-            gauss_supp * math.cosh(0.5 * e / temperature) - 1.0
-        )
+    def curve(e):
+        # exp(-e^2/2w^2) cosh(e/2T) as one exponent each way, so the window
+        # edges at e/T >> 1 give 0, not inf * 0
+        base = gp * np.exp(-0.5 * ((e - eps_p0) / w) ** 2)
+        gauss = -0.5 * (e / w) ** 2
+        thermal = 0.5 * e / temperature
+        cosh_term = 0.5 * (np.exp(gauss + thermal) + np.exp(gauss - thermal))
+        factor = 1.0 + 2.0 * ratio * (gauss_supp * cosh_term - np.exp(gauss))
         return base * factor
 
-    from scipy.integrate import quad
-    from scipy.optimize import minimize_scalar
-
     span = 3.0 * w
-    opt = minimize_scalar(
-        lambda e: -curve(e),
-        bounds=(eps_p0 - span, eps_p0 + span),
-        method="bounded",
-        options={"xatol": 1e-11 * max(w, abs(eps_p0))},
+    eps_peak = bounded_minimum(
+        lambda e: -curve(e), eps_p0 - span, eps_p0 + span,
+        xatol=1e-11 * max(w, abs(eps_p0)),
     )
-    eps_peak = float(opt.x)
-    gamma_peak = curve(eps_peak)
+    gamma_peak = float(curve(eps_peak))
 
     # moments of the normalized curve; window covers the cosh saddle
     half = 10.0 * w + w * w / temperature
-    lo, hi = eps_p0 - half, eps_p0 + half
-    pts = [eps_p0 - w, eps_p0, eps_p0 + w]
-    norm, _ = quad(curve, lo, hi, epsabs=1e-14 * gp, epsrel=1e-12, limit=400, points=pts)
-    mean, _ = quad(
-        lambda e: e * curve(e), lo, hi, epsabs=0.0, epsrel=1e-12, limit=400, points=pts
-    )
-    mean /= norm
-    m2, _ = quad(
-        lambda e: (e - mean) ** 2 * curve(e),
-        lo, hi, epsabs=0.0, epsrel=1e-12, limit=400, points=pts,
-    )
-    m2 /= norm
-    # the third moment nearly cancels; a floor on epsabs keeps QUADPACK from
+    edges = [eps_p0 - half, eps_p0 - w, eps_p0, eps_p0 + w, eps_p0 + half]
+
+    def moment(f, epsabs):
+        return gauss_kronrod(f, edges, epsabs=epsabs, epsrel=1e-12, limit=400)[0]
+
+    norm = moment(curve, 1e-14 * gp)
+    mean = moment(lambda e: e * curve(e), 0.0) / norm
+    m2 = moment(lambda e: (e - mean) ** 2 * curve(e), 0.0) / norm
+    # the third moment nearly cancels; a floor on epsabs keeps the rule from
     # chasing relative accuracy below the roundoff of the cancellation
-    m3, _ = quad(
-        lambda e: (e - mean) ** 3 * curve(e),
-        lo, hi, epsabs=1e-10 * norm * m2**1.5, epsrel=1e-12, limit=400, points=pts,
-    )
-    m3 /= norm
+    m3 = moment(lambda e: (e - mean) ** 3 * curve(e), 1e-10 * norm * m2**1.5) / norm
     return PeakSummary(
         gamma_peak=gamma_peak,
         eps_peak=eps_peak,

@@ -23,3 +23,7 @@ class ConfigError(Exception):
 
 class RegimeWarning(UserWarning):
     """The requested parameters leave the theory's validity regime."""
+
+
+class IntegrationWarning(UserWarning):
+    """An adaptive quadrature stopped before meeting its error tolerance."""

@@ -17,6 +17,7 @@ import numpy as np
 
 from .dynamics import Trajectory, evolve_local, evolve_nonlocal
 from .errors import RegimeError
+from .quadrature import gauss_kronrod
 from .rates import TwoStateParams, peak_rate
 from .spectral import SpectralModel, _shift_arrays, noise_rms
 
@@ -136,8 +137,6 @@ def convolution_reference(
         raise ValueError("convolution_reference requires gamma_ij > 0")
     if w_rms <= 0:
         raise ValueError("w_rms must be positive")
-    from scipy.integrate import quad
-
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
     prefactor = delta_ij**2 * gamma_ij / (math.sqrt(8.0 * math.pi) * w_rms)
     lo = eps_p - 45.0 * w_rms
@@ -145,7 +144,7 @@ def convolution_reference(
     out = np.empty_like(eps_grid)
     for i, eps in enumerate(eps_grid):
         def integrand(x):
-            gauss = math.exp(-0.5 * ((x - eps_p) / w_rms) ** 2)
+            gauss = np.exp(-0.5 * ((x - eps_p) / w_rms) ** 2)
             return gauss / ((eps - x) ** 2 + gamma_ij**2)
 
         # geometric ladder around the Lorentzian spike: lets the adaptive
@@ -156,8 +155,8 @@ def convolution_reference(
             spike.extend((eps - step, eps + step))
             step *= 10.0
         pts = sorted(p for p in spike + [eps_p] if lo < p < hi)
-        val, _ = quad(
-            integrand, lo, hi, points=pts or None, epsabs=1e-300, epsrel=1e-12, limit=800
+        val, _, _ = gauss_kronrod(
+            integrand, [lo, *pts, hi], epsabs=1e-300, epsrel=1e-12, limit=800
         )
         out[i] = prefactor * val
     return out

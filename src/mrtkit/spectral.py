@@ -273,8 +273,8 @@ def symmetric_antisymmetric(model: SpectralModel, omega: float) -> tuple[float, 
     return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
-# Internal decomposition helpers used by the quadrature paths.  For the
-# ohmic model these are the exact algebraic forms, free of the cancellation
+# Internal decomposition helper used by the quadrature paths.  For the
+# ohmic model it is the exact algebraic form, free of the cancellation
 # that (S(w) - S(-w))/2 suffers at omega/T -> 0.
 
 
@@ -286,29 +286,6 @@ def _antisymmetric_part(model: SpectralModel, omega: float) -> float:
             eval_spectral_density(model, omega) - eval_spectral_density(model, -omega)
         )
     raise DivergentMomentError("model has no antisymmetric part")
-
-
-def _symmetric_part(model: SpectralModel, omega: float) -> float:
-    if isinstance(model, OhmicCutoff):
-        if omega == 0.0:
-            return 2.0 * model.eta * model.temperature
-        # omega * coth(omega/2T) written as omega / tanh(omega/2T)
-        occ = omega / math.tanh(0.5 * omega / model.temperature)
-        return model.eta * occ / (1.0 + (omega / model.omega_c) ** 2) ** 2
-    if isinstance(model, Tabulated):
-        return 0.5 * (
-            eval_spectral_density(model, omega) + eval_spectral_density(model, -omega)
-        )
-    raise DivergentMomentError("model has no integrable symmetric part")
-
-
-def _mass_scale(model: SpectralModel) -> float:
-    """Frequency scale beyond which the integrand mass has decayed."""
-    if isinstance(model, OhmicCutoff):
-        return max(model.omega_c, model.temperature)
-    if isinstance(model, Tabulated):
-        return max(abs(model.omega[0]), abs(model.omega[-1]))
-    raise DivergentMomentError("flat spectrum has no frequency scale")
 
 
 def _positive_overlap(model: Tabulated) -> float:

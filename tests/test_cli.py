@@ -218,6 +218,67 @@ steps = 5
         assert len(data) == 5
 
 
+    def test_tabulated_nonlocal_corrected_scan_moments_once(self, tmp_path, monkeypatch):
+        # eps_p0 and the response frequency depend on the model alone: one
+        # evaluation per scan, not one per bias point
+        import mrtkit
+        import mrtkit.dynamics as dynamics
+
+        counts = {"reorganization_shift": 0, "_tabulated_tau_r": 0}
+        for name in counts:
+            original = getattr(dynamics, name)
+
+            def counted(model, original=original, name=name):
+                counts[name] += 1
+                return original(model)
+
+            monkeypatch.setattr(dynamics, name, counted)
+        source = mrtkit.OhmicCutoff(8.0, 0.02, 1.0)
+        grid = np.linspace(-0.6, 0.6, 241)
+        rows = ["omega,S"] + [
+            f"{float(w)!r},{mrtkit.eval_spectral_density(source, float(w))!r}" for w in grid
+        ]
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "t.csv"
+        config = write_config(
+            tmp_path,
+            f"""\
+[run]
+scenario = mrt-scan
+out = {out}
+
+[spectral]
+kind = tabulated
+csv = {spectrum}
+temperature = 1.0
+
+[two-state]
+delta = 0.003
+eps = 0.0
+temperature = 1.0
+
+[mrt-scan]
+shape = nonlocal-corrected
+
+[bias-grid]
+start = -0.5
+stop = 0.5
+steps = 11
+""",
+        )
+        assert main(["mrt-scan", "--config", config]) == 0
+        assert counts == {"reorganization_shift": 1, "_tabulated_tau_r": 1}
+        _, _, data = read_csv(out)
+        assert len(data) == 11
+        # each row equals the per-point public function
+        model = mrtkit.Tabulated.from_csv(spectrum, 1.0)
+        w_rms = mrtkit.noise_rms(model)
+        for eps, gm, gp in data:
+            point = mrtkit.TwoStateParams(0.003, float(eps), 1.0)
+            assert (float(gm), float(gp)) == mrtkit.nonlocal_corrected_rates(model, point, w_rms)
+
+
 class TestPeakCommand:
     def test_single_row_output(self, tmp_path):
         out = tmp_path / "peak.csv"

@@ -2,9 +2,12 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mrtkit import (
     LinearSchedule,
@@ -17,6 +20,90 @@ from mrtkit import (
     noise_rms,
     offdiag_element,
 )
+from mrtkit.spectral import _HEAD_PERIODS, _cosine_integral, _quad, _smooth_integral
+from scipy.integrate import IntegrationWarning
+
+
+def ohmic_symmetric_part(model, omega):
+    """S_s(omega) = eta omega coth(omega/2T) / (1 + (omega/omega_c)^2)^2, the oracles' integrand."""
+    if omega == 0.0:
+        return 2.0 * model.eta * model.temperature
+    occ = omega / math.tanh(0.5 * omega / model.temperature)
+    return model.eta * occ / (1.0 + (omega / model.omega_c) ** 2) ** 2
+
+
+def _halfline_exponent(s_of, t: float, scale: float, upper: float) -> float:
+    """integral_0^upper s_of(w) sin^2(w t / 2) / w^2 dw.
+
+    Same head/tail strategy as the shift quadrature: the head uses the
+    stable (sin(wt/2)/w)^2 form, the tail splits 2 sin^2 = 1 - cos into a
+    smooth piece and a cosine-weighted piece (s_of(w)/w^2 is integrable
+    away from zero).
+    """
+    b = min(upper, 40.0 * scale, _HEAD_PERIODS * 2.0 * math.pi / t)
+
+    def head(w):
+        s = math.sin(0.5 * w * t) / w
+        return s_of(w) * s * s
+
+    total = _quad(head, 0.0, b, epsabs=1e-13)
+    if b < upper:
+        tail_f = lambda w: s_of(w) / (w * w)
+        total += 0.5 * _smooth_integral(tail_f, b, upper, 1e-13, scale)
+        total -= 0.5 * _cosine_integral(tail_f, b, upper, t, 1e-13)
+    return total
+
+
+def exponent_quad_oracle(model, t):
+    """The adaptive-quadrature ohmic X(t) that the Matsubara sum replaced."""
+    if t == 0.0:
+        return 0.0
+    scale = max(model.omega_c, model.temperature)
+    val = _halfline_exponent(lambda w: ohmic_symmetric_part(model, w), t, scale, np.inf)
+    return 2.0 * val / math.pi
+
+
+def exponent_mpmath_oracle(eta, omega_c, temperature, t, digits=30):
+    """X(t) from mpmath.quad at `digits` significant digits.
+
+    The sin^2 form runs to H = max(40 max(omega_c, T), 20 periods) (200
+    periods when that is shorter), split at doubling frequencies and at
+    every period; beyond H, sin^2 = (1 - cos)/2 with mpmath.quadosc.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        eta, omega_c, temperature, t = map(mpmath.mpf, (eta, omega_c, temperature, t))
+
+        def symmetric(w):
+            if w == 0:
+                return 2 * eta * temperature
+            return eta * w / mpmath.tanh(w / (2 * temperature)) / (1 + (w / omega_c) ** 2) ** 2
+
+        def head(w):
+            if w == 0:
+                return symmetric(w) * t * t / 4
+            s = mpmath.sin(w * t / 2) / w
+            return symmetric(w) * s * s
+
+        period = 2 * mpmath.pi / t
+        scale = max(omega_c, temperature)
+        upper = max(40 * scale, 20 * period)
+        if 40 * scale > 200 * period:
+            upper = 200 * period
+        edges = {mpmath.mpf(0), upper}
+        w = min(omega_c, temperature) / 8
+        while w < upper:
+            edges.add(w)
+            w *= 2
+        if upper / period <= 400:
+            edges.update(k * period for k in range(1, int(upper / period) + 1))
+        total = mpmath.quad(head, sorted(e for e in edges if e <= upper))
+        tail = lambda w: symmetric(w) / (w * w)
+        smooth = mpmath.quad(tail, [upper, 2 * upper, 10 * upper, mpmath.inf])
+        oscillating = mpmath.quadosc(
+            lambda w: tail(w) * mpmath.cos(w * t), [upper, mpmath.inf], omega=t
+        )
+        return float(2 * (total + (smooth - oscillating) / 2) / mpmath.pi)
 
 
 class TestDephasingExponent:
@@ -96,6 +183,113 @@ class TestDephasingExponent:
         grid = np.linspace(0.0, 10.0, 401)
         model = Tabulated(grid, np.exp(-grid), temperature=1.0)
         assert dephasing_exponent(model, 1.0) > 0.0
+
+
+class TestOhmicMatsubaraSum:
+    """The closed ohmic X(t) against the old quadrature and 30-digit mpmath."""
+
+    @pytest.mark.parametrize(
+        "eta, omega_c, temperature, t",
+        [(200.0, 0.01, 1.0, 0.1), (200.0, 0.01, 1.0, 5.0), (1.0, 1.0, 1.0, 0.3),
+         (1.0, 1.0, 1.0, 5.0), (0.3, 5.0, 0.2, 1.5)],
+    )
+    def test_matches_quad_oracle(self, eta, omega_c, temperature, t):
+        model = OhmicCutoff(eta=eta, omega_c=omega_c, temperature=temperature)
+        assert dephasing_exponent(model, t) == pytest.approx(
+            exponent_quad_oracle(model, t), rel=1e-12, abs=0.0
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        eta=st.floats(1e-3, 1e3),
+        log_ratio=st.floats(-3.0, 3.0),
+        log_wct=st.floats(-3.0, 3.0),
+    )
+    def test_property_against_quad_oracle(self, eta, log_ratio, log_wct):
+        # omega_c / T spans 1e-3 .. 1e3 and omega_c t 1e-3 .. 1e3, with T t
+        # capped at 100: outside that window the oracle's cosine tail breaks
+        # down without a warning (see the mpmath cases below).  Inside it,
+        # examples where the oracle warns or returns a negative X (its QAWF
+        # tail sometimes yields -5.7e307 silently) are discarded, about 4 %,
+        # and the oracle was measured off by up to 4.6e-11 relative and
+        # 1.05e-13 absolute against mpmath, hence the bounds
+        ratio = 10.0**log_ratio
+        wct = min(10.0**log_wct, 100.0 * ratio)
+        model = OhmicCutoff(eta=eta, omega_c=1.0, temperature=1.0 / ratio)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            expected = exponent_quad_oracle(model, wct)
+        assume(expected >= 0.0)
+        assume(not any(issubclass(w.category, IntegrationWarning) for w in caught))
+        got = dephasing_exponent(model, wct)
+        assert abs(got - expected) <= 1e-10 * expected + 2e-13
+
+    @pytest.mark.parametrize(
+        "eta, omega_c, temperature, t",
+        [
+            (1.0, 1.0, 1.0, 1e-8),      # omega_c t = 1e-8: X = W^2 t^2/2 to 1e-8
+            (1.0, 1.0, 1.0, 0.3),
+            (200.0, 0.01, 1.0, 0.1),
+            (1.0, 1.0, 1e-3, 2.5),      # T << omega_c: 1 337 explicit terms
+            (1.0, 1.0, 1e-3, 1e-8),
+            (0.3, 5.0, 0.2, 1e-6),      # omega_c t = 5e-6, where the quad oracle fails
+        ],
+    )
+    def test_matches_mpmath(self, eta, omega_c, temperature, t):
+        model = OhmicCutoff(eta=eta, omega_c=omega_c, temperature=temperature)
+        assert dephasing_exponent(model, t) == pytest.approx(
+            exponent_mpmath_oracle(eta, omega_c, temperature, t), rel=1e-13, abs=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "eta, omega_c, temperature, t",
+        [(0.7, 2.0, 1.3, 60.0), (1.38, 1.0, 292.4, 688.0)],  # the second: T t = 2e5
+    )
+    def test_long_time_asymptote_matches_mpmath(self, eta, omega_c, temperature, t):
+        # once t min(omega_c, 2 pi T) >> 1, X(t) = eta T t - D up to terms
+        # below e^-100, with D = (1/pi) int_0^inf (S_s(0) - S_s(w)) / w^2 dw
+        # non-oscillatory; where T t >~ 1e4 the quad oracle is off by up to 3e-4
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            e, c, temp = map(mpmath.mpf, (eta, omega_c, temperature))
+
+            def deficit(w):
+                s = e * w / mpmath.tanh(w / (2 * temp)) / (1 + (w / c) ** 2) ** 2
+                return (2 * e * temp - s) / (w * w)
+
+            # Gauss-Legendre next to w = 0: tanh-sinh nodes crowd so close to
+            # it that the cancellation in the numerator eats all 30 digits
+            low = min(c, temp)
+            head = mpmath.quad(deficit, [0, low], method="gauss-legendre")
+            rest = mpmath.quad(deficit, sorted({low, c, temp, 40 * max(c, temp)}) + [mpmath.inf])
+            expected = float(e * temp * t - (head + rest) / mpmath.pi)
+        model = OhmicCutoff(eta=eta, omega_c=omega_c, temperature=temperature)
+        assert dephasing_exponent(model, t) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-4, 1.0 - 1e-4, 3.0])
+    @pytest.mark.parametrize("wct", [1e-8, 1.5])
+    def test_resonance_matches_mpmath(self, x, wct):
+        # omega_c = nu_n = 2 pi n T: the triple pole of the Matsubara term
+        omega_c = 2.0 * math.pi * x
+        model = OhmicCutoff(eta=1.0, omega_c=omega_c, temperature=1.0)
+        t = wct / omega_c
+        assert dephasing_exponent(model, t) == pytest.approx(
+            exponent_mpmath_oracle(1.0, omega_c, 1.0, t), rel=1e-13, abs=0.0
+        )
+
+    def test_short_time_limit(self):
+        # X = W^2 t^2 / 2 (1 + O(omega_c t log)) as t -> 0
+        model = OhmicCutoff(eta=2.0, omega_c=3.0, temperature=0.5)
+        w = noise_rms(model)
+        t = 1e-9
+        assert dephasing_exponent(model, t) == pytest.approx(0.5 * w * w * t * t, rel=1e-7, abs=0.0)
+
+    def test_long_time_slope(self):
+        # X -> S_s(0) t / 2 - D: the slope eta T at late times
+        model = OhmicCutoff(eta=0.7, omega_c=2.0, temperature=1.3)
+        t1, t2 = 400.0, 800.0
+        slope = (dephasing_exponent(model, t2) - dephasing_exponent(model, t1)) / (t2 - t1)
+        assert slope == pytest.approx(0.7 * 1.3, rel=1e-12)
 
 
 class TestOffdiagElement:

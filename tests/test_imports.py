@@ -2,10 +2,11 @@
 
 Each case runs in a fresh interpreter and reports the ``scipy`` modules in
 ``sys.modules`` afterwards.  Startup, config errors, every tabulated
-scenario, the ohmic moments and the ohmic nonlocal evolve and gaussian,
-classical and first-order nonlocal-corrected scans need NumPy alone; a
-Voigt line shape is the positive control that the probe does see a SciPy
-import.
+scenario, the ohmic moments and the ohmic envelope, peak, nonlocal evolve
+and gaussian, classical and first-order nonlocal-corrected scans need NumPy
+alone; the convolution oracle loads only ``scipy.special`` (for ``wofz``),
+no integrator or optimiser.  A Voigt line shape is the positive control
+that the probe does see a SciPy import.
 """
 
 import json
@@ -123,14 +124,30 @@ _BIAS_GRID = "[bias-grid]\nstart = -0.5\nstop = 0.5\nsteps = 3\n"
         ("mrt-scan", "[mrt-scan]\nshape = gaussian\neps_p = auto\n\n" + _BIAS_GRID),
         ("mrt-scan", "[mrt-scan]\nshape = classical\n\n" + _BIAS_GRID),
         ("mrt-scan", "[mrt-scan]\nshape = nonlocal-corrected\n\n" + _BIAS_GRID),
+        ("envelope", "[time-grid]\nstart = 0.0\nstop = 5.0\nsteps = 21\n"),
+        ("peak", ""),
     ],
-    ids=["evolve-nonlocal", "scan-gaussian", "scan-classical", "scan-nonlocal-corrected"],
+    ids=["evolve-nonlocal", "scan-gaussian", "scan-classical", "scan-nonlocal-corrected",
+         "envelope", "peak"],
 )
 def test_ohmic_scenarios_import_no_scipy(tmp_path, scenario, body):
     config = ohmic_config(tmp_path, scenario, body)
     report = run_probe(cli_body([scenario, "--config", config]))
     assert report == {"code": 0, "scipy": []}
     assert (tmp_path / "out.csv").exists()
+
+
+def test_convolution_oracle_imports_no_integrator(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[run]\nscenario = oracle\nout = {tmp_path / 'out.csv'}\n\n"
+        "[oracle]\nname = convolution\nw = 1.0\ndelta = 0.001\ngamma = 0.1\neps_p = 0.4\n\n"
+        + _BIAS_GRID
+    )
+    report = run_probe(cli_body(["oracle", "--config", str(config)]))
+    assert report["code"] == 0
+    assert "scipy.special" in report["scipy"]
+    assert not any(m.startswith(("scipy.integrate", "scipy.optimize")) for m in report["scipy"])
 
 
 def test_ohmic_moments_import_no_scipy():

@@ -1,0 +1,198 @@
+"""NumPy Gauss-Kronrod quadrature and bounded Brent minimisation."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
+
+from mrtkit import (
+    IntegrationWarning,
+    OhmicCutoff,
+    TwoStateParams,
+    noise_rms,
+    peak_rate,
+    peak_summary,
+)
+from mrtkit.dynamics import _response_frequency
+from mrtkit.quadrature import RULE_SIZE, bounded_minimum, gauss_kronrod
+from mrtkit.spectral import reorganization_shift
+
+
+def lorentzian(gamma):
+    return lambda x: gamma / (x * x + gamma * gamma)
+
+
+# (integrand, edges, exact value)
+CASES = {
+    "exp": (np.exp, [0.0, 1.0], math.e - 1.0),
+    "oscillating": (lambda x: np.cos(3.0 * x) * np.exp(-x), [0.0, 3.0],
+                    (1.0 - math.exp(-3.0) * (math.cos(9.0) - 3.0 * math.sin(9.0))) / 10.0),
+    "kink-at-edge": (lambda x: np.abs(x - 0.3), [-1.0, 0.3, 1.0], 0.5 * (1.3**2 + 0.7**2)),
+    "step-at-edge": (lambda x: np.where(x < 0.25, 1.0, 3.0), [0.0, 0.25, 1.0], 0.25 + 2.25),
+}
+for _gamma in (1e-6, 1e-3, 1.0, 100.0):
+    # spike at 0, an exact abscissa; the edge at 0 lets the rule zoom in
+    CASES[f"lorentzian-{_gamma:g}"] = (
+        lorentzian(_gamma), [-1.3, 0.0, 0.7],
+        math.atan(1.3 / _gamma) + math.atan(0.7 / _gamma),
+    )
+
+
+class TestGaussKronrod:
+    def test_rule_is_exact_for_polynomials(self):
+        # K15 is exact through degree 22, the embedded G7 through 13
+        for k in range(23):
+            exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+            # one interval, and a tolerance the first estimate meets
+            value, error, evals = gauss_kronrod(
+                lambda x, k=k: x**k, [-1.0, 1.0], epsabs=1.0, epsrel=0.0, limit=1
+            )
+            assert value == pytest.approx(exact, abs=1e-15)
+            assert evals == RULE_SIZE
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_closed_form_and_quad(self, name):
+        f, edges, exact = CASES[name]
+        value, error, evals = gauss_kronrod(f, edges, epsabs=0.0, epsrel=1e-12, limit=800)
+        assert abs(value - exact) <= 2e-12 * abs(exact)
+        # the error estimate bounds the true error
+        assert abs(value - exact) <= error
+        assert error <= 1e-12 * abs(value)
+        assert evals > 0 and evals % RULE_SIZE == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reference, _ = quad(
+                f, edges[0], edges[-1], points=edges[1:-1] or None,
+                epsabs=0.0, epsrel=1e-12, limit=800,
+            )
+        if name != "lorentzian-1e-06":
+            # QUADPACK's QAGP misses the 1e-6 spike by 48% from the same edges
+            assert value == pytest.approx(reference, rel=2e-12, abs=0.0)
+
+    def test_batched_calls(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(-x * x)
+
+        value, error, evals = gauss_kronrod(f, [-6.0, 0.0, 6.0], epsabs=0.0, epsrel=1e-13, limit=50)
+        assert value == pytest.approx(math.sqrt(math.pi) * math.erf(6.0), rel=1e-13, abs=0.0)
+        # one call per refinement step, each a whole number of 15-point rules
+        assert sum(calls) == evals
+        assert all(size % RULE_SIZE == 0 for size in calls)
+
+    def test_exhausted_limit_warns(self):
+        with pytest.warns(IntegrationWarning, match="subdivision limit 4"):
+            value, error, evals = gauss_kronrod(
+                lambda x: np.sqrt(np.abs(np.sin(50.0 * x))), [0.0, 10.0],
+                epsabs=0.0, epsrel=1e-14, limit=4,
+            )
+        assert error > 1e-14 * abs(value)
+        # 1 + 2 + 4 rules: the first interval, then every split the limit allows
+        assert evals == 7 * RULE_SIZE
+
+
+class TestBoundedMinimum:
+    @pytest.mark.parametrize(
+        "f, lo, hi",
+        [
+            (lambda x: (x - 0.7) ** 2 + 0.1 * math.sin(5.0 * x), -2.0, 3.0),
+            (lambda x: -math.exp(-(x - 1.234567) ** 2) * (1.0 + 0.3 * x), -5.0, 5.0),
+            (lambda x: abs(x - 0.2), -1.0, 1.0),
+            (lambda x: x, 2.0, 3.0),     # minimum on the boundary
+            (lambda x: math.cos(x), 0.0, 10.0),
+        ],
+    )
+    @pytest.mark.parametrize("xatol", [1e-5, 1e-11])
+    def test_agrees_with_minimize_scalar(self, f, lo, hi, xatol):
+        expected = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        assert bounded_minimum(f, lo, hi, xatol) == pytest.approx(expected.x, abs=xatol)
+
+
+def quad_peak_summary(model, params, w_rms):
+    """The quad / minimize_scalar peak_summary that the NumPy rules replaced."""
+    delta = params.delta_schedule.initial
+    w = w_rms
+    gp = peak_rate(delta, w)
+    ratio = gp / _response_frequency(model)
+    eps_p0 = reorganization_shift(model)
+    temperature = params.temperature
+    gauss_supp = math.exp(-0.5 * (eps_p0 / w) ** 2)
+
+    def curve(e: float) -> float:
+        base = gp * math.exp(-0.5 * ((e - eps_p0) / w) ** 2)
+        factor = 1.0 + 2.0 * ratio * math.exp(-0.5 * (e / w) ** 2) * (
+            gauss_supp * math.cosh(0.5 * e / temperature) - 1.0
+        )
+        return base * factor
+
+    span = 3.0 * w
+    opt = minimize_scalar(
+        lambda e: -curve(e),
+        bounds=(eps_p0 - span, eps_p0 + span),
+        method="bounded",
+        options={"xatol": 1e-11 * max(w, abs(eps_p0))},
+    )
+    eps_peak = float(opt.x)
+    half = 10.0 * w + w * w / temperature
+    lo, hi = eps_p0 - half, eps_p0 + half
+    pts = [eps_p0 - w, eps_p0, eps_p0 + w]
+    norm, _ = quad(curve, lo, hi, epsabs=1e-14 * gp, epsrel=1e-12, limit=400, points=pts)
+    mean, _ = quad(
+        lambda e: e * curve(e), lo, hi, epsabs=0.0, epsrel=1e-12, limit=400, points=pts
+    )
+    mean /= norm
+    m2, _ = quad(
+        lambda e: (e - mean) ** 2 * curve(e),
+        lo, hi, epsabs=0.0, epsrel=1e-12, limit=400, points=pts,
+    )
+    m2 /= norm
+    m3, _ = quad(
+        lambda e: (e - mean) ** 3 * curve(e),
+        lo, hi, epsabs=1e-10 * norm * m2**1.5, epsrel=1e-12, limit=400, points=pts,
+    )
+    m3 /= norm
+    return curve(eps_peak), eps_peak, m3 / m2**1.5
+
+
+def fdt_model(eps_p0, omega_c, w_rms=1.0):
+    return OhmicCutoff(
+        eta=4.0 * eps_p0 / omega_c, omega_c=omega_c, temperature=w_rms * w_rms / (2.0 * eps_p0)
+    )
+
+
+class TestPeakSummaryAgainstQuad:
+    @pytest.mark.parametrize(
+        "model, delta, eps",
+        [
+            (fdt_model(2.5, 1.0), math.sqrt(1e-3 / math.sqrt(math.pi / 8.0)), 2.5),
+            (fdt_model(2.5, 1.0), math.sqrt(0.1 / math.sqrt(math.pi / 8.0)), 2.5),
+            (fdt_model(0.5, 0.3), 0.05, 0.5),
+            (OhmicCutoff(eta=200.0, omega_c=0.01, temperature=1.0), 0.02, 0.4),
+            (OhmicCutoff(eta=8.0, omega_c=1.0, temperature=0.25), 0.4, 2.0),
+        ],
+    )
+    def test_agrees_with_quad_version(self, model, delta, eps):
+        w = noise_rms(model)
+        params = TwoStateParams(delta=delta, eps=eps, temperature=model.temperature)
+        summary = peak_summary(model, params, w)
+        gamma_peak, eps_peak, asymmetry = quad_peak_summary(model, params, w)
+        assert summary.gamma_peak == pytest.approx(gamma_peak, rel=1e-10, abs=0.0)
+        assert summary.eps_peak == pytest.approx(eps_peak, rel=1e-10, abs=0.0)
+        assert summary.asymmetry == pytest.approx(asymmetry, abs=1e-9)
+
+    def test_low_temperature_window_is_finite(self):
+        # at T = W/50 the window reaches e/2T ~ 1.5e3, where cosh alone
+        # overflows (math.cosh raised OverflowError); the curve itself peaks
+        # at exp(W^2/8T^2) = e^312 and stays representable
+        model = OhmicCutoff(eta=4.0, omega_c=1.0, temperature=0.02)
+        params = TwoStateParams(delta=0.05, eps=1.0, temperature=0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = peak_summary(model, params, 1.0)
+        values = (summary.gamma_peak, summary.eps_peak, summary.asymmetry)
+        assert all(math.isfinite(v) for v in values)

@@ -22,7 +22,15 @@ from mrtkit import (
     shift_function_derivative,
     symmetric_antisymmetric,
 )
-from mrtkit.spectral import _mass_scale, _smooth_integral, _symmetric_part, _trigamma
+from mrtkit.spectral import _smooth_integral, _trigamma
+
+
+def ohmic_symmetric_part(model, omega):
+    """S_s(omega) = eta omega coth(omega/2T) / (1 + (omega/omega_c)^2)^2, the oracles' integrand."""
+    if omega == 0.0:
+        return 2.0 * model.eta * model.temperature
+    occ = omega / math.tanh(0.5 * omega / model.temperature)
+    return model.eta * occ / (1.0 + (omega / model.omega_c) ** 2) ** 2
 
 
 def ohmic_grid_model(eta=1.0, omega_c=1.0, temperature=1.0, span=30.0, points=2401):
@@ -57,10 +65,10 @@ def rms_trapezoid_oracle(eta, omega_c, temperature):
 
 def rms_quad_oracle(model):
     """The adaptive-quadrature ohmic W that the closed Matsubara sum replaced."""
-    scale = _mass_scale(model)
+    scale = max(model.omega_c, model.temperature)
     pts = (min(model.omega_c, model.temperature), model.omega_c, model.temperature)
     w2 = _smooth_integral(
-        lambda w: _symmetric_part(model, w),
+        lambda w: ohmic_symmetric_part(model, w),
         0.0,
         np.inf,
         epsabs=1e-13,

@@ -179,14 +179,18 @@ def scalar_exponent(model, t):
         if upper <= 0:
             continue
 
+        # (sin(w t / 2) / (w t))^2, scaled by t^2 at the end: squaring
+        # sin(w t / 2) / w at tiny t rounds every node's product as a subnormal
         def integrand(w, sign=sign):
-            s = np.sin(0.5 * w * t) / w
+            wt = w * t
+            tiny = wt < 1e-8
+            s = np.where(tiny, 0.5, np.sin(0.5 * wt) / np.where(tiny, 1.0, wt))
             return interp(sign * w) * s * s
 
         knots = np.abs(model.omega[(sign * model.omega > 0)])
         edges = np.concatenate((knots, _oscillation_edges(0.0, upper, t)))
         total += _piecewise_gauss(integrand, 0.0, upper, edges)
-    return total / math.pi
+    return t * (t * total / math.pi)
 
 
 def assert_shift_matches_oracle(model, taus):
