@@ -8,15 +8,11 @@ units throughout (hbar = k_B = 1).
 
 from .coherence import DephasingResult, dephasing_exponent, dephasing_result, offdiag_element
 from .dynamics import (
-    KernelSpec,
     PeakSummary,
     ShortTimeResult,
     Trajectory,
-    build_kernel,
     evolve_local,
     evolve_nonlocal,
-    kernel_integral,
-    lambda_pm,
     nonlocal_corrected_rates,
     nonlocal_corrected_scan,
     peak_summary,

@@ -14,18 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .schedules import LinearSchedule, as_schedule
-from .spectral import (
-    OhmicCutoff,
-    SpectralModel,
-    Tabulated,
-    White,
-    _sine_contraction,
-    _tabulated_nodes,
-)
+
+if TYPE_CHECKING:
+    # spectral imports this module for the ohmic Matsubara sum
+    from .spectral import SpectralModel
 
 __all__ = ["DephasingResult", "dephasing_exponent", "offdiag_element", "dephasing_result"]
 
@@ -48,20 +45,14 @@ def dephasing_exponent(model: SpectralModel, t):
 
     t may be a float (a float is returned) or an array of times (an array of
     the same shape is returned).  Every model evaluates all times at once:
-    white noise in closed form, the ohmic cutoff as a Matsubara sum, a
-    tabulated model in one contraction on shared nodes.
+    white noise in closed form, the ohmic cutoff as a Matsubara sum
+    (``_ohmic_exponent``), a tabulated model in one contraction on shared
+    nodes.
     """
     times = np.asarray(t, dtype=float)
     if np.any(times < 0):
         raise ValueError("dephasing_exponent requires t >= 0")
-    if isinstance(model, White):
-        values = 0.5 * model.s0 * times
-    elif isinstance(model, OhmicCutoff):
-        values = _ohmic_exponent(model, times.ravel()).reshape(times.shape)
-    elif isinstance(model, Tabulated):
-        values = _tabulated_exponent(model, times).reshape(times.shape)
-    else:
-        raise TypeError(f"unknown spectral model {type(model)!r}")
+    values = model.dephasing_exponent(times)
     return float(values) if times.ndim == 0 else values
 
 
@@ -80,7 +71,7 @@ _EM_BERNOULLI = (1 / 6, -1 / 30, 1 / 42)
 _EULER_GAMMA = 0.5772156649015329
 
 
-def _ohmic_exponent(model: OhmicCutoff, times: np.ndarray) -> np.ndarray:
+def _ohmic_exponent(model: SpectralModel, times: np.ndarray) -> np.ndarray:
     """X(t) of the ohmic cutoff from its Matsubara residue sum, for a 1-d t.
 
     With omega coth(omega/2T) = 2T sum_n w_n omega^2/(omega^2 + nu_n^2),
@@ -258,22 +249,6 @@ def _phi_integral(p: np.ndarray, u: np.ndarray) -> np.ndarray:
         h = h * (c * d)
     fraction = ul / (p - 2.0) - 1.0 / (p - 1.0) + h * np.exp(-ul)
     return np.where(small, series, fraction)
-
-
-def _tabulated_exponent(model: Tabulated, times: np.ndarray) -> np.ndarray:
-    # S = 0 outside the grid: both sides of the line fold onto [0, upper]
-    # as S(w) + S(-w), with NaN (outside the interpolant) read as zero
-    upper = float(max(model.omega[-1], -model.omega[0]))
-    nodes, weights = _tabulated_nodes(model, upper, float(np.max(times, initial=0.0)))
-    interp = model._interp
-    density = np.nan_to_num(interp(nodes)) + np.nan_to_num(interp(-nodes))
-    sin2_weights = weights * density / (math.pi * nodes * nodes)
-    values = _sine_contraction(times, nodes, sin2_weights)[0]
-    # below t upper = 1e-8, sin^2(t w / 2) is (t w / 2)^2 to double precision;
-    # as t (t C) a subnormal X is rounded once, not once per node
-    flat = times.ravel()
-    small = flat * upper < 1e-8
-    return np.where(small, flat * (flat * (0.25 * (nodes * nodes) @ sin2_weights)), values)
 
 
 def offdiag_element(

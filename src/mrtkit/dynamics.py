@@ -33,26 +33,12 @@ import numpy as np
 from .errors import RegimeError, RegimeWarning
 from .quadrature import bounded_minimum, gauss_kronrod
 from .rates import TwoStateParams, peak_rate, warn_weak_coupling
-from .spectral import (
-    OhmicCutoff,
-    SpectralModel,
-    Tabulated,
-    _shift_arrays,
-    _tabulated_tau_r,
-    noise_rms,
-    reorganization_shift,
-    shift_function,
-    shift_function_derivative,
-)
+from .spectral import SpectralModel, noise_rms, reorganization_shift, shift_function
 
 __all__ = [
-    "KernelSpec",
     "Trajectory",
     "PeakSummary",
     "ShortTimeResult",
-    "build_kernel",
-    "lambda_pm",
-    "kernel_integral",
     "evolve_nonlocal",
     "evolve_local",
     "nonlocal_corrected_rates",
@@ -105,27 +91,6 @@ class Trajectory:
         return cls(t=np.asarray(t, dtype=float), rho00=1.0 - rho11, rho11=rho11)
 
 
-@dataclass(frozen=True, eq=False)
-class KernelSpec:
-    """Memory-kernel ingredients: Lambda_pm(tau), their derivatives, and limits.
-
-    value_at_zero is the common Lambda_pm(0) (eps_p(0) = 0 makes both
-    directions coincide) and doubles as the delta weight of K_pm.
-    """
-
-    lambda_minus: Callable[[float], float]
-    lambda_plus: Callable[[float], float]
-    dlambda_minus: Callable[[float], float]
-    dlambda_plus: Callable[[float], float]
-    value_at_zero: float
-    limit_minus: float
-    limit_plus: float
-
-    @property
-    def delta_weight(self) -> float:
-        return self.value_at_zero
-
-
 def _require_constant(params: TwoStateParams) -> tuple[float, float]:
     delta = params.delta_schedule
     eps = params.eps_schedule
@@ -136,81 +101,24 @@ def _require_constant(params: TwoStateParams) -> tuple[float, float]:
     return delta.initial, eps.initial
 
 
-def _response_frequency(model: SpectralModel) -> float:
-    if isinstance(model, OhmicCutoff):
-        return model.omega_c
-    if isinstance(model, Tabulated):
-        return 1.0 / _tabulated_tau_r(model)
-    raise RegimeError("model has no finite response time")
+def _kernel_arrays(
+    model: SpectralModel, params: TwoStateParams, w: float, taus: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(Lambda_-, Lambda_+, dLambda_-/dtau, dLambda_+/dtau) at the delays taus.
 
-
-def lambda_pm(
-    model: SpectralModel,
-    params: TwoStateParams,
-    w_rms: float,
-    tau: float,
-    direction: int,
-) -> float:
-    """Lambda_dir(tau) = Gamma_p exp(-(eps + dir*eps_p(tau))^2 / 2 W^2)."""
-    if tau < 0:
-        raise ValueError("lambda_pm requires tau >= 0")
-    if direction not in (-1, 1):
-        raise ValueError("direction must be -1 or +1")
-    delta, eps = _require_constant(params)
-    gp = peak_rate(delta, w_rms)
-    arg = (eps + direction * shift_function(model, tau)) / w_rms
-    return gp * math.exp(-0.5 * arg * arg)
-
-
-def build_kernel(
-    model: SpectralModel, params: TwoStateParams, w_rms: float | None = None
-) -> KernelSpec:
-    """Assemble the kernel functions for a constant-parameter system."""
-    delta, eps = _require_constant(params)
-    w = noise_rms(model) if w_rms is None else w_rms
-    gp = peak_rate(delta, w)
-    eps_p0 = reorganization_shift(model)
-
-    def lam(tau: float, direction: int) -> float:
-        arg = (eps + direction * shift_function(model, tau)) / w
-        return gp * math.exp(-0.5 * arg * arg)
-
-    def dlam(tau: float, direction: int) -> float:
-        eps_p = shift_function(model, tau)
-        rate = shift_function_derivative(model, tau)
-        value = gp * math.exp(-0.5 * ((eps + direction * eps_p) / w) ** 2)
-        return -direction * value * (eps + direction * eps_p) * rate / (w * w)
-
-    value_at_zero = gp * math.exp(-0.5 * (eps / w) ** 2)
-    return KernelSpec(
-        lambda_minus=lambda tau: lam(tau, -1),
-        lambda_plus=lambda tau: lam(tau, +1),
-        dlambda_minus=lambda tau: dlam(tau, -1),
-        dlambda_plus=lambda tau: dlam(tau, +1),
-        value_at_zero=value_at_zero,
-        limit_minus=gp * math.exp(-0.5 * ((eps - eps_p0) / w) ** 2),
-        limit_plus=gp * math.exp(-0.5 * ((eps + eps_p0) / w) ** 2),
-    )
-
-
-def kernel_integral(spec: KernelSpec, t: float, direction: int = -1) -> float:
-    """Running kernel integral int_0^t K_dir(tau) dtau.
-
-    Computed from the decomposition: the delta weight Lambda(0) plus the
-    quadrature of the smooth derivative part.  By construction this equals
-    Lambda_dir(t).
+    Lambda_pm(tau) = Gamma_p exp(-(eps pm eps_p(tau))^2 / 2 W^2) for a
+    constant-parameter system.  Lambda_-(0) = Lambda_+(0) is the delta weight
+    of the kernels; the derivatives vanish at tau = 0 with d eps_p/dtau, as
+    they do for every spectrum with an integrable S_a.
     """
-    if t < 0:
-        raise ValueError("kernel_integral requires t >= 0")
-    if direction not in (-1, 1):
-        raise ValueError("direction must be -1 or +1")
-    dlam = spec.dlambda_minus if direction == -1 else spec.dlambda_plus
-    if t == 0.0:
-        return spec.value_at_zero
-    from scipy.integrate import quad
-
-    smooth, _ = quad(dlam, 0.0, t, epsabs=1e-13, epsrel=1e-11, limit=400)
-    return spec.value_at_zero + smooth
+    delta, eps = _require_constant(params)
+    gp = peak_rate(delta, w)
+    eps_p, deps = model.shift_arrays(taus)
+    lam_m = gp * np.exp(-0.5 * ((eps - eps_p) / w) ** 2)
+    lam_p = gp * np.exp(-0.5 * ((eps + eps_p) / w) ** 2)
+    dm = lam_m * (eps - eps_p) * deps / (w * w)
+    dp = -lam_p * (eps + eps_p) * deps / (w * w)
+    return lam_m, lam_p, dm, dp
 
 
 def evolve_nonlocal(
@@ -240,11 +148,11 @@ def evolve_nonlocal(
     if np.any(steps <= 0) or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
         raise ValueError("nonlocal evolution requires a uniform increasing grid")
 
-    delta, eps = _require_constant(params)
+    delta, _ = _require_constant(params)
     w = noise_rms(model) if w_rms is None else w_rms
     gp = peak_rate(delta, w)
     warn_weak_coupling(delta, w)
-    omega_resp = _response_frequency(model)
+    omega_resp = model.response_frequency()
     h_max = min(0.1 / omega_resp, 0.1 / gp)
     if h > h_max * (1.0 + 1e-9):
         raise RegimeError(
@@ -252,15 +160,9 @@ def evolve_nonlocal(
             f"min(1/(10*omega_c), 1/(10*Gamma_p)) = {h_max:.3g}"
         )
 
-    n = t.size
-    eps_p, deps = _shift_arrays(model, h * np.arange(n))
-    lam_m = gp * np.exp(-0.5 * ((eps - eps_p) / w) ** 2)
-    lam_p = gp * np.exp(-0.5 * ((eps + eps_p) / w) ** 2)
-    # smooth kernel parts dLambda_pm/dtau; both vanish at tau = 0
-    dm = lam_m * (eps - eps_p) * deps / (w * w)
-    dp = -lam_p * (eps + eps_p) * deps / (w * w)
+    lam_m, lam_p, dm, dp = _kernel_arrays(model, params, w, h * np.arange(t.size))
     lam0 = float(lam_m[0])
-    del eps_p, deps, lam_m, lam_p
+    del lam_m, lam_p
     y = _trapezoid_history_solve(dm, dp, lam0, h, float(rho11_0))
     return Trajectory.from_rho11(t, y)
 
@@ -360,9 +262,10 @@ def evolve_local(
 ) -> Trajectory:
     """Integrate d rho11/dt = G_-(t) (1 - rho11) - G_+(t) rho11 adaptively.
 
-    Rates may be numbers or callables of time; they must be nonnegative on
-    the grid.  For constant rates the exact solution is exponential
-    relaxation toward G_-/(G_- + G_+).
+    Rates may be numbers or callables of time; they must be nonnegative at
+    every grid point and at every time the integrator evaluates them.  For
+    constant rates the exact solution is exponential relaxation toward
+    G_-/(G_- + G_+).
     """
     if not 0.0 <= rho11_0 <= 1.0:
         raise ValueError("rho11_0 must lie in [0, 1]")
@@ -371,14 +274,21 @@ def evolve_local(
         raise ValueError("time grid must be strictly increasing with >= 2 points")
     gm = _as_rate(rate_minus)
     gp = _as_rate(rate_plus)
+
+    def rates(time):
+        minus, plus = gm(time), gp(time)
+        if minus < 0 or plus < 0:
+            raise ValueError(f"negative rate at t = {time}")
+        return minus, plus
+
     for tk in t:
-        if gm(tk) < 0 or gp(tk) < 0:
-            raise ValueError(f"negative rate at t = {tk}")
+        rates(tk)
     if max_step is None:
         max_step = (t[-1] - t[0]) / 256.0
 
     def rhs(time, state):
-        return [gm(time) * (1.0 - state[0]) - gp(time) * state[0]]
+        minus, plus = rates(time)
+        return [minus * (1.0 - state[0]) - plus * state[0]]
 
     from scipy.integrate import solve_ivp
 
@@ -435,7 +345,7 @@ def nonlocal_corrected_scan(
 
 def _memory_moments(model: SpectralModel) -> tuple[float, float]:
     """(response frequency, eps_p0): the model moments of the memory correction."""
-    return _response_frequency(model), reorganization_shift(model)
+    return model.response_frequency(), reorganization_shift(model)
 
 
 def _corrected_rates(
@@ -468,12 +378,8 @@ def _corrected_rates(
     lam_inf = base_minus + base_plus
 
     def deficit(tau: float) -> float:
-        eps_p = shift_function(model, tau)
-        lam = gp * (
-            math.exp(-0.5 * ((eps - eps_p) / w) ** 2)
-            + math.exp(-0.5 * ((eps + eps_p) / w) ** 2)
-        )
-        return lam_inf - lam
+        lam_m, lam_p, _, _ = _kernel_arrays(model, params, w, np.array([tau]))
+        return lam_inf - float(lam_m[0] + lam_p[0])
 
     cut = 60.0 / omega_resp
     d_head, _ = quad(deficit, 0.0, cut, epsabs=1e-14, epsrel=1e-11, limit=400)
@@ -507,8 +413,7 @@ def peak_summary(
     delta, _ = _require_constant(params)
     w = w_rms
     gp = peak_rate(delta, w)
-    omega_resp = _response_frequency(model)
-    ratio = gp / omega_resp
+    ratio = gp / model.response_frequency()
     if ratio >= 0.5:
         raise RegimeError(
             f"Gamma_p/omega_c = {ratio:.3g} >= 0.5: memory correction out of regime"

@@ -4,8 +4,10 @@ Nothing here shares code with the paths it checks: the Monte Carlo
 transition rate averages exact closed-system Rabi oscillations over static
 Gaussian noise, the convolution reference integrates the Gaussian-
 Lorentzian product directly, the refined references rerun the solvers
-at much finer resolution, and the direct nonlocal reference sums the
-memory-kernel history step by step in O(n^2).
+at much finer resolution, the direct nonlocal reference sums the
+memory-kernel history step by step in O(n^2) (from the solver's kernel
+values: the history summation is what it checks), and the ohmic shift
+reference integrates eps_p(t) by adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, evolve_local, evolve_nonlocal
+from .dynamics import Trajectory, _kernel_arrays, evolve_local, evolve_nonlocal
 from .errors import RegimeError
 from .quadrature import gauss_kronrod
-from .rates import TwoStateParams, peak_rate
-from .spectral import SpectralModel, _shift_arrays, noise_rms
+from .rates import TwoStateParams
+from .spectral import SpectralModel, noise_rms
 
 __all__ = [
     "McConfig",
@@ -29,6 +31,7 @@ __all__ = [
     "convolution_reference",
     "refined_reference",
     "gaussian_noise_samples",
+    "ohmic_shift_reference",
 ]
 
 # Samples are generated in fixed chunks, each from its own counter-based
@@ -241,18 +244,9 @@ def direct_nonlocal_reference(
     """
     t = np.asarray(t_grid, dtype=float)
     h = t[1] - t[0]
-    delta = params.delta_schedule.initial
-    eps = params.eps_schedule.initial
     w = noise_rms(model) if w_rms is None else w_rms
-    gp = peak_rate(delta, w)
-
     n = t.size
-    taus = h * np.arange(n)
-    eps_p, deps = _shift_arrays(model, taus)
-    lam_m = gp * np.exp(-0.5 * ((eps - eps_p) / w) ** 2)
-    lam_p = gp * np.exp(-0.5 * ((eps + eps_p) / w) ** 2)
-    dm = lam_m * (eps - eps_p) * deps / (w * w)
-    dp = -lam_p * (eps + eps_p) * deps / (w * w)
+    lam_m, _, dm, dp = _kernel_arrays(model, params, w, h * np.arange(n))
 
     lam0 = lam_m[0]
     total0 = 2.0 * lam0
@@ -271,3 +265,101 @@ def direct_nonlocal_reference(
         y[m] = (y[m - 1] + 0.5 * h * (rhs[m - 1] + known)) / (1.0 + 0.5 * h * total0)
         rhs[m] = known - total0 * y[m]
     return y
+
+
+_EPSREL = 1e-11
+# Head interval of an oscillatory integral is limited to a few cosine
+# periods so plain adaptive quadrature never sees unresolved oscillation.
+_HEAD_PERIODS = 3
+# Multiples of the model's frequency scale that contain the integrand mass.
+_MASS_SPAN = 40.0
+
+
+def ohmic_shift_reference(model: SpectralModel, t: float) -> float:
+    """eps_p(t) of an ohmic-cutoff model by adaptive quadrature.
+
+    eps_p(t) = integral_0^inf (domega/pi) (S_a(omega)/omega)(1 - cos(omega t)),
+    the reference for the closed form eps_p0 (1 - e^{-omega_c t}(1 + omega_c t)).
+    The absolute tolerance follows the expected size eps_p0 min(1, (omega_c t)^2).
+    """
+    if t < 0:
+        raise ValueError("ohmic_shift_reference requires t >= 0")
+    eps_p0 = model.reorganization_shift()
+    x = model.omega_c * t
+    val = _one_minus_cos_integral(
+        lambda w: model.antisymmetric(w) / w,
+        t,
+        scale=model.omega_c,
+        epsabs=1e-10 * max(1.0, eps_p0) * min(1.0, x * x),
+        points=(model.omega_c,),
+    )
+    return val / math.pi
+
+
+def _quad(f, a, b, epsabs, points=None, limit=400):
+    from scipy.integrate import quad
+
+    val, _ = quad(f, a, b, epsabs=epsabs, epsrel=_EPSREL, limit=limit, points=points)
+    return val
+
+
+def _smooth_integral(f, a, b, epsabs, scale, points=()):
+    """Integral of a nonoscillatory f with features on `scale`; b may be inf."""
+    if b == np.inf:
+        cut = a + 2.0 * _MASS_SPAN * scale
+        pts = sorted(p for p in points if a < p < cut) or None
+        head = _quad(f, a, cut, 0.5 * epsabs, points=pts)
+        from scipy.integrate import quad
+
+        tail, _ = quad(f, cut, np.inf, epsabs=0.5 * epsabs, epsrel=_EPSREL, limit=200)
+        return head + tail
+    pts = sorted(p for p in points if a < p < b) or None
+    return _quad(f, a, b, epsabs, points=pts)
+
+
+def _cosine_integral(f, a, b, t, epsabs):
+    """integral_a^b f(w) cos(w t) dw via the oscillation-aware QUADPACK rules."""
+    from scipy.integrate import quad
+
+    if b == np.inf:
+        val, _ = quad(
+            f, a, np.inf, weight="cos", wvar=t, epsabs=epsabs, limlst=300, limit=300
+        )
+        return val
+    val, _ = quad(
+        f, a, b, weight="cos", wvar=t, epsabs=epsabs, epsrel=_EPSREL, limit=400
+    )
+    return val
+
+
+def _one_minus_cos_integral(f, t, scale, epsabs, points=()):
+    """integral_0^inf f(w) (1 - cos(w t)) dw for f bounded at w = 0.
+
+    The head interval, up to the sooner of a few oscillation periods and
+    the integrand's mass span, uses the cancellation-free form
+    2 sin^2(wt/2).  When the mass span ends first (small t), the smooth and
+    cosine parts of the remainder would each be far larger than their
+    difference, so the remainder stays in the sin^2 form, mapped onto
+    u = b/w in (0, 1].  Otherwise it is split into a smooth part and a
+    cosine-weighted part.
+    """
+    if t == 0.0:
+        return 0.0
+    period_cap = _HEAD_PERIODS * 2.0 * math.pi / t
+    b = min(_MASS_SPAN * scale, period_cap)
+
+    def head(w):
+        s = math.sin(0.5 * w * t)
+        return f(w) * 2.0 * s * s
+
+    pts = sorted(p for p in points if 0.0 < p < b) or None
+    total = _quad(head, 0.0, b, epsabs / 3.0, points=pts)
+    if b < period_cap:
+        # the oscillation sets in near u = b t: decades of breakpoints lead there
+        ladder = [b * t * 10.0**k for k in range(-2, 12) if b * t * 10.0**k < 1.0]
+        remainder = _quad(lambda u: head(b / u) * b / (u * u), 0.0, 1.0, epsabs / 3.0,
+                          points=ladder)
+        return total + remainder
+    total += _smooth_integral(f, b, np.inf, epsabs / 3.0, scale, points=points)
+    total -= _cosine_integral(f, b, np.inf, t, epsabs / 3.0)
+    return total

@@ -1,4 +1,5 @@
-"""Adaptive Gauss-Kronrod quadrature and a bounded scalar minimiser in NumPy.
+"""Adaptive Gauss-Kronrod quadrature, shared panel rules and a bounded
+scalar minimiser in NumPy.
 
 ``gauss_kronrod`` is the globally adaptive G7K15 rule of QUADPACK's QAG
 (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, QUADPACK, Springer
@@ -6,7 +7,9 @@
 array of abscissae, and every refinement step evaluates all new intervals
 in one call.  ``bounded_minimum`` is Brent's golden-section and parabolic
 search on a closed interval (Brent, Algorithms for Minimization without
-Derivatives, 1973, ch. 5), the method of ``fminbound``.
+Derivatives, 1973, ch. 5), the method of ``fminbound``.  The private
+``_tabulated_nodes`` and ``_sine_contraction`` integrate a piecewise-cubic
+spectrum against sin(tau w / 2)^2 and sin(tau w) for many tau at once.
 """
 
 from __future__ import annotations
@@ -177,3 +180,70 @@ def bounded_minimum(f, lo: float, hi: float, xatol: float) -> float:
         stacklevel=2,
     )
     return x
+
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Largest tau-by-node block (elements) of one sine contraction: a fixed
+# bound, so the peak memory of a call does not grow with the number of tau.
+_BLOCK = 2**15
+
+
+def _oscillation_edges(a: float, b: float, t: float) -> np.ndarray:
+    """Half-period breakpoints of cos(w t) on [a, b]; keeps panels sub-oscillatory."""
+    if t <= 0.0:
+        return np.empty(0)
+    half_period = math.pi / t
+    count = int((b - a) / half_period)
+    if count > 200_000:
+        raise ValueError(
+            "oscillatory tabulated integral too fine to resolve "
+            f"({count} half-periods on the grid span)"
+        )
+    return a + half_period * np.arange(1, count + 1)
+
+
+def _tabulated_nodes(
+    knots: np.ndarray, upper: float, t_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, upper] shared by every tau <= t_max.
+
+    16-point panels are aligned to the interpolation knots on both sides of
+    the line (|knots|) and split at the half-periods pi/t_max of the largest
+    tau, so the panels stay sub-oscillatory for every smaller tau as well.
+    Fixed panel rules are effectively exact across the curvature jumps of a
+    piecewise-cubic interpolant, where adaptive rules cannot certify tight
+    tolerances.  An edge within 1e-12 upper of its left neighbour (a mirrored
+    knot that misses its twin by an ulp) is dropped; upper itself is kept.
+    """
+    knots = np.abs(knots)
+    edges = np.unique(np.concatenate((
+        [0.0], knots[knots < upper], _oscillation_edges(0.0, upper, t_max), [upper]
+    )))
+    inner = edges[1:-1]
+    keep = (np.diff(edges[:-1]) > 1e-12 * upper) & (upper - inner > 1e-12 * upper)
+    edges = np.concatenate(([0.0], inner[keep], [upper]))
+    half = 0.5 * np.diff(edges)
+    nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+    weights = half[:, None] * _GL_WEIGHTS
+    return nodes.ravel(), weights.ravel()
+
+
+def _sine_contraction(taus, nodes, sin2_weights, sin_weights=None) -> np.ndarray:
+    """Rows sin^2(tau w / 2) @ sin2_weights and, if given, sin(tau w) @ sin_weights.
+
+    Returns shape (1, n) or (2, n) for n values of tau, which are processed
+    in blocks of at most _BLOCK tau-node elements.
+    """
+    taus = np.asarray(taus, dtype=float).ravel()
+    out = np.zeros((1 if sin_weights is None else 2, taus.size))
+    rows = max(1, _BLOCK // max(nodes.size, 1))
+    half_nodes = 0.5 * nodes
+    for start in range(0, taus.size, rows):
+        block = slice(start, start + rows)
+        phase = np.multiply.outer(taus[block], half_nodes)
+        s = np.sin(phase)
+        out[0, block] = (s * s) @ sin2_weights
+        if sin_weights is not None:
+            out[1, block] = np.sin(phase + phase) @ sin_weights
+    return out

@@ -10,6 +10,10 @@ noise seen by the two-state system.  Three families are supported:
 * ``Tabulated`` -- monotone piecewise-cubic interpolation of sampled data,
   zero outside the grid.
 
+Each is a ``SpectralModel`` and carries its own moments and closed forms;
+the module-level functions only delegate to them, so a new noise family is
+one new class.
+
 Derived moments: the r.m.s. noise W = sqrt(integral S(omega) domega / 2pi),
 which for the ohmic-cutoff model is the closed Matsubara sum
 W^2 = (eta T omega_c / 2) [1 + 2 x^2 psi'(1 + x)], x = omega_c / (2 pi T),
@@ -32,7 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError, DivergentMomentError
+from .coherence import _ohmic_exponent
+from .errors import DecompositionError, DivergentMomentError, RegimeError
+from .quadrature import _sine_contraction, _tabulated_nodes
 
 __all__ = [
     "White",
@@ -49,16 +55,68 @@ __all__ = [
     "noise_moments",
 ]
 
-_EPSREL = 1e-11
-# Head interval of an oscillatory integral is limited to a few cosine
-# periods so plain adaptive quadrature never sees unresolved oscillation.
-_HEAD_PERIODS = 3
-# Multiples of the model's frequency scale that contain the integrand mass.
-_MASS_SPAN = 40.0
+
+class SpectralModel:
+    """Base class of the noise models: the protocol the library calls.
+
+    A model defines ``density`` and ``dephasing_exponent``, and whichever
+    finite moments it has: ``antisymmetric``, ``noise_rms``,
+    ``reorganization_shift``, ``tau_r`` and ``shift_arrays``.  The defaults
+    here are the refusals of a flat spectrum, whose frequency moments
+    diverge.  ``shift`` and ``response_frequency`` follow from
+    ``shift_arrays`` and ``tau_r``; a model may override them with closed
+    forms.
+    """
+
+    def density(self, omega: float) -> float:
+        """S(omega)."""
+        raise NotImplementedError
+
+    def dephasing_exponent(self, times: np.ndarray) -> np.ndarray:
+        """X(t) for an array of times t >= 0, in the same shape."""
+        raise NotImplementedError
+
+    def symmetric_antisymmetric(self, omega: float) -> tuple[float, float]:
+        """(S_s, S_a) at omega >= 0 from S(omega) and S(-omega)."""
+        plus = self.density(omega)
+        minus = self.density(-omega)
+        return 0.5 * (plus + minus), 0.5 * (plus - minus)
+
+    def antisymmetric(self, omega: float) -> float:
+        """S_a(omega) for omega >= 0, the integrand of the shift moments."""
+        raise DivergentMomentError("flat spectrum has no antisymmetric part")
+
+    def noise_rms(self) -> float:
+        """W = sqrt(integral S(omega) domega / 2pi)."""
+        raise DivergentMomentError("flat spectrum: integral of S(omega) diverges")
+
+    def reorganization_shift(self) -> float:
+        """eps_p0 = integral_0^inf (domega/pi) S_a(omega)/omega."""
+        raise DivergentMomentError("flat spectrum has no antisymmetric part")
+
+    def tau_r(self) -> float:
+        """Environment response time tau_R."""
+        raise RegimeError("model has no finite response time")
+
+    def response_frequency(self) -> float:
+        """1/tau_R, the frequency the memory-kernel step must resolve."""
+        return 1.0 / self.tau_r()
+
+    def shift_arrays(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(eps_p(tau), d eps_p/dtau) for an array of tau >= 0.
+
+        d eps_p/dtau vanishes at tau = 0 for every integrable S_a; the
+        memory-kernel solver is second order only when it does.
+        """
+        raise DivergentMomentError("flat spectrum has no antisymmetric part")
+
+    def shift(self, t: float) -> float:
+        """eps_p(t) at one time t >= 0."""
+        return float(self.shift_arrays(np.array([t]))[0][0])
 
 
 @dataclass(frozen=True)
-class White:
+class White(SpectralModel):
     """Flat spectrum S(omega) = s0 for all omega.
 
     Carries no finite frequency moments; only the dephasing operations
@@ -73,9 +131,15 @@ class White:
         if self.s0 < 0:
             raise ValueError("spectral weight s0 must be nonnegative")
 
+    def density(self, omega):
+        return self.s0
+
+    def dephasing_exponent(self, times):
+        return 0.5 * self.s0 * times
+
 
 @dataclass(frozen=True)
-class OhmicCutoff:
+class OhmicCutoff(SpectralModel):
     """Ohmic spectrum with soft cutoff and thermal occupation factor."""
 
     eta: float
@@ -85,6 +149,70 @@ class OhmicCutoff:
     def __post_init__(self):
         if self.eta <= 0 or self.omega_c <= 0 or self.temperature <= 0:
             raise ValueError("OhmicCutoff requires eta > 0, omega_c > 0, T > 0")
+
+    def density(self, omega):
+        omega = float(omega)
+        if omega == 0.0:
+            # limit of 2*eta*omega / (1 - exp(-omega/T))
+            return 2.0 * self.eta * self.temperature
+        lorentz = (1.0 + (omega / self.omega_c) ** 2) ** 2
+        occupation_denom = -math.expm1(-omega / self.temperature)
+        return 2.0 * self.eta * (omega / occupation_denom) / lorentz
+
+    def antisymmetric(self, omega):
+        # the exact algebraic form, free of the cancellation that
+        # (S(w) - S(-w))/2 suffers at omega/T -> 0
+        return self.eta * omega / (1.0 + (omega / self.omega_c) ** 2) ** 2
+
+    def noise_rms(self):
+        """The closed Matsubara sum of W.
+
+        With omega coth(omega/2T) = 2T [1 + 2 sum_n omega^2/(omega^2 + nu_n^2)],
+        nu_n = 2 pi n T, every term integrates exactly against the cutoff, and
+
+            W^2 = (eta T omega_c / 2) [1 + 2 x^2 psi'(1 + x)],  x = omega_c / (2 pi T),
+
+        with the trigamma psi' from its asymptotic series (Abramowitz &
+        Stegun 6.4.12).
+        """
+        x = self.omega_c / (2.0 * math.pi * self.temperature)
+        bracket = 1.0 + 2.0 * x * x * _trigamma(1.0 + x)
+        return math.sqrt(0.5 * self.eta * self.temperature * self.omega_c * bracket)
+
+    def reorganization_shift(self):
+        return 0.25 * self.eta * self.omega_c
+
+    def tau_r(self):
+        return 1.0 / self.omega_c
+
+    def response_frequency(self):
+        return self.omega_c
+
+    def shift(self, t):
+        """eps_p0 (1 - e^{-x} (1 + x)), x = omega_c t, in floating-point scalars."""
+        x = self.omega_c * t
+        eps_p0 = self.reorganization_shift()
+        if x < 1e-3:
+            # series of 1 - e^{-x}(1 + x); avoids cancellation at small x
+            return eps_p0 * (0.5 * x * x - x**3 / 3.0 + x**4 / 8.0)
+        return eps_p0 * (1.0 - math.exp(-x) * (1.0 + x))
+
+    def shift_arrays(self, taus):
+        """The closed form of ``shift`` and its derivative eps_p0 omega_c x e^{-x}."""
+        x = self.omega_c * np.asarray(taus, dtype=float)
+        eps_p0 = self.reorganization_shift()
+        decay = np.exp(-x)
+        small = x < 1e-3
+        shift = np.where(
+            small,
+            eps_p0 * (0.5 * x * x - x**3 / 3.0 + x**4 / 8.0),
+            eps_p0 * (1.0 - decay * (1.0 + x)),
+        )
+        rate = eps_p0 * self.omega_c * x * decay
+        return shift, rate
+
+    def dephasing_exponent(self, times):
+        return _ohmic_exponent(self, times.ravel()).reshape(times.shape)
 
 
 class _Pchip:
@@ -150,12 +278,15 @@ class _Pchip:
 
 
 @dataclass(frozen=True, eq=False)
-class Tabulated:
+class Tabulated(SpectralModel):
     """Spectrum interpolated from samples; S = 0 outside the grid.
 
     The grid must be strictly increasing with at least 4 points.  PCHIP
     interpolation stays within the local data range, so nonnegative data
-    cannot produce a negative interpolant.
+    cannot produce a negative interpolant.  eps_p0, the shift arrays and
+    X(t) are integrated on one set of Gauss-Legendre panels per call
+    (``quadrature._tabulated_nodes``), with the interpolant evaluated once
+    per node.
     """
 
     omega: np.ndarray
@@ -200,8 +331,100 @@ class Tabulated:
     def two_sided(self) -> bool:
         return self.omega[0] < 0.0
 
+    def density(self, omega):
+        """S(omega); omega outside the grid is rejected."""
+        if omega < self.omega[0] or omega > self.omega[-1]:
+            raise ValueError(
+                f"omega = {omega} outside tabulated range "
+                f"[{self.omega[0]}, {self.omega[-1]}]"
+            )
+        return float(self._interp(omega))
 
-SpectralModel = White | OhmicCutoff | Tabulated
+    def symmetric_antisymmetric(self, omega):
+        if not self.two_sided:
+            raise DecompositionError(
+                "tabulated model has no negative-frequency data; "
+                "cannot form the symmetric/antisymmetric decomposition"
+            )
+        return super().symmetric_antisymmetric(omega)
+
+    def antisymmetric(self, omega):
+        return 0.5 * (self.density(omega) - self.density(-omega))
+
+    def noise_rms(self):
+        """W from the exact integral of the interpolant."""
+        w2 = self._interp.integral / (2.0 * math.pi)
+        if w2 <= 0:
+            raise ValueError("tabulated spectrum integrates to zero")
+        return math.sqrt(w2)
+
+    def reorganization_shift(self):
+        upper = self._positive_overlap()
+        self._check_shift_finite(upper)
+        nodes, weights = _tabulated_nodes(self.omega, upper, 0.0)
+        s_a = 0.5 * (self._interp(nodes) - self._interp(-nodes))
+        return float(np.sum(weights * s_a / nodes)) / math.pi
+
+    def tau_r(self):
+        """1/omega*, where omega* holds 99 % of the weight of S_a(omega)/omega."""
+        upper = self._positive_overlap()
+        grid = np.linspace(0.0, upper, 8193)[1:]
+        interp = self._interp
+        g = 0.5 * (interp(grid) - interp(-grid)) / grid
+        cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(grid))))
+        total = cumulative[-1]
+        if total <= 0:
+            raise DivergentMomentError("tabulated antisymmetric part carries no weight")
+        idx = int(np.searchsorted(cumulative, 0.99 * total))
+        omega_star = float(grid[min(idx, grid.size - 1)])
+        return 1.0 / omega_star
+
+    def shift_arrays(self, taus):
+        """Both rows from one evaluation of S_a on nodes shared by every tau."""
+        taus = np.asarray(taus, dtype=float)
+        if np.any(taus < 0):
+            raise ValueError("shift arrays require tau >= 0")
+        upper = self._positive_overlap()
+        self._check_shift_finite(upper)
+        nodes, weights = _tabulated_nodes(self.omega, upper, float(np.max(taus, initial=0.0)))
+        interp = self._interp
+        rate_weights = weights * 0.5 * (interp(nodes) - interp(-nodes)) / math.pi
+        return tuple(_sine_contraction(taus, nodes, 2.0 * rate_weights / nodes, rate_weights))
+
+    def dephasing_exponent(self, times):
+        # S = 0 outside the grid: both sides of the line fold onto [0, upper]
+        # as S(w) + S(-w), with NaN (outside the interpolant) read as zero
+        upper = float(max(self.omega[-1], -self.omega[0]))
+        nodes, weights = _tabulated_nodes(self.omega, upper, float(np.max(times, initial=0.0)))
+        interp = self._interp
+        density = np.nan_to_num(interp(nodes)) + np.nan_to_num(interp(-nodes))
+        sin2_weights = weights * density / (math.pi * nodes * nodes)
+        values = _sine_contraction(times, nodes, sin2_weights)[0]
+        # below t upper = 1e-8, sin^2(t w / 2) is (t w / 2)^2 to double precision;
+        # as t (t C) a subnormal X is rounded once, not once per node
+        flat = times.ravel()
+        small = flat * upper < 1e-8
+        values = np.where(small, flat * (flat * (0.25 * (nodes * nodes) @ sin2_weights)), values)
+        return values.reshape(times.shape)
+
+    def _positive_overlap(self) -> float:
+        """Largest frequency where both +w and -w lie inside the grid."""
+        upper = min(self.omega[-1], -self.omega[0])
+        if upper <= 0.0:
+            raise DecompositionError(
+                "tabulated model needs data on both sides of omega = 0; "
+                "frequency moments need a two-sided grid"
+            )
+        return upper
+
+    def _check_shift_finite(self, upper: float) -> None:
+        # Limit-sample S_a(w)/w toward w -> 0; geometric growth means a pole.
+        probes = [upper * 1e-4, upper * 1e-5, upper * 1e-6]
+        vals = [abs(self.antisymmetric(w)) / w for w in probes]
+        if vals[-1] > 4.0 * (vals[0] + 1e-300):
+            raise DivergentMomentError(
+                "S_a(omega)/omega grows toward omega = 0; shift moment diverges"
+            )
 
 
 @dataclass(frozen=True)
@@ -222,214 +445,6 @@ class NoiseMoments:
             raise ValueError("noise moments require w_rms > 0 and tau_r > 0")
         if self.eps_p0 < 0:
             raise ValueError("eps_p0 must be nonnegative for equilibrium models")
-
-
-# ---------------------------------------------------------------------------
-# spectral density evaluation
-
-
-def _ohmic_density(model: OhmicCutoff, omega: float) -> float:
-    if omega == 0.0:
-        # limit of 2*eta*omega / (1 - exp(-omega/T))
-        return 2.0 * model.eta * model.temperature
-    lorentz = (1.0 + (omega / model.omega_c) ** 2) ** 2
-    occupation_denom = -math.expm1(-omega / model.temperature)
-    return 2.0 * model.eta * (omega / occupation_denom) / lorentz
-
-
-def eval_spectral_density(model: SpectralModel, omega: float) -> float:
-    """Evaluate S(omega).  Tabulated models reject omega outside the grid."""
-    if isinstance(model, White):
-        return model.s0
-    if isinstance(model, OhmicCutoff):
-        return _ohmic_density(model, float(omega))
-    if isinstance(model, Tabulated):
-        if omega < model.omega[0] or omega > model.omega[-1]:
-            raise ValueError(
-                f"omega = {omega} outside tabulated range "
-                f"[{model.omega[0]}, {model.omega[-1]}]"
-            )
-        return float(model._interp(omega))
-    raise TypeError(f"unknown spectral model {type(model)!r}")
-
-
-def symmetric_antisymmetric(model: SpectralModel, omega: float) -> tuple[float, float]:
-    """Split S into its even and odd frequency parts at omega >= 0.
-
-    Returns (S_s, S_a) with S_s = (S(w) + S(-w))/2 and S_a = (S(w) - S(-w))/2.
-    For an equilibrium model S_s = S_a * coth(w/2T).
-    """
-    if omega < 0:
-        raise ValueError("decomposition is defined for omega >= 0")
-    if isinstance(model, White):
-        return model.s0, 0.0
-    if isinstance(model, Tabulated) and not model.two_sided:
-        raise DecompositionError(
-            "tabulated model has no negative-frequency data; "
-            "cannot form the symmetric/antisymmetric decomposition"
-        )
-    plus = eval_spectral_density(model, omega)
-    minus = eval_spectral_density(model, -omega)
-    return 0.5 * (plus + minus), 0.5 * (plus - minus)
-
-
-# Internal decomposition helper used by the quadrature paths.  For the
-# ohmic model it is the exact algebraic form, free of the cancellation
-# that (S(w) - S(-w))/2 suffers at omega/T -> 0.
-
-
-def _antisymmetric_part(model: SpectralModel, omega: float) -> float:
-    if isinstance(model, OhmicCutoff):
-        return model.eta * omega / (1.0 + (omega / model.omega_c) ** 2) ** 2
-    if isinstance(model, Tabulated):
-        return 0.5 * (
-            eval_spectral_density(model, omega) - eval_spectral_density(model, -omega)
-        )
-    raise DivergentMomentError("model has no antisymmetric part")
-
-
-def _positive_overlap(model: Tabulated) -> float:
-    """Largest frequency where both +w and -w lie inside the grid."""
-    upper = min(model.omega[-1], -model.omega[0])
-    if upper <= 0.0:
-        raise DecompositionError(
-            "tabulated model needs data on both sides of omega = 0; "
-            "frequency moments need a two-sided grid"
-        )
-    return upper
-
-
-# ---------------------------------------------------------------------------
-# quadrature helpers
-
-
-def _quad(f, a, b, epsabs, points=None, limit=400):
-    from scipy.integrate import quad
-
-    val, _ = quad(f, a, b, epsabs=epsabs, epsrel=_EPSREL, limit=limit, points=points)
-    return val
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# Largest tau-by-node block (elements) of one sine contraction: a fixed
-# bound, so the peak memory of a call does not grow with the number of tau.
-_BLOCK = 2**15
-
-
-def _oscillation_edges(a: float, b: float, t: float) -> np.ndarray:
-    """Half-period breakpoints of cos(w t) on [a, b]; keeps panels sub-oscillatory."""
-    if t <= 0.0:
-        return np.empty(0)
-    half_period = math.pi / t
-    count = int((b - a) / half_period)
-    if count > 200_000:
-        raise ValueError(
-            "oscillatory tabulated integral too fine to resolve "
-            f"({count} half-periods on the grid span)"
-        )
-    return a + half_period * np.arange(1, count + 1)
-
-
-def _tabulated_nodes(
-    model: "Tabulated", upper: float, t_max: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, upper] shared by every tau <= t_max.
-
-    16-point panels are aligned to the knots on both sides of the line
-    (|omega|) and split at the half-periods pi/t_max of the largest tau, so
-    the panels stay sub-oscillatory for every smaller tau as well.  Fixed
-    panel rules are effectively exact across the curvature jumps of the
-    piecewise-cubic interpolant, where adaptive rules cannot certify tight
-    tolerances.  An edge within 1e-12 upper of its left neighbour (a mirrored
-    knot that misses its twin by an ulp) is dropped; upper itself is kept.
-    """
-    knots = np.abs(model.omega)
-    edges = np.unique(np.concatenate((
-        [0.0], knots[knots < upper], _oscillation_edges(0.0, upper, t_max), [upper]
-    )))
-    inner = edges[1:-1]
-    keep = (np.diff(edges[:-1]) > 1e-12 * upper) & (upper - inner > 1e-12 * upper)
-    edges = np.concatenate(([0.0], inner[keep], [upper]))
-    half = 0.5 * np.diff(edges)
-    nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
-    weights = half[:, None] * _GL_WEIGHTS
-    return nodes.ravel(), weights.ravel()
-
-
-def _sine_contraction(taus, nodes, sin2_weights, sin_weights=None) -> np.ndarray:
-    """Rows sin^2(tau w / 2) @ sin2_weights and, if given, sin(tau w) @ sin_weights.
-
-    Returns shape (1, n) or (2, n) for n values of tau, which are processed
-    in blocks of at most _BLOCK tau-node elements.
-    """
-    taus = np.asarray(taus, dtype=float).ravel()
-    out = np.zeros((1 if sin_weights is None else 2, taus.size))
-    rows = max(1, _BLOCK // max(nodes.size, 1))
-    half_nodes = 0.5 * nodes
-    for start in range(0, taus.size, rows):
-        block = slice(start, start + rows)
-        phase = np.multiply.outer(taus[block], half_nodes)
-        s = np.sin(phase)
-        out[0, block] = (s * s) @ sin2_weights
-        if sin_weights is not None:
-            out[1, block] = np.sin(phase + phase) @ sin_weights
-    return out
-
-
-def _smooth_integral(f, a, b, epsabs, scale, points=()):
-    """Integral of a nonoscillatory f with features on `scale`; b may be inf."""
-    if b == np.inf:
-        cut = a + 2.0 * _MASS_SPAN * scale
-        pts = sorted(p for p in points if a < p < cut) or None
-        head = _quad(f, a, cut, 0.5 * epsabs, points=pts)
-        from scipy.integrate import quad
-
-        tail, _ = quad(f, cut, np.inf, epsabs=0.5 * epsabs, epsrel=_EPSREL, limit=200)
-        return head + tail
-    pts = sorted(p for p in points if a < p < b) or None
-    return _quad(f, a, b, epsabs, points=pts)
-
-
-def _cosine_integral(f, a, b, t, epsabs):
-    """integral_a^b f(w) cos(w t) dw via the oscillation-aware QUADPACK rules."""
-    from scipy.integrate import quad
-
-    if b == np.inf:
-        val, _ = quad(
-            f, a, np.inf, weight="cos", wvar=t, epsabs=epsabs, limlst=300, limit=300
-        )
-        return val
-    val, _ = quad(
-        f, a, b, weight="cos", wvar=t, epsabs=epsabs, epsrel=_EPSREL, limit=400
-    )
-    return val
-
-
-def _one_minus_cos_integral(f, t, scale, upper, epsabs, points=()):
-    """integral_0^upper f(w) (1 - cos(w t)) dw for f bounded at w = 0.
-
-    The head interval (at most a few oscillation periods, capped at the
-    integrand's mass span) uses the cancellation-free form 2 sin^2(wt/2);
-    the remainder is split into a smooth part and a cosine-weighted part.
-    """
-    if t == 0.0:
-        return 0.0
-    b = min(upper, _MASS_SPAN * scale, _HEAD_PERIODS * 2.0 * math.pi / t)
-
-    def head(w):
-        s = math.sin(0.5 * w * t)
-        return f(w) * 2.0 * s * s
-
-    pts = sorted(p for p in points if 0.0 < p < b) or None
-    total = _quad(head, 0.0, b, epsabs / 3.0, points=pts)
-    if b < upper:
-        total += _smooth_integral(f, b, upper, epsabs / 3.0, scale, points=points)
-        total -= _cosine_integral(f, b, upper, t, epsabs / 3.0)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# moments
 
 
 # Bernoulli numbers B_2 ... B_14 of the trigamma asymptotic series
@@ -455,41 +470,34 @@ def _trigamma(x: float) -> float:
     return head + inv * (1.0 + inv * (0.5 + inv * series))
 
 
+# ---------------------------------------------------------------------------
+# module-level API: each function delegates to the model
+
+
+def eval_spectral_density(model: SpectralModel, omega: float) -> float:
+    """Evaluate S(omega).  Tabulated models reject omega outside the grid."""
+    return model.density(omega)
+
+
+def symmetric_antisymmetric(model: SpectralModel, omega: float) -> tuple[float, float]:
+    """Split S into its even and odd frequency parts at omega >= 0.
+
+    Returns (S_s, S_a) with S_s = (S(w) + S(-w))/2 and S_a = (S(w) - S(-w))/2.
+    For an equilibrium model S_s = S_a * coth(w/2T).
+    """
+    if omega < 0:
+        raise ValueError("decomposition is defined for omega >= 0")
+    return model.symmetric_antisymmetric(omega)
+
+
 def noise_rms(model: SpectralModel) -> float:
     """W = sqrt(integral_{-inf}^{inf} S(omega) domega / 2pi).
 
-    The ohmic-cutoff model is summed in closed form: with the Matsubara
-    expansion omega coth(omega/2T) = 2T [1 + 2 sum_n omega^2/(omega^2 + nu_n^2)],
-    nu_n = 2 pi n T, every term integrates exactly against the cutoff, and
-
-        W^2 = (eta T omega_c / 2) [1 + 2 x^2 psi'(1 + x)],  x = omega_c / (2 pi T),
-
-    with the trigamma psi' from its asymptotic series (Abramowitz & Stegun
-    6.4.12).  A tabulated model integrates its interpolant exactly.
-    Raises DivergentMomentError for the flat spectrum.
+    Closed Matsubara sum for the ohmic cutoff, the exact integral of the
+    interpolant for a tabulated model.  Raises DivergentMomentError for the
+    flat spectrum.
     """
-    if isinstance(model, White):
-        raise DivergentMomentError("flat spectrum: integral of S(omega) diverges")
-    if isinstance(model, OhmicCutoff):
-        x = model.omega_c / (2.0 * math.pi * model.temperature)
-        bracket = 1.0 + 2.0 * x * x * _trigamma(1.0 + x)
-        return math.sqrt(0.5 * model.eta * model.temperature * model.omega_c * bracket)
-    if isinstance(model, Tabulated):
-        w2 = model._interp.integral / (2.0 * math.pi)
-        if w2 <= 0:
-            raise ValueError("tabulated spectrum integrates to zero")
-        return math.sqrt(w2)
-    raise TypeError(f"unknown spectral model {type(model)!r}")
-
-
-def _assert_shift_integrand_finite(model: Tabulated, upper: float) -> None:
-    # Limit-sample S_a(w)/w toward w -> 0; geometric growth means a pole.
-    probes = [upper * 1e-4, upper * 1e-5, upper * 1e-6]
-    vals = [abs(_antisymmetric_part(model, w)) / w for w in probes]
-    if vals[-1] > 4.0 * (vals[0] + 1e-300):
-        raise DivergentMomentError(
-            "S_a(omega)/omega grows toward omega = 0; shift moment diverges"
-        )
+    return model.noise_rms()
 
 
 def reorganization_shift(model: SpectralModel) -> float:
@@ -498,132 +506,30 @@ def reorganization_shift(model: SpectralModel) -> float:
     Equals integral_0^inf (domega/pi) S_a(omega)/omega; for the ohmic-cutoff
     model this is exactly eta * omega_c / 4.
     """
-    if isinstance(model, White):
-        raise DivergentMomentError("flat spectrum has no antisymmetric part")
-    if isinstance(model, OhmicCutoff):
-        return 0.25 * model.eta * model.omega_c
-    if isinstance(model, Tabulated):
-        upper = _positive_overlap(model)
-        _assert_shift_integrand_finite(model, upper)
-        nodes, weights = _tabulated_nodes(model, upper, 0.0)
-        interp = model._interp
-        s_a = 0.5 * (interp(nodes) - interp(-nodes))
-        return float(np.sum(weights * s_a / nodes)) / math.pi
-    raise TypeError(f"unknown spectral model {type(model)!r}")
+    return model.reorganization_shift()
 
 
-def _ohmic_shift_closed(model: OhmicCutoff, t: float) -> float:
-    x = model.omega_c * t
-    eps_p0 = 0.25 * model.eta * model.omega_c
-    if x < 1e-3:
-        # series of 1 - e^{-x}(1 + x); avoids cancellation at small x
-        return eps_p0 * (0.5 * x * x - x**3 / 3.0 + x**4 / 8.0)
-    return eps_p0 * (1.0 - math.exp(-x) * (1.0 + x))
-
-
-def shift_function(model: SpectralModel, t: float, method: str = "auto") -> float:
+def shift_function(model: SpectralModel, t: float) -> float:
     """Time-dependent resonance shift eps_p(t) >= 0, with eps_p(0) = 0.
 
     eps_p(t) = integral_0^inf (domega/pi) (S_a(omega)/omega)(1 - cos(omega t)).
     The ohmic-cutoff model has the closed form
-    eps_p0 * (1 - e^{-omega_c t} (1 + omega_c t)), used unless
-    method="quadrature" forces the numerical path.
+    eps_p0 * (1 - e^{-omega_c t} (1 + omega_c t)).
     """
     if t < 0:
         raise ValueError("shift_function requires t >= 0")
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if isinstance(model, White):
-        raise DivergentMomentError("flat spectrum has no antisymmetric part")
-    if isinstance(model, OhmicCutoff) and method != "quadrature":
-        return _ohmic_shift_closed(model, t)
-    if isinstance(model, OhmicCutoff):
-        eps_p0 = 0.25 * model.eta * model.omega_c
-        val = _one_minus_cos_integral(
-            lambda w: _antisymmetric_part(model, w) / w,
-            t,
-            scale=model.omega_c,
-            upper=np.inf,
-            epsabs=1e-10 * max(1.0, eps_p0),
-            points=(model.omega_c,),
-        )
-        return val / math.pi
-    if isinstance(model, Tabulated):
-        if method == "closed":
-            raise ValueError("tabulated models have no closed-form shift")
-        return float(_shift_arrays(model, np.array([t]))[0][0])
-    raise TypeError(f"unknown spectral model {type(model)!r}")
+    return model.shift(t)
 
 
 def shift_function_derivative(model: SpectralModel, t: float) -> float:
     """d eps_p / dt = integral_0^inf (domega/pi) S_a(omega) sin(omega t)."""
     if t < 0:
         raise ValueError("shift_function_derivative requires t >= 0")
-    if isinstance(model, White):
-        raise DivergentMomentError("flat spectrum has no antisymmetric part")
-    if isinstance(model, OhmicCutoff):
-        x = model.omega_c * t
-        eps_p0 = 0.25 * model.eta * model.omega_c
-        return eps_p0 * model.omega_c * x * math.exp(-x)
-    if isinstance(model, Tabulated):
-        return float(_tabulated_shift(model, _positive_overlap(model), np.array([t]))[1][0])
-    raise TypeError(f"unknown spectral model {type(model)!r}")
-
-
-def _tabulated_shift(model: Tabulated, upper: float, taus: np.ndarray) -> np.ndarray:
-    """Rows (eps_p(tau), d eps_p/dtau) from one evaluation of S_a on shared nodes."""
-    nodes, weights = _tabulated_nodes(model, upper, float(np.max(taus, initial=0.0)))
-    interp = model._interp
-    rate_weights = weights * 0.5 * (interp(nodes) - interp(-nodes)) / math.pi
-    return _sine_contraction(taus, nodes, 2.0 * rate_weights / nodes, rate_weights)
-
-
-def _shift_arrays(model: SpectralModel, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (eps_p(tau), d eps_p/dtau) on a time grid."""
-    if isinstance(model, OhmicCutoff):
-        x = model.omega_c * np.asarray(taus, dtype=float)
-        eps_p0 = 0.25 * model.eta * model.omega_c
-        decay = np.exp(-x)
-        small = x < 1e-3
-        shift = np.where(
-            small,
-            eps_p0 * (0.5 * x * x - x**3 / 3.0 + x**4 / 8.0),
-            eps_p0 * (1.0 - decay * (1.0 + x)),
-        )
-        rate = eps_p0 * model.omega_c * x * decay
-        return shift, rate
-    if not isinstance(model, Tabulated):
-        raise DivergentMomentError("model has no antisymmetric part")
-    taus = np.asarray(taus, dtype=float)
-    if np.any(taus < 0):
-        raise ValueError("shift arrays require tau >= 0")
-    upper = _positive_overlap(model)
-    _assert_shift_integrand_finite(model, upper)
-    return tuple(_tabulated_shift(model, upper, taus))
-
-
-def _tabulated_tau_r(model: Tabulated) -> float:
-    upper = _positive_overlap(model)
-    grid = np.linspace(0.0, upper, 8193)[1:]
-    interp = model._interp
-    g = 0.5 * (interp(grid) - interp(-grid)) / grid
-    cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(grid))))
-    total = cumulative[-1]
-    if total <= 0:
-        raise DivergentMomentError("tabulated antisymmetric part carries no weight")
-    idx = int(np.searchsorted(cumulative, 0.99 * total))
-    omega_star = float(grid[min(idx, grid.size - 1)])
-    return 1.0 / omega_star
+    return float(model.shift_arrays(np.array([t]))[1][0])
 
 
 def noise_moments(model: SpectralModel) -> NoiseMoments:
     """Bundle (W, eps_p0, tau_R) for a model with finite moments."""
-    if isinstance(model, White):
-        raise DivergentMomentError("flat spectrum: integral of S(omega) diverges")
-    w = noise_rms(model)
-    eps_p0 = reorganization_shift(model)
-    if isinstance(model, OhmicCutoff):
-        tau_r = 1.0 / model.omega_c
-    else:
-        tau_r = _tabulated_tau_r(model)
-    return NoiseMoments(w_rms=w, eps_p0=eps_p0, tau_r=tau_r)
+    return NoiseMoments(
+        w_rms=model.noise_rms(), eps_p0=model.reorganization_shift(), tau_r=model.tau_r()
+    )

@@ -224,15 +224,15 @@ steps = 5
         import mrtkit
         import mrtkit.dynamics as dynamics
 
-        counts = {"reorganization_shift": 0, "_tabulated_tau_r": 0}
-        for name in counts:
-            original = getattr(dynamics, name)
+        counts = {"reorganization_shift": 0, "tau_r": 0}
+        for owner, name in ((dynamics, "reorganization_shift"), (mrtkit.Tabulated, "tau_r")):
+            original = getattr(owner, name)
 
             def counted(model, original=original, name=name):
                 counts[name] += 1
                 return original(model)
 
-            monkeypatch.setattr(dynamics, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         source = mrtkit.OhmicCutoff(8.0, 0.02, 1.0)
         grid = np.linspace(-0.6, 0.6, 241)
         rows = ["omega,S"] + [
@@ -268,7 +268,7 @@ steps = 11
 """,
         )
         assert main(["mrt-scan", "--config", config]) == 0
-        assert counts == {"reorganization_shift": 1, "_tabulated_tau_r": 1}
+        assert counts == {"reorganization_shift": 1, "tau_r": 1}
         _, _, data = read_csv(out)
         assert len(data) == 11
         # each row equals the per-point public function

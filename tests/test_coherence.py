@@ -20,7 +20,7 @@ from mrtkit import (
     noise_rms,
     offdiag_element,
 )
-from mrtkit.spectral import _HEAD_PERIODS, _cosine_integral, _quad, _smooth_integral
+from mrtkit.oracle import _HEAD_PERIODS, _cosine_integral, _quad, _smooth_integral
 from scipy.integrate import IntegrationWarning
 
 

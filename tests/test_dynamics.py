@@ -12,21 +12,21 @@ from mrtkit import (
     OhmicCutoff,
     RegimeError,
     RegimeWarning,
+    Tabulated,
     Trajectory,
     TwoStateParams,
-    build_kernel,
     classical_rate,
+    eval_spectral_density,
     evolve_local,
     evolve_nonlocal,
     gaussian_rate,
-    kernel_integral,
-    lambda_pm,
     nonlocal_corrected_rates,
     peak_rate,
     peak_summary,
     reorganization_shift,
     short_time_rho11,
 )
+from mrtkit.dynamics import _kernel_arrays
 
 
 def fdt_model(eps_p0, omega_c, w_rms=1.0):
@@ -36,6 +36,24 @@ def fdt_model(eps_p0, omega_c, w_rms=1.0):
         omega_c=omega_c,
         temperature=w_rms * w_rms / (2.0 * eps_p0),
     )
+
+
+def tabulated_model(source, span=30.0, points=601):
+    """source sampled on a symmetric grid out to span * omega_c."""
+    grid = np.linspace(-span * source.omega_c, span * source.omega_c, points)
+    values = np.array([eval_spectral_density(source, float(w)) for w in grid])
+    return Tabulated(grid, values, temperature=source.temperature)
+
+
+def kernel_models(eps_p0, omega_c):
+    """fdt_model and its tabulated counterpart: the kernel identities hold for both."""
+    model = fdt_model(eps_p0, omega_c)
+    return model, tabulated_model(model)
+
+
+def kernel_at(model, params, tau):
+    """(Lambda_-, Lambda_+, dLambda_-/dtau, dLambda_+/dtau) at one delay, W = 1."""
+    return [float(row[0]) for row in _kernel_arrays(model, params, 1.0, np.array([tau]))]
 
 
 @pytest.fixture(autouse=True)
@@ -68,63 +86,74 @@ class TestTrajectory:
 
 class TestLambdaPm:
     def test_zero_delay_common_value(self):
-        model = fdt_model(0.5, 1.0)
-        params = TwoStateParams(delta=0.01, eps=0.8, temperature=model.temperature)
-        expected = peak_rate(0.01, 1.0) * math.exp(-0.32)
-        assert lambda_pm(model, params, 1.0, 0.0, -1) == pytest.approx(expected, rel=1e-14)
-        assert lambda_pm(model, params, 1.0, 0.0, +1) == pytest.approx(expected, rel=1e-14)
+        for model in kernel_models(0.5, 1.0):
+            params = TwoStateParams(delta=0.01, eps=0.8, temperature=model.temperature)
+            expected = peak_rate(0.01, 1.0) * math.exp(-0.32)
+            lam_minus, lam_plus, _, _ = kernel_at(model, params, 0.0)
+            assert lam_minus == pytest.approx(expected, rel=1e-14)
+            assert lam_plus == pytest.approx(expected, rel=1e-14)
 
     def test_long_delay_reaches_equilibrium_rates(self):
-        model = fdt_model(0.5, 1.0)
-        params = TwoStateParams(delta=0.01, eps=0.8, temperature=model.temperature)
-        limit = lambda_pm(model, params, 1.0, 500.0, -1)
-        assert limit == pytest.approx(gaussian_rate(params, 1.0, 0.5, -1), rel=1e-12)
+        # a tabulated S_a(omega)/omega has a kink at omega = 0, so its shift
+        # approaches eps_p0 only as 1/tau^2: 4e-6 relative at tau = 500
+        for model, rel in zip(kernel_models(0.5, 1.0), (1e-12, 1e-5)):
+            params = TwoStateParams(delta=0.01, eps=0.8, temperature=model.temperature)
+            limit = kernel_at(model, params, 500.0)[0]
+            expected = gaussian_rate(params, 1.0, reorganization_shift(model), -1)
+            assert limit == pytest.approx(expected, rel=rel)
 
     def test_symmetric_at_zero_bias(self):
-        model = fdt_model(0.5, 1.0)
-        params = TwoStateParams(delta=0.01, eps=0.0, temperature=model.temperature)
-        for tau in (0.2, 1.0, 4.0):
-            assert lambda_pm(model, params, 1.0, tau, -1) == lambda_pm(
-                model, params, 1.0, tau, +1
-            )
+        for model in kernel_models(0.5, 1.0):
+            params = TwoStateParams(delta=0.01, eps=0.0, temperature=model.temperature)
+            taus = np.array([0.2, 1.0, 4.0])
+            lam_minus, lam_plus, _, _ = _kernel_arrays(model, params, 1.0, taus)
+            assert np.array_equal(lam_minus, lam_plus)
 
     def test_ramp_rejected(self):
-        model = fdt_model(0.5, 1.0)
-        params = TwoStateParams(
-            delta=0.01, eps=LinearSchedule(0.0, 1.0), temperature=model.temperature
-        )
-        with pytest.raises(RegimeError, match="time-invariant"):
-            lambda_pm(model, params, 1.0, 1.0, -1)
+        for model in kernel_models(0.5, 1.0):
+            params = TwoStateParams(
+                delta=0.01, eps=LinearSchedule(0.0, 1.0), temperature=model.temperature
+            )
+            with pytest.raises(RegimeError, match="time-invariant"):
+                _kernel_arrays(model, params, 1.0, np.array([1.0]))
+
+
+def integrated_kernel(model, params, t, k):
+    """Lambda(0) + int_0^t dLambda/dtau by quad: k = 0 for Lambda_-, 1 for Lambda_+."""
+    smooth, _ = quad(
+        lambda tau: kernel_at(model, params, tau)[2 + k],
+        0.0, t, epsabs=1e-13, epsrel=1e-11, limit=400,
+    )
+    return kernel_at(model, params, 0.0)[k] + smooth
 
 
 class TestKernelIntegral:
     def test_zero_time_is_delta_weight(self):
-        model = fdt_model(0.25, 1.0)
-        params = TwoStateParams(delta=0.05, eps=0.0, temperature=model.temperature)
-        spec = build_kernel(model, params, 1.0)
-        assert kernel_integral(spec, 0.0, -1) == spec.delta_weight
-        assert spec.delta_weight == pytest.approx(
-            classical_rate(params, 1.0), rel=1e-14
-        )
+        for model in kernel_models(0.25, 1.0):
+            params = TwoStateParams(delta=0.05, eps=0.0, temperature=model.temperature)
+            lam_minus, lam_plus, dlam_minus, dlam_plus = kernel_at(model, params, 0.0)
+            assert lam_minus == lam_plus == pytest.approx(classical_rate(params, 1.0), rel=1e-14)
+            assert dlam_minus == dlam_plus == 0.0
 
     def test_saturates_to_equilibrium_rate(self):
+        # ohmic only: its shift saturates exponentially on 1/omega_c, a
+        # tabulated one as 1/tau^2 (test_long_delay_reaches_equilibrium_rates)
         model = fdt_model(0.25, 1.0)
         params = TwoStateParams(delta=0.05, eps=0.0, temperature=model.temperature)
-        spec = build_kernel(model, params, 1.0)
-        for direction, limit in ((-1, spec.limit_minus), (+1, spec.limit_plus)):
-            assert kernel_integral(spec, 20.0, direction) == pytest.approx(
-                limit, rel=1e-8
+        for k, direction in ((0, -1), (1, +1)):
+            assert integrated_kernel(model, params, 20.0, k) == pytest.approx(
+                gaussian_rate(params, 1.0, 0.25, direction), rel=1e-8
             )
 
     def test_matches_lambda_at_all_times(self):
-        model = fdt_model(0.5, 1.0)
-        params = TwoStateParams(delta=0.05, eps=0.6, temperature=model.temperature)
-        spec = build_kernel(model, params, 1.0)
-        for t in (0.3, 1.0, 2.0, 6.0):
-            for direction in (-1, +1):
-                assert kernel_integral(spec, t, direction) == pytest.approx(
-                    lambda_pm(model, params, 1.0, t, direction), rel=1e-9
-                )
+        for model in kernel_models(0.5, 1.0):
+            params = TwoStateParams(delta=0.05, eps=0.6, temperature=model.temperature)
+            for t in (0.3, 1.0, 2.0, 6.0):
+                lam_t = kernel_at(model, params, t)
+                for k in (0, 1):
+                    assert integrated_kernel(model, params, t, k) == pytest.approx(
+                        lam_t[k], rel=1e-9
+                    )
 
 
 class TestEvolveNonlocal:
@@ -252,6 +281,11 @@ class TestEvolveLocal:
         grid = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ValueError, match="negative rate"):
             evolve_local(lambda t: -0.1, 0.1, 0.0, grid)
+
+    def test_negative_rate_between_grid_points_rejected(self):
+        # G_- < 0 on (0.05, 0.95) but positive at t = 0, 1, 2
+        with pytest.raises(ValueError, match="negative rate"):
+            evolve_local(lambda t: (t - 0.5) ** 2 - 0.2, 0.1, 0.5, [0.0, 1.0, 2.0])
 
 
 class TestNonlocalCorrectedRates:
@@ -383,14 +417,13 @@ class TestShortTime:
         assert r_large == pytest.approx(4.0 * r_small, rel=1e-9)
 
     def test_growth_slope_matches_rate(self):
-        model, params = self.setup_model()
+        ohmic, params = self.setup_model()
         t, step = 10.0, 0.5
-        hi = short_time_rho11(model, params, 1.0, t + step).double_quadrature
-        lo = short_time_rho11(model, params, 1.0, t - step).double_quadrature
-        slope = (hi - lo) / (2.0 * step)
-        assert slope == pytest.approx(
-            lambda_pm(model, params, 1.0, t, -1), rel=0.01
-        )
+        for model in (ohmic, tabulated_model(ohmic)):
+            hi = short_time_rho11(model, params, 1.0, t + step).double_quadrature
+            lo = short_time_rho11(model, params, 1.0, t - step).double_quadrature
+            slope = (hi - lo) / (2.0 * step)
+            assert slope == pytest.approx(kernel_at(model, params, t)[0], rel=0.01)
 
     def test_constant_amplitude_collapses_product(self):
         model, params = self.setup_model()

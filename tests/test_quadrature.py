@@ -16,7 +16,6 @@ from mrtkit import (
     peak_rate,
     peak_summary,
 )
-from mrtkit.dynamics import _response_frequency
 from mrtkit.quadrature import RULE_SIZE, bounded_minimum, gauss_kronrod
 from mrtkit.spectral import reorganization_shift
 
@@ -118,7 +117,7 @@ def quad_peak_summary(model, params, w_rms):
     delta = params.delta_schedule.initial
     w = w_rms
     gp = peak_rate(delta, w)
-    ratio = gp / _response_frequency(model)
+    ratio = gp / model.response_frequency()
     eps_p0 = reorganization_shift(model)
     temperature = params.temperature
     gauss_supp = math.exp(-0.5 * (eps_p0 / w) ** 2)

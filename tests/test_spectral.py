@@ -22,7 +22,8 @@ from mrtkit import (
     shift_function_derivative,
     symmetric_antisymmetric,
 )
-from mrtkit.spectral import _smooth_integral, _trigamma
+from mrtkit.oracle import _smooth_integral, ohmic_shift_reference
+from mrtkit.spectral import _trigamma
 
 
 def ohmic_symmetric_part(model, omega):
@@ -289,7 +290,7 @@ class TestShiftFunction:
     def test_zero_time(self):
         model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
         assert shift_function(model, 0.0) == 0.0
-        assert shift_function(model, 0.0, method="quadrature") == 0.0
+        assert ohmic_shift_reference(model, 0.0) == 0.0
         assert shift_function(ohmic_grid_model(), 0.0) == 0.0
 
     def test_saturation(self):
@@ -305,9 +306,21 @@ class TestShiftFunction:
     def test_quadrature_agrees_with_closed_form(self):
         model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
         for t in np.linspace(0.0, 100.0, 41):
-            closed = shift_function(model, float(t), method="closed")
-            numeric = shift_function(model, float(t), method="quadrature")
+            closed = shift_function(model, float(t))
+            numeric = ohmic_shift_reference(model, float(t))
             assert numeric == pytest.approx(closed, rel=1e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("eta, omega_c, temperature", [(1.0, 1.0, 1.0), (2.0, 0.5, 3.0)])
+    @pytest.mark.parametrize("x", [1e-6, 1e-4, 1e-2, 0.3])
+    def test_quadrature_agrees_at_small_times(self, eta, omega_c, temperature, x):
+        # at omega_c t << 1 eps_p ~ eps_p0 x^2 / 2 is far below the tail
+        # integrals of S_a/omega, so only a relative bound shows an error
+        model = OhmicCutoff(eta=eta, omega_c=omega_c, temperature=temperature)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            numeric = ohmic_shift_reference(model, x / omega_c)
+        closed = shift_function(model, x / omega_c)
+        assert abs(numeric - closed) <= 1e-6 * closed
 
     def test_monotone_nondecreasing(self):
         model = OhmicCutoff(eta=2.0, omega_c=0.7, temperature=1.3)

@@ -2,7 +2,7 @@
 
 * The NumPy PCHIP interpolant against ``scipy.interpolate.PchipInterpolator``.
 * The one-pass tau_R against the per-frequency scalar loop.
-* The shared-node ``_shift_arrays`` and ``dephasing_exponent`` against the
+* The shared-node ``Tabulated.shift_arrays`` and ``dephasing_exponent`` against the
   per-tau panel quadrature they replaced, and against a 30-digit ``mpmath``
   integral of the same interpolant.
 
@@ -34,17 +34,8 @@ from mrtkit import (
     shift_function,
     shift_function_derivative,
 )
-from mrtkit.spectral import (
-    _GL_NODES,
-    _GL_WEIGHTS,
-    _antisymmetric_part,
-    _oscillation_edges,
-    _Pchip,
-    _positive_overlap,
-    _shift_arrays,
-    _tabulated_nodes,
-    _tabulated_tau_r,
-)
+from mrtkit.quadrature import _GL_NODES, _GL_WEIGHTS, _oscillation_edges, _tabulated_nodes
+from mrtkit.spectral import _Pchip
 
 # Interpolant values and the whole-grid integral, relative to max|y|: a few
 # hundred roundoffs of the cubic's four-term sum.
@@ -113,9 +104,9 @@ def perturbed_ohmic(seed=3, knots=300):
 
 def scalar_tau_r(model):
     """The per-frequency loop that the one-pass tau_R replaced."""
-    upper = _positive_overlap(model)
+    upper = model._positive_overlap()
     grid = np.linspace(0.0, upper, 8193)[1:]
-    g = np.array([_antisymmetric_part(model, float(w)) / float(w) for w in grid])
+    g = np.array([model.antisymmetric(float(w)) / float(w) for w in grid])
     cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(grid))))
     idx = int(np.searchsorted(cumulative, 0.99 * cumulative[-1]))
     return 1.0 / float(grid[min(idx, grid.size - 1)])
@@ -124,7 +115,7 @@ def scalar_tau_r(model):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_tau_r_equals_scalar_loop(seed):
     model = perturbed_ohmic(seed)
-    assert _tabulated_tau_r(model) == scalar_tau_r(model)
+    assert model.tau_r() == scalar_tau_r(model)
 
 
 def _piecewise_gauss(f, a, b, knots):
@@ -152,7 +143,7 @@ def scalar_shift_pair(model, t):
     """eps_p(t) and its derivative, each from its own single-integrand quadrature."""
     if t == 0.0:
         return 0.0, 0.0
-    upper = _positive_overlap(model)
+    upper = model._positive_overlap()
     interp = model._interp
     edges = _tabulated_panel_edges(model, upper, t)
 
@@ -194,7 +185,7 @@ def scalar_exponent(model, t):
 
 
 def assert_shift_matches_oracle(model, taus):
-    shift, rate = _shift_arrays(model, taus)
+    shift, rate = model.shift_arrays(taus)
     oracle = np.array([scalar_shift_pair(model, float(t)) for t in taus]).reshape(-1, 2)
     for got, want in ((shift, oracle[:, 0]), (rate, oracle[:, 1])):
         assert got.shape == want.shape
@@ -214,7 +205,7 @@ def test_shift_arrays_equal_per_tau_quadrature():
     taus = 0.37 * np.arange(41)
     assert_shift_matches_oracle(model, taus)
     for t in taus.tolist():
-        shift, rate = _shift_arrays(model, np.array([t]))
+        shift, rate = model.shift_arrays(np.array([t]))
         assert shift_function(model, t) == shift[0]
         assert shift_function_derivative(model, t) == rate[0]
 
@@ -229,10 +220,10 @@ def test_symmetric_grid_has_no_sliver_panels():
     omega = np.linspace(-0.6, 0.6, 1201)
     source = OhmicCutoff(eta=8.0, omega_c=0.02, temperature=1.0)
     model = Tabulated(omega, [eval_spectral_density(source, float(w)) for w in omega], 1.0)
-    upper = _positive_overlap(model)
+    upper = model._positive_overlap()
     assert np.unique(np.concatenate((omega[omega > 0], -omega[omega < 0]))).size > 600
     for t_max in (0.0, 200.0):
-        _, weights = _tabulated_nodes(model, upper, t_max)
+        _, weights = _tabulated_nodes(model.omega, upper, t_max)
         widths = weights.reshape(-1, _GL_WEIGHTS.size).sum(axis=1)
         assert np.min(widths) > 1e-12 * upper
         assert math.isclose(np.sum(widths), upper, rel_tol=1e-14)
@@ -246,9 +237,9 @@ def test_symmetric_grid_has_no_sliver_panels():
 
 def test_shift_arrays_preconditions():
     with pytest.raises(ValueError, match="tau >= 0"):
-        _shift_arrays(perturbed_ohmic(), np.array([0.0, -1.0]))
+        perturbed_ohmic().shift_arrays(np.array([0.0, -1.0]))
     with pytest.raises(DivergentMomentError):
-        _shift_arrays(White(s0=1.0), np.array([0.0, 1.0]))
+        White(s0=1.0).shift_arrays(np.array([0.0, 1.0]))
 
 
 def test_empty_and_single_tau_grids():
@@ -268,7 +259,7 @@ def grid_from(data, lead):
 
 def absolute_shift_bounds(model):
     """(2/pi) int |S_a|/w and (1/pi) int |S_a|: bounds on |eps_p| and |d eps_p/dtau|."""
-    upper = _positive_overlap(model)
+    upper = model._positive_overlap()
     interp = model._interp
     edges = _tabulated_panel_edges(model, upper)
     s_a = lambda w: np.abs(0.5 * (interp(w) - interp(-w)))
@@ -289,7 +280,7 @@ tau_grids = st.lists(st.floats(0.0, 30.0), min_size=0, max_size=6).map(np.array)
 def test_shared_nodes_match_per_tau_oracle_on_random_grids(data, lead, taus):
     model = grid_from(data, lead)
     try:
-        shift, rate = _shift_arrays(model, taus)
+        shift, rate = model.shift_arrays(taus)
     except DivergentMomentError:
         assume(False)
     oracle = np.array([scalar_shift_pair(model, float(t)) for t in taus]).reshape(-1, 2)
@@ -339,8 +330,8 @@ def test_accuracy_against_mpmath(lead):
     taus = np.linspace(0.0, 10.0, 41)
     exponent = dephasing_exponent(model, taus)
     if lead > 0.0:
-        shift, rate = _shift_arrays(model, taus)
-        upper = _positive_overlap(model)
+        shift, rate = model.shift_arrays(taus)
+        upper = model._positive_overlap()
     with mpmath.workdps(30):
         S = lambda w: mp_pchip(model, w)
         s_a = lambda w: (S(w) - S(-w)) / 2
