@@ -27,11 +27,12 @@ from .errors import (
     RegimeWarning,
 )
 from .oracle import (
-    EvolutionRequest,
     McConfig,
     StaticNoiseEstimate,
     convolution_reference,
-    refined_reference,
+    corrected_rates_reference,
+    refined_local_reference,
+    refined_nonlocal_reference,
     static_noise_transition,
 )
 from .rates import (

@@ -34,7 +34,8 @@ from .dynamics import (
     short_time_rho11,
 )
 from .errors import ConfigError, DecompositionError, DivergentMomentError, RegimeError
-from .oracle import EvolutionRequest, McConfig, convolution_reference, refined_reference, static_noise_transition
+from .oracle import (McConfig, convolution_reference, refined_local_reference,
+                     refined_nonlocal_reference, static_noise_transition)
 from .rates import (
     RateCurve,
     TwoStateParams,
@@ -343,9 +344,7 @@ def run_evolve(config: RunConfig) -> list[tuple[str, np.ndarray]]:
 def run_peak(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     model = build_model(config)
     params = build_params(config)
-    w_rms = noise_rms(model)
-    warn_weak_coupling(params.delta_schedule.initial, w_rms)
-    summary = peak_summary(model, params, w_rms)
+    summary = peak_summary(model, params, noise_rms(model))
     return [
         ("gamma_peak", np.array([summary.gamma_peak])),
         ("eps_peak", np.array([summary.eps_peak])),
@@ -447,19 +446,13 @@ def _oracle_refined(config: RunConfig, kind: str):
     w_rms = noise_rms(model)
     if kind == "nonlocal":
         production = evolve_nonlocal(model, params, rho11_0, grid, w_rms=w_rms)
-        request = EvolutionRequest(
-            kind="nonlocal", rho11_0=rho11_0, t_grid=grid, model=model, params=params
-        )
+        reference = refined_nonlocal_reference(model, params, rho11_0, grid)
     else:
         eps_p = reorganization_shift(model)
         minus = lambda t: gaussian_rate(params, w_rms, eps_p, -1, t)
         plus = lambda t: gaussian_rate(params, w_rms, eps_p, +1, t)
         production = evolve_local(minus, plus, rho11_0, grid)
-        request = EvolutionRequest(
-            kind="local", rho11_0=rho11_0, t_grid=grid,
-            rate_minus=minus, rate_plus=plus,
-        )
-    reference = refined_reference(request)
+        reference = refined_local_reference(minus, plus, rho11_0, grid)
     sup = float(np.max(np.abs(production.rho11 - reference.rho11)))
     ok = sup <= tolerance
     return [
@@ -500,7 +493,8 @@ def run(config: RunConfig) -> int:
             columns = run_multichannel(config)
         else:
             raise ConfigError(f"unknown scenario {config.scenario!r}")
-    messages = [str(w.message) for w in caught]
+    # a warning raised at several layers is reported once
+    messages = list(dict.fromkeys(str(w.message) for w in caught))
     write_csv(config.out, config.comments(), messages, columns)
     for message in messages:
         print(f"warning: {message}", file=sys.stderr)

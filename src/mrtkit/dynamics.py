@@ -17,7 +17,8 @@ order).  When eps_p(t) is frozen (very slow or very fast environments) the
 equation collapses to the local form d rho11/dt = G_- rho00 - G_+ rho11.
 A memory correction 1/(1 - integral_0^inf [Lambda(inf) - Lambda(tau)] dtau)
 enhances the local rates when Gamma_p is not small against the environment
-response frequency.
+response frequency; the rates here carry its first order in
+Gamma_p/omega_resp, and ``mrtkit.oracle`` integrates the full denominator.
 """
 
 from __future__ import annotations
@@ -111,9 +112,15 @@ def _kernel_arrays(
     of the kernels; the derivatives vanish at tau = 0 with d eps_p/dtau, as
     they do for every spectrum with an integrable S_a.
     """
+    return _kernels_from_shift(params, w, *model.shift_arrays(taus))
+
+
+def _kernels_from_shift(
+    params: TwoStateParams, w: float, eps_p: np.ndarray, deps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_kernel_arrays`` from the shift arrays (eps_p, d eps_p/dtau)."""
     delta, eps = _require_constant(params)
     gp = peak_rate(delta, w)
-    eps_p, deps = model.shift_arrays(taus)
     lam_m = gp * np.exp(-0.5 * ((eps - eps_p) / w) ** 2)
     lam_p = gp * np.exp(-0.5 * ((eps + eps_p) / w) ** 2)
     dm = lam_m * (eps - eps_p) * deps / (w * w)
@@ -160,9 +167,15 @@ def evolve_nonlocal(
             f"min(1/(10*omega_c), 1/(10*Gamma_p)) = {h_max:.3g}"
         )
 
-    lam_m, lam_p, dm, dp = _kernel_arrays(model, params, w, h * np.arange(t.size))
+    eps_p, deps = model.shift_arrays(h * np.arange(t.size))
+    # the delta weight Lambda(0) carries the whole kernel at tau = 0 only when
+    # the smooth part starts from zero; otherwise the scheme is first order
+    if not abs(deps[0]) <= _ROUNDOFF * abs(reorganization_shift(model)) * omega_resp:
+        raise RegimeError(f"d eps_p/dtau at tau = 0 is {deps[0]:.3g}, not 0: "
+                          "the memory kernel needs a spectrum with integrable S_a")
+    lam_m, lam_p, dm, dp = _kernels_from_shift(params, w, eps_p, deps)
     lam0 = float(lam_m[0])
-    del lam_m, lam_p
+    del lam_m, lam_p, eps_p, deps
     y = _trapezoid_history_solve(dm, dp, lam0, h, float(rho11_0))
     return Trajectory.from_rho11(t, y)
 
@@ -308,20 +321,17 @@ def evolve_local(
 
 
 def nonlocal_corrected_rates(
-    model: SpectralModel,
-    params: TwoStateParams,
-    w_rms: float,
-    form: str = "first_order",
+    model: SpectralModel, params: TwoStateParams, w_rms: float
 ) -> tuple[float, float]:
     """Local rates with the leading memory correction, (Gamma_-, Gamma_+).
 
-    form="first_order" evaluates the closed expansion in Gamma_p/omega_c;
-    form="exact" computes the full denominator
-    1 - integral_0^inf [Lambda(inf) - Lambda(tau)] dtau by quadrature.
+    The expansion to first order in Gamma_p/omega_resp of
+    Lambda_pm(inf) / (1 - integral_0^inf [Lambda(inf) - Lambda(tau)] dtau);
+    the un-expanded denominator is ``mrtkit.oracle.corrected_rates_reference``.
     """
-    if form not in ("first_order", "exact"):
-        raise ValueError(f"unknown form {form!r}")
-    return _corrected_rates(model, params, w_rms, form, *_memory_moments(model))
+    curve = _first_order_curve(model, params, w_rms)
+    minus, plus = curve(np.array([params.eps_schedule.initial]))
+    return float(minus[0]), float(plus[0])
 
 
 def nonlocal_corrected_scan(
@@ -332,62 +342,61 @@ def nonlocal_corrected_scan(
     Equal to ``nonlocal_corrected_rates`` at each bias, with the model's
     response frequency and eps_p0 computed once for the whole scan.
     """
-    moments = _memory_moments(model)
-    rates = [
-        _corrected_rates(
-            model, TwoStateParams(params.delta, float(eps), params.temperature),
-            w_rms, "first_order", *moments,
-        )
-        for eps in biases
-    ]
-    return np.array([r[0] for r in rates]), np.array([r[1] for r in rates])
+    return _first_order_curve(model, params, w_rms)(np.asarray(biases, dtype=float))
 
 
-def _memory_moments(model: SpectralModel) -> tuple[float, float]:
-    """(response frequency, eps_p0): the model moments of the memory correction."""
-    return model.response_frequency(), reorganization_shift(model)
+@dataclass(frozen=True)
+class _FirstOrderCurve:
+    """eps -> (Gamma_-, Gamma_+), the memory-corrected rates to first order.
+
+    Gamma_pm = Gamma_p e^{-(eps -/+ eps_p0)^2/2W^2} [1 + 2 (Gamma_p/omega_resp)
+    e^{-eps^2/2W^2} (e^{-eps_p0^2/2W^2} cosh(eps/2T) - 1)], for an array of
+    biases or one float.  Built by ``_first_order_curve``.
+    """
+
+    gp: float
+    ratio: float
+    eps_p0: float
+    w: float
+    temperature: float
+    suppression: float  # e^{-eps_p0^2/2W^2}
+
+    def __call__(self, e):
+        gp, eps_p0, w, temperature = self.gp, self.eps_p0, self.w, self.temperature
+        # exp(-e^2/2w^2) cosh(e/2T) as one exponent each way, so the window
+        # edges at e/T >> 1 give 0, not inf * 0; an overflow left is caught below
+        gauss = -0.5 * (e / w) ** 2
+        thermal = 0.5 * e / temperature
+        with np.errstate(over="ignore", invalid="ignore"):
+            cosh_term = 0.5 * (np.exp(gauss + thermal) + np.exp(gauss - thermal))
+            factor = 1.0 + 2.0 * self.ratio * (self.suppression * cosh_term - np.exp(gauss))
+            minus = gp * np.exp(-0.5 * ((e - eps_p0) / w) ** 2) * factor
+            plus = gp * np.exp(-0.5 * ((e + eps_p0) / w) ** 2) * factor
+        finite = np.isfinite(minus) & np.isfinite(plus)
+        if not np.all(finite):
+            worst = float(np.max(np.abs(np.asarray(e)[~finite])))
+            raise RegimeError(
+                f"memory-corrected rate overflows at eps/2T = {0.5 * worst / temperature:.3g}:"
+                " the first-order correction fails at this temperature"
+            )
+        return minus, plus
 
 
-def _corrected_rates(
-    model: SpectralModel,
-    params: TwoStateParams,
-    w: float,
-    form: str,
-    omega_resp: float,
-    eps_p0: float,
-) -> tuple[float, float]:
-    delta, eps = _require_constant(params)
+def _first_order_curve(
+    model: SpectralModel, params: TwoStateParams, w: float
+) -> _FirstOrderCurve:
+    """The first-order curve of a model and a system, checked once for regime."""
+    delta, _ = _require_constant(params)
     gp = peak_rate(delta, w)
     warn_weak_coupling(delta, w)
-    ratio = gp / omega_resp
+    ratio = gp / model.response_frequency()
     if ratio >= 0.5:
         raise RegimeError(
             f"Gamma_p/omega_c = {ratio:.3g} >= 0.5: memory correction out of regime"
         )
-    base_minus = gp * math.exp(-0.5 * ((eps - eps_p0) / w) ** 2)
-    base_plus = gp * math.exp(-0.5 * ((eps + eps_p0) / w) ** 2)
-    if form == "first_order":
-        factor = 1.0 + 2.0 * ratio * math.exp(-0.5 * (eps / w) ** 2) * (
-            math.exp(-0.5 * (eps_p0 / w) ** 2) * math.cosh(0.5 * eps / params.temperature)
-            - 1.0
-        )
-        return base_minus * factor, base_plus * factor
-
-    from scipy.integrate import quad
-
-    lam_inf = base_minus + base_plus
-
-    def deficit(tau: float) -> float:
-        lam_m, lam_p, _, _ = _kernel_arrays(model, params, w, np.array([tau]))
-        return lam_inf - float(lam_m[0] + lam_p[0])
-
-    cut = 60.0 / omega_resp
-    d_head, _ = quad(deficit, 0.0, cut, epsabs=1e-14, epsrel=1e-11, limit=400)
-    d_tail, _ = quad(deficit, cut, np.inf, epsabs=1e-14, epsrel=1e-11, limit=200)
-    denom = 1.0 - (d_head + d_tail)
-    if denom <= 0:
-        raise RegimeError("memory-correction denominator vanished; out of regime")
-    return base_minus / denom, base_plus / denom
+    eps_p0 = reorganization_shift(model)
+    suppression = math.exp(-0.5 * (eps_p0 / w) ** 2)
+    return _FirstOrderCurve(gp, ratio, eps_p0, w, params.temperature, suppression)
 
 
 @dataclass(frozen=True)
@@ -410,37 +419,22 @@ def peak_summary(
     model: SpectralModel, params: TwoStateParams, w_rms: float
 ) -> PeakSummary:
     """Locate and characterise the memory-corrected Gamma_-(eps) peak."""
-    delta, _ = _require_constant(params)
-    w = w_rms
-    gp = peak_rate(delta, w)
-    ratio = gp / model.response_frequency()
-    if ratio >= 0.5:
-        raise RegimeError(
-            f"Gamma_p/omega_c = {ratio:.3g} >= 0.5: memory correction out of regime"
-        )
-    eps_p0 = reorganization_shift(model)
-    temperature = params.temperature
-    gauss_supp = math.exp(-0.5 * (eps_p0 / w) ** 2)
+    rates = _first_order_curve(model, params, w_rms)
+    gp, ratio, eps_p0, w = rates.gp, rates.ratio, rates.eps_p0, rates.w
 
     def curve(e):
-        # exp(-e^2/2w^2) cosh(e/2T) as one exponent each way, so the window
-        # edges at e/T >> 1 give 0, not inf * 0
-        base = gp * np.exp(-0.5 * ((e - eps_p0) / w) ** 2)
-        gauss = -0.5 * (e / w) ** 2
-        thermal = 0.5 * e / temperature
-        cosh_term = 0.5 * (np.exp(gauss + thermal) + np.exp(gauss - thermal))
-        factor = 1.0 + 2.0 * ratio * (gauss_supp * cosh_term - np.exp(gauss))
-        return base * factor
+        return rates(e)[0]
 
     span = 3.0 * w
     eps_peak = bounded_minimum(
         lambda e: -curve(e), eps_p0 - span, eps_p0 + span,
         xatol=1e-11 * max(w, abs(eps_p0)),
     )
-    gamma_peak = float(curve(eps_peak))
+    # through the array path of nonlocal_corrected_rates, which it equals
+    gamma_peak = float(curve(np.array([eps_peak]))[0])
 
     # moments of the normalized curve; window covers the cosh saddle
-    half = 10.0 * w + w * w / temperature
+    half = 10.0 * w + w * w / rates.temperature
     edges = [eps_p0 - half, eps_p0 - w, eps_p0, eps_p0 + w, eps_p0 + half]
 
     def moment(f, epsabs):
@@ -457,7 +451,7 @@ def peak_summary(
         eps_peak=eps_peak,
         asymmetry=m3 / m2**1.5,
         gamma_peak_first_order=gp * (1.0 + ratio),
-        eps_peak_first_order=eps_p0 * (1.0 + 2.0 * ratio * gauss_supp),
+        eps_peak_first_order=eps_p0 * (1.0 + 2.0 * ratio * rates.suppression),
     )
 
 

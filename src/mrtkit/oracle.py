@@ -6,8 +6,10 @@ Gaussian noise, the convolution reference integrates the Gaussian-
 Lorentzian product directly, the refined references rerun the solvers
 at much finer resolution, the direct nonlocal reference sums the
 memory-kernel history step by step in O(n^2) (from the solver's kernel
-values: the history summation is what it checks), and the ohmic shift
-reference integrates eps_p(t) by adaptive quadrature.
+values: the history summation is what it checks), the corrected-rates
+reference integrates the full memory denominator that the first-order
+rates expand, and the ohmic shift reference integrates eps_p(t) by
+adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -20,16 +22,17 @@ import numpy as np
 from .dynamics import Trajectory, _kernel_arrays, evolve_local, evolve_nonlocal
 from .errors import RegimeError
 from .quadrature import gauss_kronrod
-from .rates import TwoStateParams
+from .rates import TwoStateParams, peak_rate
 from .spectral import SpectralModel, noise_rms
 
 __all__ = [
     "McConfig",
     "StaticNoiseEstimate",
-    "EvolutionRequest",
     "static_noise_transition",
     "convolution_reference",
-    "refined_reference",
+    "refined_local_reference",
+    "refined_nonlocal_reference",
+    "corrected_rates_reference",
     "gaussian_noise_samples",
     "ohmic_shift_reference",
 ]
@@ -165,66 +168,70 @@ def convolution_reference(
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class EvolutionRequest:
-    """Bundle of solver inputs for a reference re-run.
-
-    kind is "local" or "nonlocal"; the relevant fields must be set for the
-    chosen solver (rates for local, model/params for nonlocal).
-    """
-
-    kind: str
-    rho11_0: float
-    t_grid: np.ndarray
-    model: SpectralModel | None = None
-    params: TwoStateParams | None = None
-    rate_minus: object = None
-    rate_plus: object = None
-    refinement: int = 16
-
-    def __post_init__(self):
-        if self.kind not in ("local", "nonlocal"):
-            raise ValueError("kind must be 'local' or 'nonlocal'")
-        if self.refinement < 2:
-            raise ValueError("refinement must be >= 2")
-        object.__setattr__(self, "t_grid", np.asarray(self.t_grid, dtype=float))
+# Subdivisions of each grid step in the refined references.
+_REFINEMENT = 16
 
 
-def _refined_grid(t: np.ndarray, factor: int) -> np.ndarray:
-    pieces = [
-        np.linspace(a, b, factor, endpoint=False) for a, b in zip(t[:-1], t[1:])
-    ]
-    return np.concatenate(pieces + [t[-1:]])
-
-
-def refined_reference(request: EvolutionRequest) -> Trajectory:
-    """Re-run an evolution at 1/refinement of the step; sample the original grid.
-
-    For the fixed-step nonlocal scheme the refinement is a literal grid
-    subdivision; for the adaptive local solver both the step ceiling and
-    the tolerances are tightened accordingly.
-    """
-    t = request.t_grid
-    fine = _refined_grid(t, request.refinement)
-    if request.kind == "nonlocal":
-        if request.model is None or request.params is None:
-            raise ValueError("nonlocal reference needs model and params")
-        full = evolve_nonlocal(request.model, request.params, request.rho11_0, fine)
-    else:
-        if request.rate_minus is None or request.rate_plus is None:
-            raise ValueError("local reference needs rate_minus and rate_plus")
-        h_fine = np.min(np.diff(fine))
-        full = evolve_local(
-            request.rate_minus,
-            request.rate_plus,
-            request.rho11_0,
-            fine,
-            rtol=1e-12,
-            atol=1e-15,
-            max_step=h_fine,
-        )
-    keep = slice(None, None, request.refinement)
+def _refined(solve, t_grid) -> Trajectory:
+    """solve(fine) on each step of t_grid split 16 ways, sampled back on t_grid."""
+    t = np.asarray(t_grid, dtype=float)
+    pieces = [np.linspace(a, b, _REFINEMENT, endpoint=False) for a, b in zip(t[:-1], t[1:])]
+    full = solve(np.concatenate(pieces + [t[-1:]]))
+    keep = slice(None, None, _REFINEMENT)
     return Trajectory(t=full.t[keep], rho00=full.rho00[keep], rho11=full.rho11[keep])
+
+
+def refined_local_reference(rate_minus, rate_plus, rho11_0: float, t_grid) -> Trajectory:
+    """``evolve_local`` with the step ceiling and tolerances tightened 16-fold."""
+    return _refined(lambda fine: evolve_local(
+        rate_minus, rate_plus, rho11_0, fine,
+        rtol=1e-12, atol=1e-15, max_step=np.min(np.diff(fine)),
+    ), t_grid)
+
+
+def refined_nonlocal_reference(
+    model: SpectralModel, params: TwoStateParams, rho11_0: float, t_grid
+) -> Trajectory:
+    """``evolve_nonlocal`` on each grid step split 16 ways."""
+    return _refined(lambda fine: evolve_nonlocal(model, params, rho11_0, fine), t_grid)
+
+
+def corrected_rates_reference(
+    model: SpectralModel, params: TwoStateParams, w_rms: float
+) -> tuple[float, float]:
+    """Memory-corrected local rates with the full denominator, (Gamma_-, Gamma_+).
+
+    Gamma_pm = Lambda_pm(inf) / (1 - D), D = integral_0^inf [Lambda(inf) -
+    Lambda(tau)] dtau with Lambda = Lambda_- + Lambda_+: the quantity whose
+    first order in Gamma_p/omega_resp is ``nonlocal_corrected_rates``.  D is
+    integrated over [0, 60 tau_R]; a deficit that has not settled there,
+    |Lambda(inf) - Lambda(cut)| * cut above the integral's own tolerance,
+    has no converged value and raises RegimeError.
+    """
+    w = w_rms
+    eps_p0 = model.reorganization_shift()
+    gp = peak_rate(params.delta_schedule.initial, w)
+    eps = params.eps_schedule.initial
+    base_minus = gp * math.exp(-0.5 * ((eps - eps_p0) / w) ** 2)
+    base_plus = gp * math.exp(-0.5 * ((eps + eps_p0) / w) ** 2)
+
+    def deficit(taus):
+        minus, plus, _, _ = _kernel_arrays(model, params, w, taus)
+        return base_minus + base_plus - (minus + plus)
+
+    cut = 60.0 / model.response_frequency()
+    value, _, _ = gauss_kronrod(deficit, [0.0, cut], epsabs=1e-14, epsrel=1e-11, limit=400)
+    tolerance = max(1e-14, 1e-11 * abs(value))
+    remainder = abs(float(deficit(np.array([cut]))[0])) * cut
+    if remainder > tolerance:
+        raise RegimeError(
+            f"memory deficit not settled by 60 tau_R: |Lambda(inf) - Lambda(cut)| * cut "
+            f"= {remainder:.3g} > {tolerance:.3g}"
+        )
+    denom = 1.0 - value
+    if denom <= 0:
+        raise RegimeError("memory-correction denominator vanished; out of regime")
+    return base_minus / denom, base_plus / denom
 
 
 def direct_nonlocal_reference(

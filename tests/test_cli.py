@@ -170,6 +170,39 @@ steps = 7
         _, _, rows = read_csv(out)
         assert len(rows) == 7
 
+    def test_low_temperature_overflow_is_precondition(self, tmp_path, capsys):
+        # cosh(eps/2T) overflows at T = 0.001, eps = 4: exit 3, not a traceback
+        out = tmp_path / "n.csv"
+        config = write_config(
+            tmp_path,
+            f"""\
+[run]
+scenario = mrt-scan
+out = {out}
+
+[spectral]
+kind = ohmic
+eta = 10.0
+omega_c = 1.0
+temperature = 0.001
+
+[two-state]
+delta = 0.05
+eps = 0.0
+temperature = 0.001
+
+[mrt-scan]
+shape = nonlocal-corrected
+
+[bias-grid]
+start = -4.0
+stop = 4.0
+steps = 9
+""",
+        )
+        assert main(["mrt-scan", "--config", config]) == 3
+        assert "eps/2T" in capsys.readouterr().err
+
     def test_unknown_shape_is_config_error(self, tmp_path):
         out = tmp_path / "u.csv"
         config = self.scan_config(tmp_path, out, "shape = triangle")
@@ -372,6 +405,42 @@ steps = 5
         assert main(["mrt-scan", "--config", config]) == 0
         text = out.read_text()
         assert "# warning: W/Delta < 10, perturbative regime violated\n" in text
+
+    # W/Delta < 10 on an ohmic bath with omega_c = 5: the memory-kernel
+    # scenarios stay in their own regime
+    WEAK = """\
+[spectral]
+kind = ohmic
+eta = 2.0
+omega_c = 5.0
+temperature = 1.0
+
+[two-state]
+delta = 0.6
+eps = 0.0
+temperature = 1.0
+"""
+
+    @pytest.mark.parametrize(
+        "scenario, body",
+        [
+            ("mrt-scan", "[mrt-scan]\nshape = gaussian\n\n"
+                         "[bias-grid]\nstart = -4.0\nstop = 4.0\nsteps = 9\n"),
+            ("mrt-scan", "[mrt-scan]\nshape = nonlocal-corrected\n\n"
+                         "[bias-grid]\nstart = -4.0\nstop = 4.0\nsteps = 9\n"),
+            ("evolve", "[evolve]\nmode = nonlocal\n\n"
+                       "[time-grid]\nstart = 0.0\nstop = 10.0\nsteps = 1001\n"),
+        ],
+        ids=["scan-gaussian", "scan-nonlocal-corrected", "evolve-nonlocal"],
+    )
+    def test_each_warning_reported_once(self, tmp_path, capsys, scenario, body):
+        out = tmp_path / "warn.csv"
+        config = write_config(
+            tmp_path, f"[run]\nscenario = {scenario}\nout = {out}\n\n{self.WEAK}\n{body}"
+        )
+        assert main([scenario, "--config", config]) == 0
+        assert out.read_text().count("# warning:") == 1
+        assert capsys.readouterr().err.count("warning:") == 1
 
 
 class TestEvolve:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mrtkit import (
     OhmicCutoff,
     RegimeError,
     RegimeWarning,
+    SpectralModel,
     Tabulated,
     Trajectory,
     TwoStateParams,
@@ -27,6 +29,7 @@ from mrtkit import (
     short_time_rho11,
 )
 from mrtkit.dynamics import _kernel_arrays
+from mrtkit.oracle import corrected_rates_reference
 
 
 def fdt_model(eps_p0, omega_c, w_rms=1.0):
@@ -54,6 +57,37 @@ def kernel_models(eps_p0, omega_c):
 def kernel_at(model, params, tau):
     """(Lambda_-, Lambda_+, dLambda_-/dtau, dLambda_+/dtau) at one delay, W = 1."""
     return [float(row[0]) for row in _kernel_arrays(model, params, 1.0, np.array([tau]))]
+
+
+@dataclass(frozen=True)
+class ClassicalDebye(SpectralModel):
+    """S_a = 2 eps_p0 gamma omega / (gamma^2 + omega^2), classical S_s = (2T/omega) S_a.
+
+    eps_p(tau) = eps_p0 (1 - e^{-gamma tau}) starts with slope eps_p0 gamma:
+    S_a falls off as 1/omega only, too slowly to be integrable.
+    """
+
+    eps_p0: float
+    gamma: float
+    temperature: float
+
+    def density(self, omega):
+        return 2.0 * self.eps_p0 * self.gamma * (2.0 * self.temperature + omega) / (
+            self.gamma**2 + omega**2
+        )
+
+    def noise_rms(self):
+        return math.sqrt(2.0 * self.temperature * self.eps_p0)
+
+    def reorganization_shift(self):
+        return self.eps_p0
+
+    def tau_r(self):
+        return 1.0 / self.gamma
+
+    def shift_arrays(self, taus):
+        decay = np.exp(-self.gamma * np.asarray(taus, dtype=float))
+        return self.eps_p0 * (1.0 - decay), self.eps_p0 * self.gamma * decay
 
 
 @pytest.fixture(autouse=True)
@@ -232,6 +266,14 @@ class TestEvolveNonlocal:
         with pytest.raises(RegimeError, match="resolution"):
             evolve_nonlocal(model, params, 0.0, grid, w_rms=1.0)
 
+    def test_shift_slope_at_zero_delay_rejected(self):
+        # a kernel whose smooth part jumps at tau = 0 would leave the scheme
+        # first order without notice
+        model = ClassicalDebye(eps_p0=0.5, gamma=1.0, temperature=1.0)
+        params = TwoStateParams(delta=0.05, eps=0.0, temperature=1.0)
+        with pytest.raises(RegimeError, match="d eps_p/dtau at tau = 0"):
+            evolve_nonlocal(model, params, 0.0, np.linspace(0.0, 10.0, 101))
+
     def test_input_validation(self):
         model = fdt_model(0.5, 1.0)
         params = TwoStateParams(delta=0.01, eps=0.0, temperature=model.temperature)
@@ -315,7 +357,7 @@ class TestNonlocalCorrectedRates:
         delta = math.sqrt(0.1 / math.sqrt(math.pi / 8.0))
         params = TwoStateParams(delta=delta, eps=2.5, temperature=model.temperature)
         base = gaussian_rate(params, 1.0, 2.5, -1)
-        exact_minus, _ = nonlocal_corrected_rates(model, params, 1.0, form="exact")
+        exact_minus, _ = corrected_rates_reference(model, params, 1.0)
         deficit = 1.0 - base / exact_minus
         lam_inf = base + gaussian_rate(params, 1.0, 2.5, +1)
         lam_zero = 2.0 * classical_rate(params, 1.0)
@@ -328,6 +370,50 @@ class TestNonlocalCorrectedRates:
         with pytest.raises(RegimeError, match="out of regime"):
             nonlocal_corrected_rates(model, params, 1.0)
 
+    def test_overflow_at_low_temperature_rejected(self):
+        # cosh(eps/2T) at eps/2T = 2000 overflows a double
+        model = OhmicCutoff(eta=10.0, omega_c=1.0, temperature=0.001)
+        params = TwoStateParams(delta=0.05, eps=4.0, temperature=0.001)
+        with pytest.raises(RegimeError, match="eps/2T = 2e"):
+            nonlocal_corrected_rates(model, params, 1.0)
+
+
+class TestCorrectedRatesReference:
+    @staticmethod
+    def quad_reference(model, params, w):
+        """The full denominator by SciPy quad: head to 60 tau_R plus the infinite tail."""
+        gp = peak_rate(params.delta, w)
+        eps_p0 = reorganization_shift(model)
+        base_minus = gp * math.exp(-0.5 * ((params.eps - eps_p0) / w) ** 2)
+        base_plus = gp * math.exp(-0.5 * ((params.eps + eps_p0) / w) ** 2)
+
+        def deficit(tau):
+            lam_m, lam_p, _, _ = kernel_at(model, params, tau)
+            return base_minus + base_plus - (lam_m + lam_p)
+
+        cut = 60.0 / model.response_frequency()
+        head, _ = quad(deficit, 0.0, cut, epsabs=1e-14, epsrel=1e-11, limit=400)
+        tail, _ = quad(deficit, cut, np.inf, epsabs=1e-14, epsrel=1e-11, limit=200)
+        denom = 1.0 - (head + tail)
+        return base_minus / denom, base_plus / denom
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.5, 4.0])
+    def test_matches_quad_head_and_tail(self, eps):
+        model = fdt_model(2.5, 1.0)
+        delta = math.sqrt(0.1 / math.sqrt(math.pi / 8.0))
+        params = TwoStateParams(delta=delta, eps=eps, temperature=model.temperature)
+        rates = corrected_rates_reference(model, params, 1.0)
+        assert rates == pytest.approx(self.quad_reference(model, params, 1.0), rel=1e-12)
+
+    def test_unsettled_tabulated_deficit_rejected(self):
+        # the interpolant's eps_p still drifts by ~1e-3 at 60 tau_R: the head
+        # integral has no converged value to return
+        model = tabulated_model(fdt_model(0.5, 1.0))
+        delta = math.sqrt(0.1 / math.sqrt(math.pi / 8.0))
+        params = TwoStateParams(delta=delta, eps=0.4, temperature=model.temperature)
+        with pytest.raises(RegimeError, match="not settled by 60 tau_R"):
+            corrected_rates_reference(model, params, 1.0)
+
 
 class TestPeakSummary:
     def test_vanishing_memory_limit(self):
@@ -339,6 +425,14 @@ class TestPeakSummary:
         assert summary.gamma_peak == pytest.approx(gp, rel=2e-3)
         assert summary.eps_peak == pytest.approx(2.5, abs=5e-3)
         assert abs(summary.asymmetry) <= 1e-3
+
+    def test_peak_height_is_the_corrected_rate_at_the_peak(self):
+        model = fdt_model(2.5, 1.0)
+        delta = math.sqrt(0.1 / math.sqrt(math.pi / 8.0))
+        params = TwoStateParams(delta=delta, eps=2.5, temperature=model.temperature)
+        summary = peak_summary(model, params, 1.0)
+        at_peak = TwoStateParams(delta=delta, eps=summary.eps_peak, temperature=model.temperature)
+        assert summary.gamma_peak == nonlocal_corrected_rates(model, at_peak, 1.0)[0]
 
     def test_enhancement_matches_first_order(self):
         model = fdt_model(2.5, 1.0)

@@ -2,10 +2,10 @@
 
 Each case runs in a fresh interpreter and reports the ``scipy`` modules in
 ``sys.modules`` afterwards.  Startup, config errors, every tabulated
-scenario, the ohmic moments and the ohmic envelope, peak, nonlocal evolve
-and gaussian, classical and first-order nonlocal-corrected scans need NumPy
-alone; the convolution oracle loads only ``scipy.special`` (for ``wofz``),
-no integrator or optimiser.  A Voigt line shape is the positive control
+scenario, the ohmic moments, the ohmic envelope, peak, nonlocal evolve and
+gaussian, classical and nonlocal-corrected scans, and the full
+memory-correction oracle need NumPy alone; the convolution oracle loads
+only ``scipy.special`` (for ``wofz``), no integrator or optimiser.  A Voigt line shape is the positive control
 that the probe does see a SciPy import.
 """
 
@@ -153,6 +153,13 @@ def test_convolution_oracle_imports_no_integrator(tmp_path):
 def test_ohmic_moments_import_no_scipy():
     body = ("from mrtkit import OhmicCutoff, noise_moments\n"
             "noise_moments(OhmicCutoff(eta=1.0, omega_c=1.0, temperature=0.1))")
+    assert run_probe(body)["scipy"] == []
+
+
+def test_corrected_rates_reference_imports_no_scipy():
+    body = ("from mrtkit import OhmicCutoff, TwoStateParams, corrected_rates_reference\n"
+            "corrected_rates_reference(OhmicCutoff(eta=10.0, omega_c=1.0, temperature=0.2),\n"
+            "                          TwoStateParams(0.4, 2.5, 0.2), 1.0)")
     assert run_probe(body)["scipy"] == []
 
 

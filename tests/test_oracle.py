@@ -1,22 +1,24 @@
 """Brute-force reference implementations: Monte Carlo, convolution, refinement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from mrtkit import (
-    EvolutionRequest,
     McConfig,
     OhmicCutoff,
     RegimeError,
+    RegimeWarning,
     TwoStateParams,
     convolution_reference,
     evolve_local,
     evolve_nonlocal,
     peak_rate,
-    refined_reference,
+    refined_local_reference,
+    refined_nonlocal_reference,
     static_noise_transition,
     voigt_rate,
 )
@@ -163,10 +165,7 @@ class TestConvolutionReference:
 class TestRefinedReference:
     def test_constant_rate_matches_closed_form(self):
         grid = np.linspace(0.0, 40.0, 81)
-        request = EvolutionRequest(
-            kind="local", rho11_0=0.0, t_grid=grid, rate_minus=0.05, rate_plus=0.05
-        )
-        reference = refined_reference(request)
+        reference = refined_local_reference(0.05, 0.05, 0.0, grid)
         closed = 0.5 * (1.0 - np.exp(-0.1 * grid))
         assert np.max(np.abs(reference.rho11 - closed)) <= 1e-9
 
@@ -187,6 +186,21 @@ class TestRefinedReference:
         d2 = np.max(np.abs(solutions[1] - solutions[2]))
         assert 1.8 <= math.log2(d1 / d2) <= 2.2
 
+    def test_nonlocal_refinement_measures_second_order_error(self):
+        # the gap to the 16-fold refined run shrinks fourfold as the step halves
+        model = OhmicCutoff(eta=8.0, omega_c=1.0, temperature=0.25)
+        params = TwoStateParams(delta=0.4, eps=2.0, temperature=0.25)
+        gaps = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            for n in (201, 401):
+                grid = np.linspace(0.0, 20.0, n)
+                reference = refined_nonlocal_reference(model, params, 0.0, grid)
+                assert np.array_equal(reference.t, grid)
+                production = evolve_nonlocal(model, params, 0.0, grid)
+                gaps.append(np.max(np.abs(production.rho11 - reference.rho11)))
+        assert 1.8 <= math.log2(gaps[0] / gaps[1]) <= 2.2
+
     def test_landau_zener_refinement_run(self):
         w, eps_p0, speed = 1.0, 0.5, 0.02
         gp = peak_rate(0.01, w)
@@ -194,17 +208,5 @@ class TestRefinedReference:
         plus = lambda t: gp * math.exp(-0.5 * ((-30.0 + speed * t) + eps_p0) ** 2)
         grid = np.linspace(0.0, 3000.0, 301)
         production = evolve_local(minus, plus, 0.0, grid)
-        request = EvolutionRequest(
-            kind="local", rho11_0=0.0, t_grid=grid, rate_minus=minus, rate_plus=plus
-        )
-        reference = refined_reference(request)
+        reference = refined_local_reference(minus, plus, 0.0, grid)
         assert np.max(np.abs(production.rho11 - reference.rho11)) <= 1e-6
-
-    def test_request_validation(self):
-        grid = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="kind"):
-            EvolutionRequest(kind="magic", rho11_0=0.0, t_grid=grid)
-        with pytest.raises(ValueError, match="needs model"):
-            refined_reference(EvolutionRequest(kind="nonlocal", rho11_0=0.0, t_grid=grid))
-        with pytest.raises(ValueError, match="needs rate"):
-            refined_reference(EvolutionRequest(kind="local", rho11_0=0.0, t_grid=grid))

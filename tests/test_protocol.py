@@ -32,7 +32,7 @@ from mrtkit import (
     shift_function,
     shift_function_derivative,
 )
-from mrtkit.oracle import direct_nonlocal_reference
+from mrtkit.oracle import corrected_rates_reference, direct_nonlocal_reference
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,8 @@ def test_evolve_nonlocal_equals_the_built_in_ohmic():
     assert traj.rho11 == pytest.approx(built_in.rho11, abs=1e-12)
 
 
-@pytest.mark.parametrize("form", ["first_order", "exact"])
-def test_nonlocal_corrected_rates_equal_the_built_in_ohmic(form):
-    rates = nonlocal_corrected_rates(MODEL, PARAMS, 1.0, form=form)
-    assert rates == pytest.approx(nonlocal_corrected_rates(BUILT_IN, PARAMS, 1.0, form=form),
-                                  rel=1e-12)
+@pytest.mark.parametrize("corrected", [nonlocal_corrected_rates, corrected_rates_reference],
+                         ids=["first_order", "exact"])
+def test_nonlocal_corrected_rates_equal_the_built_in_ohmic(corrected):
+    rates = corrected(MODEL, PARAMS, 1.0)
+    assert rates == pytest.approx(corrected(BUILT_IN, PARAMS, 1.0), rel=1e-12)
