@@ -94,12 +94,15 @@ class RunConfig:
 
     def _convert(self, section: str, key: str, raw: str, kind):
         try:
-            return kind(raw)
+            value = kind(raw)
+            if kind is float and not math.isfinite(value):
+                raise ValueError(raw)
         except ValueError:
-            noun = "an integer" if kind is int else "a number"
+            noun = "an integer" if kind is int else "a finite number"
             raise ConfigError(
                 f"{self.path}: [{section}] {key} = {raw!r} is not {noun}"
             ) from None
+        return value
 
     def require_float(self, section: str, key: str) -> float:
         return self._convert(section, key, self.require(section, key), float)
@@ -285,21 +288,14 @@ def run_mrt_scan(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     grid = read_grid(config, "bias-grid")
     w_rms = noise_rms(model)
     warn_weak_coupling(params.delta_schedule.initial, w_rms)
-    gm = np.empty_like(grid)
-    gp = np.empty_like(grid)
     eps_p = None
-    if shape in ("gaussian", "classical"):
-        eps_p = _resolve_eps_p(config, "mrt-scan", model) if shape == "gaussian" else 0.0
-        for i, eps in enumerate(grid):
-            point = TwoStateParams(params.delta, float(eps), params.temperature)
-            gm[i] = gaussian_rate(point, w_rms, eps_p, -1)
-            gp[i] = gaussian_rate(point, w_rms, eps_p, +1)
-    elif shape == "voigt":
-        eps_p = _resolve_eps_p(config, "mrt-scan", model)
-        gamma = config.require_float("mrt-scan", "gamma")
+    if shape in ("gaussian", "classical", "voigt"):
+        # the Gaussian is the zero-width Voigt line; classical is it at eps_p = 0
+        eps_p = 0.0 if shape == "classical" else _resolve_eps_p(config, "mrt-scan", model)
+        gamma = config.require_float("mrt-scan", "gamma") if shape == "voigt" else 0.0
         delta = params.delta_schedule.initial
-        gm = np.asarray(voigt_rate(delta, w_rms, grid, eps_p, gamma))
-        gp = np.asarray(voigt_rate(delta, w_rms, grid, -eps_p, gamma))
+        gm = voigt_rate(delta, w_rms, grid, eps_p, gamma)
+        gp = voigt_rate(delta, w_rms, grid, -eps_p, gamma)
     elif shape == "nonlocal-corrected":
         gm, gp = nonlocal_corrected_scan(model, params, w_rms, grid)
     else:
@@ -316,6 +312,12 @@ def run_mrt_scan(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     ]
 
 
+def _local_rates(params: TwoStateParams, w_rms: float, eps_p: float):
+    """(Gamma_-(t), Gamma_+(t)) of the shifted-Gaussian line shape at shift eps_p."""
+    return (lambda t: gaussian_rate(params, w_rms, eps_p, -1, t),
+            lambda t: gaussian_rate(params, w_rms, eps_p, +1, t))
+
+
 def run_evolve(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     model = build_model(config)
     params = build_params(config)
@@ -325,10 +327,8 @@ def run_evolve(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     w_rms = noise_rms(model)
     warn_weak_coupling(params.delta_schedule.initial, w_rms)
     if mode == "local":
-        eps_p = _resolve_eps_p(config, "evolve", model)
-        minus = lambda t: gaussian_rate(params, w_rms, eps_p, -1, t)
-        plus = lambda t: gaussian_rate(params, w_rms, eps_p, +1, t)
-        traj = evolve_local(minus, plus, rho11_0, grid)
+        rates = _local_rates(params, w_rms, _resolve_eps_p(config, "evolve", model))
+        traj = evolve_local(*rates, rho11_0, grid)
     elif mode == "nonlocal":
         traj = evolve_nonlocal(model, params, rho11_0, grid, w_rms=w_rms)
     elif mode == "short-time":
@@ -355,19 +355,19 @@ def run_peak(config: RunConfig) -> list[tuple[str, np.ndarray]]:
 def _read_levels(config: RunConfig) -> WellLevels:
     if not config.parser.has_section("levels"):
         raise ConfigError(f"{config.path}: multichannel scenario needs a [levels] section")
+    options = config.parser.options("levels")
+    keys = [f"level_{index}" for index in range(len(options))]
+    if not keys or set(keys) != set(options):
+        raise ConfigError(f"{config.path}: [levels] must define level_0, level_1, ... "
+                          "without gaps, and nothing else")
     rows = []
-    for index in range(len(config.parser.items("levels"))):
-        key = f"level_{index}"
-        if config.get("levels", key) is None:
-            break
+    for key in keys:
         parts = config.require_floats("levels", key)
         if len(parts) != 3:
             raise ConfigError(
                 f"{config.path}: [levels] {key} must be 'energy delta gamma'"
             )
         rows.append(tuple(parts))
-    if not rows:
-        raise ConfigError(f"{config.path}: [levels] must define level_0, level_1, ...")
     return WellLevels(
         energies=tuple(r[0] for r in rows),
         deltas=tuple(r[1] for r in rows),
@@ -382,7 +382,10 @@ def run_multichannel(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     grid = read_grid(config, "bias-grid")
     w_rms = noise_rms(model)
     eps_p = _resolve_eps_p(config, "multichannel", model)
-    normalized = config.get("multichannel", "normalized", fallback="true").lower() != "false"
+    raw = config.get("multichannel", "normalized", fallback="true")
+    normalized = config.parser.BOOLEAN_STATES.get(raw.lower())
+    if normalized is None:
+        raise ConfigError(f"{config.path}: [multichannel] normalized = {raw!r} is not a boolean")
     warn_weak_coupling(levels.deltas[0], w_rms)
     gm = np.asarray(multichannel_rate(levels, temperature, w_rms, grid, eps_p, normalized))
     gp = np.asarray(multichannel_rate(levels, temperature, w_rms, grid, -eps_p, normalized))
@@ -448,11 +451,9 @@ def _oracle_refined(config: RunConfig, kind: str):
         production = evolve_nonlocal(model, params, rho11_0, grid, w_rms=w_rms)
         reference = refined_nonlocal_reference(model, params, rho11_0, grid)
     else:
-        eps_p = reorganization_shift(model)
-        minus = lambda t: gaussian_rate(params, w_rms, eps_p, -1, t)
-        plus = lambda t: gaussian_rate(params, w_rms, eps_p, +1, t)
-        production = evolve_local(minus, plus, rho11_0, grid)
-        reference = refined_local_reference(minus, plus, rho11_0, grid)
+        rates = _local_rates(params, w_rms, reorganization_shift(model))
+        production = evolve_local(*rates, rho11_0, grid)
+        reference = refined_local_reference(*rates, rho11_0, grid)
     sup = float(np.max(np.abs(production.rho11 - reference.rho11)))
     ok = sup <= tolerance
     return [

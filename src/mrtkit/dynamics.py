@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import RegimeError, RegimeWarning
 from .quadrature import bounded_minimum, gauss_kronrod
-from .rates import TwoStateParams, peak_rate, warn_weak_coupling
+from .rates import (_SQRT_PI_OVER_8, TwoStateParams, _shifted_gaussian, peak_rate,
+                    warn_weak_coupling)
 from .spectral import SpectralModel, noise_rms, reorganization_shift, shift_function
 
 __all__ = [
@@ -121,8 +122,8 @@ def _kernels_from_shift(
     """``_kernel_arrays`` from the shift arrays (eps_p, d eps_p/dtau)."""
     delta, eps = _require_constant(params)
     gp = peak_rate(delta, w)
-    lam_m = gp * np.exp(-0.5 * ((eps - eps_p) / w) ** 2)
-    lam_p = gp * np.exp(-0.5 * ((eps + eps_p) / w) ** 2)
+    lam_m = _shifted_gaussian(gp, w, eps, eps_p)
+    lam_p = _shifted_gaussian(gp, w, eps, -eps_p)
     dm = lam_m * (eps - eps_p) * deps / (w * w)
     dp = -lam_p * (eps + eps_p) * deps / (w * w)
     return lam_m, lam_p, dm, dp
@@ -370,8 +371,8 @@ class _FirstOrderCurve:
         with np.errstate(over="ignore", invalid="ignore"):
             cosh_term = 0.5 * (np.exp(gauss + thermal) + np.exp(gauss - thermal))
             factor = 1.0 + 2.0 * self.ratio * (self.suppression * cosh_term - np.exp(gauss))
-            minus = gp * np.exp(-0.5 * ((e - eps_p0) / w) ** 2) * factor
-            plus = gp * np.exp(-0.5 * ((e + eps_p0) / w) ** 2) * factor
+            minus = _shifted_gaussian(gp, w, e, eps_p0) * factor
+            plus = _shifted_gaussian(gp, w, e, -eps_p0) * factor
         finite = np.isfinite(minus) & np.isfinite(plus)
         if not np.all(finite):
             worst = float(np.max(np.abs(np.asarray(e)[~finite])))
@@ -528,9 +529,10 @@ def short_time_rho11(
         return 0.25 * val
 
     def local_rate(s: float) -> float:
+        # not peak_rate: a Delta ramp may pass through zero
         d = delta_s.value(s)
-        arg = (eps_s.value(s) - shift_function(model, s)) / w
-        return math.sqrt(math.pi / 8.0) * d * d / w * math.exp(-0.5 * arg * arg)
+        return _shifted_gaussian(_SQRT_PI_OVER_8 * d * d / w, w, eps_s.value(s),
+                                 shift_function(model, s))
 
     rate_int, _ = quad(local_rate, 0.0, t, epsabs=1e-14, epsrel=1e-10, limit=200)
     return ShortTimeResult(

@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import Trajectory, _kernel_arrays, evolve_local, evolve_nonlocal
 from .errors import RegimeError
 from .quadrature import gauss_kronrod
-from .rates import TwoStateParams, peak_rate
+from .rates import TwoStateParams, _shifted_gaussian, peak_rate
 from .spectral import SpectralModel, noise_rms
 
 __all__ = [
@@ -212,8 +212,8 @@ def corrected_rates_reference(
     eps_p0 = model.reorganization_shift()
     gp = peak_rate(params.delta_schedule.initial, w)
     eps = params.eps_schedule.initial
-    base_minus = gp * math.exp(-0.5 * ((eps - eps_p0) / w) ** 2)
-    base_plus = gp * math.exp(-0.5 * ((eps + eps_p0) / w) ** 2)
+    base_minus = _shifted_gaussian(gp, w, eps, eps_p0)
+    base_plus = _shifted_gaussian(gp, w, eps, -eps_p0)
 
     def deficit(taus):
         minus, plus, _, _ = _kernel_arrays(model, params, w, taus)

@@ -74,10 +74,6 @@ class TwoStateParams:
     def eps_schedule(self) -> LinearSchedule:
         return as_schedule(self.eps)
 
-    def coupling_ratio(self, w_rms: float) -> float:
-        """W / Delta(0): the strong-coupling validity figure."""
-        return w_rms / self.delta_schedule.initial
-
 
 def warn_weak_coupling(delta: float, w_rms: float) -> bool:
     """Warn (never raise) when W/Delta drops below the validity threshold."""
@@ -160,6 +156,16 @@ def peak_rate(delta: float, w_rms: float) -> float:
         raise ValueError("peak_rate requires delta > 0 and w_rms > 0")
     return _SQRT_PI_OVER_8 * delta * delta / w_rms
 
+
+def _shifted_gaussian(gp, w, eps, eps_p):
+    """Gamma_p exp(-(eps - eps_p)^2 / 2W^2) for a float or an array of eps.
+
+    The one copy of the line shape.  It is Gamma_-, peaking at eps = +eps_p;
+    Gamma_+ is the same call with -eps_p.
+    """
+    return gp * np.exp(-0.5 * ((eps - eps_p) / w) ** 2)
+
+
 def gaussian_rate(
     params: TwoStateParams,
     w_rms: float,
@@ -177,11 +183,8 @@ def gaussian_rate(
         raise ValueError("w_rms must be positive")
     if direction not in (-1, 1):
         raise ValueError("direction must be -1 or +1")
-    delta = params.delta_schedule.value(t)
-    eps = params.eps_schedule.value(t)
-    gp = peak_rate(delta, w_rms)
-    arg = (eps + direction * eps_p) / w_rms
-    return gp * math.exp(-0.5 * arg * arg)
+    gp = peak_rate(params.delta_schedule.value(t), w_rms)
+    return float(_shifted_gaussian(gp, w_rms, params.eps_schedule.value(t), -direction * eps_p))
 
 
 def classical_rate(params: TwoStateParams, w_rms: float, t: float = 0.0):
@@ -219,7 +222,7 @@ def voigt_rate(delta_ij: float, w_rms: float, eps, eps_p: float, gamma_ij: float
     eps = np.asarray(eps, dtype=float)
     amplitude = _SQRT_PI_OVER_8 * delta_ij * delta_ij / w_rms
     if gamma_ij == 0.0:
-        out = amplitude * np.exp(-0.5 * ((eps - eps_p) / w_rms) ** 2)
+        out = _shifted_gaussian(amplitude, w_rms, eps, eps_p)
     else:
         from scipy.special import wofz
 
@@ -274,31 +277,19 @@ def multichannel_rate(
     """Total interwell rate summed over thermally occupied channels.
 
     Channel n connects the n-th levels of the two wells, so its Lorentzian
-    width is that level's own relaxation rate.  When every channel has zero
-    relaxation the sum collapses to a single Gaussian with amplitude
-    Delta_eff(T); otherwise the occupation-weighted Voigt channels are
-    summed.  normalized=False uses the raw Boltzmann factors e^{-E_n/T}
-    (small-T approximation) instead of the normalized distribution.
+    width is that level's own relaxation rate; the occupation-weighted Voigt
+    channels are summed.  normalized=False uses the raw Boltzmann factors
+    e^{-E_n/T} (small-T approximation) instead of the normalized
+    distribution.  With zero relaxation in every level the raw sum is one
+    Gaussian of amplitude Delta_eff(T) (validation criterion 9).
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if w_rms <= 0:
         raise ValueError("w_rms must be positive")
     eps = np.asarray(eps, dtype=float)
+    out = np.zeros_like(eps)
     weights = _boltzmann_weights(levels, temperature, normalized)
-    if all(g == 0.0 for g in levels.relax_rates):
-        deff = effective_delta(levels, temperature)
-        scale = 1.0 / np.sum(_boltzmann_weights(levels, temperature, False)) if normalized else 1.0
-        out = (
-            scale
-            * _SQRT_PI_OVER_8
-            * deff
-            * deff
-            / w_rms
-            * np.exp(-0.5 * ((eps - eps_p) / w_rms) ** 2)
-        )
-    else:
-        out = np.zeros_like(eps, dtype=float)
-        for weight, dn, gn in zip(weights, levels.deltas, levels.relax_rates):
-            out = out + weight * np.asarray(voigt_rate(dn, w_rms, eps, eps_p, gn))
+    for weight, dn, gn in zip(weights, levels.deltas, levels.relax_rates):
+        out = out + weight * np.asarray(voigt_rate(dn, w_rms, eps, eps_p, gn))
     return out if out.shape else float(out)

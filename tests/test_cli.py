@@ -622,8 +622,10 @@ out = x.csv
             ("oracle", "oracle", "name = static-noise\nw = 1.0\ndelta = 0.01\n"
                                  "probe_time = 18.0\nsamples = lots\neps = 0.0"),
             ("mrt-scan", "spectral", "kind = tabulated\ncsv = {tmp}/absent.csv"),
+            ("mrt-scan", "two-state", "delta = nan\neps = 0.0\ntemperature = 1.0"),
+            ("mrt-scan", "bias-grid", "start = -inf\nstop = 1.0\nsteps = 5"),
         ],
-        ids=["seed", "eps_p", "steps", "samples", "missing-csv"],
+        ids=["seed", "eps_p", "steps", "samples", "missing-csv", "nan-delta", "inf-start"],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, scenario, section, body):
         out = tmp_path / "x.csv"
@@ -800,6 +802,59 @@ steps = 5
         values = np.array([[float(c) for c in row] for row in rows])
         assert np.all(values[:, 1:] > 0.0)
         assert np.allclose(values[:, 1], values[::-1, 2], rtol=1e-12)
+
+
+    def config(self, tmp_path, out, multichannel="", levels=None):
+        levels = levels or "level_0 = 0.0 0.001 0.0\nlevel_1 = 0.5 0.05 0.0"
+        return write_config(
+            tmp_path,
+            f"""\
+[run]
+scenario = multichannel
+out = {out}
+
+{BASE_SPECTRAL}
+[two-state]
+temperature = 0.8
+
+[levels]
+{levels}
+
+[multichannel]
+eps_p = auto
+{multichannel}
+
+[bias-grid]
+start = -0.5
+stop = 0.5
+steps = 5
+""",
+            name=f"{out.stem}.ini",
+        )
+
+    def test_normalized_takes_configparser_boolean_words(self, tmp_path):
+        outputs = {}
+        for word in ("true", "false", "no"):
+            out = tmp_path / f"mc-{word}.csv"
+            config = self.config(tmp_path, out, f"normalized = {word}")
+            assert main(["multichannel", "--config", config]) == 0
+            outputs[word] = read_csv(out)[2]
+        assert outputs["no"] == outputs["false"]
+        assert outputs["no"] != outputs["true"]
+
+    @pytest.mark.parametrize(
+        "multichannel, levels",
+        [("normalized = maybe", None),
+         ("", "level_0 = 0.0 0.001 0.0\nlevel_2 = 2.2 0.3 0.0")],
+        ids=["normalized-word", "level-gap"],
+    )
+    def test_bad_multichannel_input_is_config_error(self, tmp_path, capsys,
+                                                    multichannel, levels):
+        out = tmp_path / "mc.csv"
+        config = self.config(tmp_path, out, multichannel, levels)
+        assert main(["multichannel", "--config", config]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
 
 class TestOracleScenario:

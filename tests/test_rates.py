@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrtkit import (
     LinearSchedule,
@@ -105,6 +107,20 @@ class TestClassicalRate:
             params = TwoStateParams(delta=0.01, eps=eps, temperature=1.0)
             assert classical_rate(params, 1.0) == gaussian_rate(params, 1.0, 0.0, -1)
             assert classical_rate(params, 1.0) == gaussian_rate(params, 1.0, 0.0, +1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    delta=st.floats(1e-4, 1.0),
+    w=st.floats(1e-2, 1e2),
+    eps=st.floats(-50.0, 50.0),
+    eps_p=st.floats(-20.0, 20.0),
+)
+def test_gaussian_rate_is_zero_width_voigt_rate_bit_for_bit(delta, w, eps, eps_p):
+    """Both directions of gaussian_rate are the one Gamma_- line shape."""
+    params = TwoStateParams(delta=delta, eps=eps, temperature=1.0)
+    assert gaussian_rate(params, w, eps_p, -1) == voigt_rate(delta, w, eps, eps_p, 0.0)
+    assert gaussian_rate(params, w, eps_p, +1) == voigt_rate(delta, w, eps, -eps_p, 0.0)
 
 
 class TestFaddeeva:
@@ -273,6 +289,16 @@ class TestMultichannelRate:
             assert multichannel_rate(levels, temperature, w, eps, eps_p) == pytest.approx(
                 brute, rel=1e-12
             )
+        # without relaxation the channels add up to one Gaussian of amplitude
+        # Delta_eff(T); normalized weights divide it by the partition function
+        gp_eff = peak_rate(effective_delta(levels, temperature), w)
+        partition = float(np.sum(np.exp(-np.asarray(levels.energies) / temperature)))
+        for normalized, scale in ((True, 1.0 / partition), (False, 1.0)):
+            for eps in (-1.0, 0.3, 2.0):
+                closed = scale * gp_eff * math.exp(-0.5 * ((eps - eps_p) / w) ** 2)
+                assert multichannel_rate(
+                    levels, temperature, w, eps, eps_p, normalized
+                ) == pytest.approx(closed, rel=1e-12)
 
     def test_lorentzian_channels_use_voigt(self):
         levels = WellLevels((0.0, 1.0), (0.01, 0.5), (0.0, 0.3))
