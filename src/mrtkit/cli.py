@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__, validation
 from .coherence import DephasingResult, dephasing_exponent
 from .dynamics import (
+    _require_constant,
     evolve_local,
     evolve_nonlocal,
     nonlocal_corrected_scan,
@@ -290,6 +291,8 @@ def run_mrt_scan(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     warn_weak_coupling(params.delta_schedule.initial, w_rms)
     eps_p = None
     if shape in ("gaussian", "classical", "voigt"):
+        # the line is read at t = 0: a ramp would be dropped without a word
+        _require_constant(params)
         # the Gaussian is the zero-width Voigt line; classical is it at eps_p = 0
         eps_p = 0.0 if shape == "classical" else _resolve_eps_p(config, "mrt-scan", model)
         gamma = config.require_float("mrt-scan", "gamma") if shape == "voigt" else 0.0
@@ -313,7 +316,12 @@ def run_mrt_scan(config: RunConfig) -> list[tuple[str, np.ndarray]]:
 
 
 def _local_rates(params: TwoStateParams, w_rms: float, eps_p: float):
-    """(Gamma_-(t), Gamma_+(t)) of the shifted-Gaussian line shape at shift eps_p."""
+    """(Gamma_-, Gamma_+) of the shifted-Gaussian line shape at shift eps_p.
+
+    Numbers for a time-invariant Hamiltonian, functions of t for a ramp.
+    """
+    if params.delta_schedule.is_constant and params.eps_schedule.is_constant:
+        return (gaussian_rate(params, w_rms, eps_p, -1), gaussian_rate(params, w_rms, eps_p, +1))
     return (lambda t: gaussian_rate(params, w_rms, eps_p, -1, t),
             lambda t: gaussian_rate(params, w_rms, eps_p, +1, t))
 
@@ -379,6 +387,12 @@ def run_multichannel(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     model = build_model(config)
     levels = _read_levels(config)
     temperature = config.require_float("two-state", "temperature")
+    # the channel sum is read at t = 0: a ramp would be dropped without a word
+    _require_constant(TwoStateParams(
+        delta=LinearSchedule(levels.deltas[0], config.get_float("two-state", "delta_rate", 0.0)),
+        eps=LinearSchedule(0.0, config.get_float("two-state", "eps_rate", 0.0)),
+        temperature=temperature,
+    ))
     grid = read_grid(config, "bias-grid")
     w_rms = noise_rms(model)
     eps_p = _resolve_eps_p(config, "multichannel", model)
@@ -422,6 +436,8 @@ def _oracle_static_noise(config: RunConfig):
 def _oracle_convolution(config: RunConfig):
     w_rms = config.require_float("oracle", "w")
     delta = config.require_float("oracle", "delta")
+    if delta <= 0:
+        raise ConfigError(f"{config.path}: [oracle] delta = {delta!r} must be positive")
     gamma = config.require_float("oracle", "gamma")
     eps_p = config.get_float("oracle", "eps_p", 0.0)
     tolerance = config.get_float("oracle", "tolerance_rel", 1e-8)

@@ -3,13 +3,14 @@
 Nothing here shares code with the paths it checks: the Monte Carlo
 transition rate averages exact closed-system Rabi oscillations over static
 Gaussian noise, the convolution reference integrates the Gaussian-
-Lorentzian product directly, the refined references rerun the solvers
-at much finer resolution, the direct nonlocal reference sums the
-memory-kernel history step by step in O(n^2) (from the solver's kernel
-values: the history summation is what it checks), the corrected-rates
-reference integrates the full memory denominator that the first-order
-rates expand, and the ohmic shift reference integrates eps_p(t) by
-adaptive quadrature.
+Lorentzian product directly, the refined local reference integrates the
+local rate equation by RK45 on a finer grid, the refined nonlocal
+reference reruns the memory-kernel solver at finer resolution, the direct
+nonlocal reference sums the memory-kernel history step by step in O(n^2)
+(from the solver's kernel values: the history summation is what it
+checks), the corrected-rates reference integrates the full memory
+denominator that the first-order rates expand, and the ohmic shift
+reference integrates eps_p(t) by adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, _kernel_arrays, evolve_local, evolve_nonlocal
+from .dynamics import Trajectory, _as_rate, _kernel_arrays, evolve_nonlocal
 from .errors import RegimeError
 from .quadrature import gauss_kronrod
 from .rates import TwoStateParams, _shifted_gaussian, peak_rate
@@ -141,6 +142,8 @@ def convolution_reference(
     """
     if gamma_ij <= 0:
         raise ValueError("convolution_reference requires gamma_ij > 0")
+    if delta_ij <= 0:
+        raise ValueError("delta_ij must be positive")
     if w_rms <= 0:
         raise ValueError("w_rms must be positive")
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
@@ -182,11 +185,34 @@ def _refined(solve, t_grid) -> Trajectory:
 
 
 def refined_local_reference(rate_minus, rate_plus, rho11_0: float, t_grid) -> Trajectory:
-    """``evolve_local`` with the step ceiling and tolerances tightened 16-fold."""
-    return _refined(lambda fine: evolve_local(
-        rate_minus, rate_plus, rho11_0, fine,
-        rtol=1e-12, atol=1e-15, max_step=np.min(np.diff(fine)),
-    ), t_grid)
+    """The local rate equation by adaptive RK45 on each grid step split 16 ways.
+
+    d rho11/dt = G_-(t) (1 - rho11) - G_+(t) rho11 at rtol 1e-12 and atol
+    1e-15, with the fine grid spacing as the step ceiling: a generic
+    integrator against ``evolve_local``'s closed and Duhamel forms.  Rates
+    are checked for sign wherever the integrator evaluates them.
+    """
+    if not 0.0 <= rho11_0 <= 1.0:
+        raise ValueError("rho11_0 must lie in [0, 1]")
+    gm = _as_rate(rate_minus)
+    gp = _as_rate(rate_plus)
+
+    def rhs(time, state):
+        minus, plus = gm(time), gp(time)
+        if minus < 0 or plus < 0:
+            raise ValueError(f"negative rate at t = {time}")
+        return [minus * (1.0 - state[0]) - plus * state[0]]
+
+    def solve(fine):
+        from scipy.integrate import solve_ivp
+
+        sol = solve_ivp(rhs, (fine[0], fine[-1]), [rho11_0], t_eval=fine, method="RK45",
+                        rtol=1e-12, atol=1e-15, max_step=np.min(np.diff(fine)))
+        if not sol.success:
+            raise RuntimeError(f"local evolution failed: {sol.message}")
+        return Trajectory.from_rho11(fine, sol.y[0])
+
+    return _refined(solve, t_grid)
 
 
 def refined_nonlocal_reference(

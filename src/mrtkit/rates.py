@@ -196,15 +196,136 @@ def faddeeva(z):
     """Faddeeva function w(z) = exp(-z^2) erfc(-iz) on the upper half plane.
 
     Accepts scalars or arrays; rejects Im(z) < 0 (the only regime the rate
-    formulas need, since relaxation rates are nonnegative).
+    formulas need, since relaxation rates are nonnegative).  One vectorised
+    NumPy evaluation in two regions of the quadrant x >= 0 (w(-conj z) =
+    conj w(z) gives x < 0 exactly):
+
+    - the strip y < 0.5, x < 10: w = e^{-z^2} + (2i/sqrt(pi)) F(z), with
+      Dawson's F from Rybicki's sampling sum (``_w_near_axis``).  This keeps
+      the e^{-x^2} part of Re w, which a truncated continued fraction drops
+      and which dominates Re w there when y is small;
+    - elsewhere, Algorithm 680 of Poppe & Wijers, ACM TOMS 16, 38 (1990): a
+      power series near the origin, Gautschi's Taylor expansion about z + ih
+      with continued-fraction derivatives in a ring, and the Laplace
+      continued fraction beyond (``_w_poppe_wijers``).
+
+    On the real axis Re w is e^{-x^2} exactly.  Against 40-digit mpmath,
+    |dw|/|w| <= 3e-15 on |x| <= 30, 1e-4 <= y <= 30, and Re w is within
+    3e-15 of itself on |x| <= 8, 1e-8 <= y <= 1e-2.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag < 0):
         raise ValueError("faddeeva is restricted to Im(z) >= 0")
-    from scipy.special import wofz
-
-    result = wofz(z)
+    x = np.abs(z.real).ravel()
+    y = z.imag.ravel()
+    re = np.empty_like(x)
+    im = np.empty_like(x)
+    strip = (y < _STRIP_Y) & (x < _STRIP_X)
+    re[strip], im[strip] = _w_near_axis(x[strip], y[strip])
+    rest = ~strip
+    re[rest], im[rest] = _w_poppe_wijers(x[rest], y[rest])
+    re = np.where(y == 0.0, np.exp(-x * x), re)
+    im = np.where(z.real.ravel() < 0.0, -im, im)
+    result = (re + 1j * im).reshape(z.shape)
     return result if result.shape else complex(result)
+
+
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+# Near-axis strip of faddeeva.  Beyond x = 10 the continued fraction drops
+# e^{-x^2} < 4e-44, below 1e-21 of Re w ~ y/(sqrt(pi) x^2) for y > 1e-20.
+_STRIP_Y = 0.5
+_STRIP_X = 10.0
+# Rybicki's sum: sample spacing h and the odd offsets m it keeps.  The
+# sampling error is about e^{-(pi/2h)^2 + pi y/h} (< 1e-19 for y < 0.5);
+# the dropped terms are below e^{-(33 h)^2 + y^2} < 1e-18.
+_RYBICKI_H = 0.2
+_RYBICKI_M = np.arange(-33.0, 34.0, 2.0)
+
+
+def _w_near_axis(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Re w, Im w) = e^{-z^2} + (2i/sqrt(pi)) F(z) for z = x + iy near the axis.
+
+    F(z) = lim_{h->0} pi^{-1/2} sum_{n odd} e^{-(z - nh)^2} / n (Rybicki,
+    Computers in Physics 3, 85 (1989)), summed around the even multiple
+    n0 h of h nearest to x.
+    """
+    n0 = 2.0 * np.rint(x / (2.0 * _RYBICKI_H))
+    offset = ((x - n0 * _RYBICKI_H)[:, None] - _RYBICKI_H * _RYBICKI_M) + 1j * y[:, None]
+    terms = np.exp(-offset * offset) / (_RYBICKI_M + n0[:, None])
+    dawson = np.sum(terms, axis=1) / math.sqrt(math.pi)
+    z = x + 1j * y
+    w = np.exp(-z * z) + 1j * _TWO_OVER_SQRT_PI * dawson
+    return w.real, w.imag
+
+
+def _w_poppe_wijers(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Re w, Im w) for x, y >= 0 by Algorithm 680 (Poppe & Wijers, 1990).
+
+    With q = (x/6.3)^2 + (y/4.4)^2: for q < 0.085264 the power series of
+    erfc(-iz) (30 terms, enough on that ellipse); for q > 1 the Laplace
+    continued fraction, nu terms; between, Gautschi's method: the continued
+    fraction at z + ih gives the derivatives of w there, and kapn terms of
+    their Taylor series step back to z.
+    """
+    re = np.empty_like(x)
+    im = np.empty_like(x)
+    ys = y / 4.4
+    q = (x / 6.3) ** 2 + ys * ys
+    series = q < 0.085264
+    if series.any():
+        re[series], im[series] = _w_power_series(x[series], y[series])
+    rest = ~series
+    if not rest.any():
+        return re, im
+    x, y, q, ys = x[rest], y[rest], q[rest], ys[rest]
+    far = q > 1.0
+    # s = 0 (q >= 1, or y = 4.4) is the plain continued fraction
+    s = (1.0 - ys) * np.sqrt(np.maximum(1.0 - q, 0.0))
+    taylor_pts = s > 0.0
+    h = 1.88 * s
+    h2 = np.where(taylor_pts, 2.0 * h, 1.0)
+    kapn = np.where(taylor_pts, np.rint(7.0 + 34.0 * s), -1).astype(int)
+    nu = np.where(far, (3.0 + 1442.0 / (26.0 * np.sqrt(q) + 77.0)).astype(int),
+                  np.rint(16.0 + 26.0 * s).astype(int))
+    qlambda = np.where(taylor_pts, h2 ** np.maximum(kapn, 0), 0.0)
+    rx = np.zeros_like(x)
+    ry = np.zeros_like(x)
+    sx = np.zeros_like(x)
+    sy = np.zeros_like(x)
+    for n in range(int(nu.max()), -1, -1):
+        # every point runs its own nu + 1 fraction levels
+        live = n <= nu
+        tx = y + h + (n + 1) * rx
+        ty = x - (n + 1) * ry
+        c = 0.5 / (tx * tx + ty * ty)
+        rx = np.where(live, c * tx, rx)
+        ry = np.where(live, c * ty, ry)
+        taylor = n <= kapn
+        if taylor.any():
+            tx = qlambda + sx
+            sx = np.where(taylor, rx * tx - ry * sy, sx)
+            sy = np.where(taylor, ry * tx + rx * sy, sy)
+            qlambda = np.where(taylor, qlambda / h2, qlambda)
+    re[rest] = _TWO_OVER_SQRT_PI * np.where(taylor_pts, sx, rx)
+    im[rest] = _TWO_OVER_SQRT_PI * np.where(taylor_pts, sy, ry)
+    return re, im
+
+
+def _w_power_series(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Re w, Im w) = e^{-z^2} (1 + (2i/sqrt(pi)) sum_k z^{2k+1} / (k! (2k+1)))."""
+    xquad = x * x - y * y
+    yquad = 2.0 * x * y
+    xsum = np.full_like(x, 1.0 / 61.0)
+    ysum = np.zeros_like(x)
+    for i in range(30, 0, -1):
+        xsum, ysum = ((xsum * xquad - ysum * yquad) / i + 1.0 / (2 * i - 1),
+                      (xsum * yquad + ysum * xquad) / i)
+    u1 = 1.0 - _TWO_OVER_SQRT_PI * (xsum * y + ysum * x)
+    v1 = _TWO_OVER_SQRT_PI * (xsum * x - ysum * y)
+    damp = np.exp(-xquad)
+    u2 = damp * np.cos(yquad)
+    v2 = -damp * np.sin(yquad)
+    return u1 * u2 - v1 * v2, u1 * v2 + v1 * u2
 
 
 def voigt_rate(delta_ij: float, w_rms: float, eps, eps_p: float, gamma_ij: float):
@@ -215,6 +336,8 @@ def voigt_rate(delta_ij: float, w_rms: float, eps, eps_p: float, gamma_ij: float
     gamma_ij = (gamma_i + gamma_j)/2 is computed by the caller from the
     participating levels.  gamma_ij = 0 falls back to the exact Gaussian.
     """
+    if delta_ij <= 0:
+        raise ValueError("delta_ij must be positive")
     if w_rms <= 0:
         raise ValueError("w_rms must be positive")
     if gamma_ij < 0:
@@ -224,10 +347,8 @@ def voigt_rate(delta_ij: float, w_rms: float, eps, eps_p: float, gamma_ij: float
     if gamma_ij == 0.0:
         out = _shifted_gaussian(amplitude, w_rms, eps, eps_p)
     else:
-        from scipy.special import wofz
-
         z = (eps - eps_p + 1j * gamma_ij) / (math.sqrt(2.0) * w_rms)
-        out = amplitude * wofz(z).real
+        out = amplitude * np.asarray(faddeeva(z)).real
     return out if out.shape else float(out)
 
 

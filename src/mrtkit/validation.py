@@ -34,6 +34,7 @@ from .oracle import (
     ohmic_shift_reference,
     static_noise_transition,
 )
+from .quadrature import gauss_kronrod
 from .rates import (
     TwoStateParams,
     WellLevels,
@@ -191,16 +192,16 @@ def check_voigt_consistency(seed: int) -> list[CriterionRecord]:
                 rel, 1e-8)
         )
 
-    from scipy.integrate import quad
-
     gamma = 1.0
-    profile = lambda e: voigt_rate(delta, w_rms, e, eps_p, gamma)
-    cut = eps_p + 60.0 * w_rms
-    area = (
-        quad(profile, -np.inf, -cut, epsabs=1e-16, epsrel=1e-10)[0]
-        + quad(profile, -cut, cut, epsabs=1e-16, epsrel=1e-10, limit=400)[0]
-        + quad(profile, cut, np.inf, epsabs=1e-16, epsrel=1e-10)[0]
-    )
+
+    def profile(theta):
+        # e = eps_p + W tan(theta) maps the line onto (-pi/2, pi/2), where
+        # the Lorentzian tails become bounded
+        return (voigt_rate(delta, w_rms, eps_p + w_rms * np.tan(theta), eps_p, gamma)
+                * w_rms / np.cos(theta) ** 2)
+
+    area, _, _ = gauss_kronrod(profile, [-0.5 * math.pi, 0.5 * math.pi],
+                               epsabs=1e-16, epsrel=1e-10, limit=400)
     exact = math.pi * delta * delta / 2.0
     records.append(
         _le(5, "voigt-consistency", "area rel error vs pi*Delta^2/2",

@@ -121,7 +121,7 @@ steps = 21
 
 
 class TestScanShapes:
-    def scan_config(self, tmp_path, out, shape_block):
+    def scan_config(self, tmp_path, out, shape_block, ramp=""):
         return write_config(
             tmp_path,
             f"""\
@@ -134,6 +134,7 @@ out = {out}
 delta = 0.001
 eps = 0.0
 temperature = 1.0
+{ramp}
 
 [mrt-scan]
 {shape_block}
@@ -207,6 +208,20 @@ steps = 9
         out = tmp_path / "u.csv"
         config = self.scan_config(tmp_path, out, "shape = triangle")
         assert main(["mrt-scan", "--config", config]) == 2
+
+    @pytest.mark.parametrize(
+        "shape_block",
+        ["shape = gaussian", "shape = classical", "shape = voigt\ngamma = 0.1"],
+        ids=["gaussian", "classical", "voigt"],
+    )
+    def test_ramp_is_precondition(self, tmp_path, capsys, shape_block):
+        # a scan reads the line at t = 0: a ramp is refused, not dropped
+        out = tmp_path / "r.csv"
+        config = self.scan_config(tmp_path, out, shape_block,
+                                  ramp="delta_rate = 5.0\neps_rate = 3.0")
+        assert main(["mrt-scan", "--config", config]) == 3
+        assert "time-invariant Hamiltonian required" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tabulated_spectrum_from_csv(self, tmp_path):
         import mrtkit
@@ -624,8 +639,11 @@ out = x.csv
             ("mrt-scan", "spectral", "kind = tabulated\ncsv = {tmp}/absent.csv"),
             ("mrt-scan", "two-state", "delta = nan\neps = 0.0\ntemperature = 1.0"),
             ("mrt-scan", "bias-grid", "start = -inf\nstop = 1.0\nsteps = 5"),
+            ("oracle", "oracle", "name = convolution\nw = 1.0\ndelta = 0.0\ngamma = 0.1"),
+            ("oracle", "oracle", "name = convolution\nw = 1.0\ndelta = -0.01\ngamma = 0.1"),
         ],
-        ids=["seed", "eps_p", "steps", "samples", "missing-csv", "nan-delta", "inf-start"],
+        ids=["seed", "eps_p", "steps", "samples", "missing-csv", "nan-delta", "inf-start",
+             "zero-oracle-delta", "negative-oracle-delta"],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, scenario, section, body):
         out = tmp_path / "x.csv"
@@ -804,7 +822,7 @@ steps = 5
         assert np.allclose(values[:, 1], values[::-1, 2], rtol=1e-12)
 
 
-    def config(self, tmp_path, out, multichannel="", levels=None):
+    def config(self, tmp_path, out, multichannel="", levels=None, ramp=""):
         levels = levels or "level_0 = 0.0 0.001 0.0\nlevel_1 = 0.5 0.05 0.0"
         return write_config(
             tmp_path,
@@ -816,6 +834,7 @@ out = {out}
 {BASE_SPECTRAL}
 [two-state]
 temperature = 0.8
+{ramp}
 
 [levels]
 {levels}
@@ -854,6 +873,15 @@ steps = 5
         config = self.config(tmp_path, out, multichannel, levels)
         assert main(["multichannel", "--config", config]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ramp", ["delta_rate = 5.0", "eps_rate = 3.0"])
+    def test_ramp_is_precondition(self, tmp_path, capsys, ramp):
+        # the channel sum is read at t = 0: a ramp is refused, not dropped
+        out = tmp_path / "mc.csv"
+        config = self.config(tmp_path, out, ramp=ramp)
+        assert main(["multichannel", "--config", config]) == 3
+        assert "time-invariant Hamiltonian required" in capsys.readouterr().err
         assert not out.exists()
 
 

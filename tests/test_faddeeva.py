@@ -1,0 +1,113 @@
+"""Accuracy of the NumPy Faddeeva function against 40-digit mpmath, and
+properties of the line shapes and the local rate equation built on it."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mrtkit import convolution_reference, evolve_local, faddeeva, peak_rate, voigt_rate
+
+
+def reference(points) -> np.ndarray:
+    """w(z) = exp(-z^2) erfc(-iz) at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    out = []
+    with mp.workdps(40):
+        for z in np.ravel(points):
+            zm = mp.mpc(complex(z))
+            out.append(complex(mp.exp(-zm * zm) * mp.erfc(-1j * zm)))
+    return np.array(out)
+
+
+def grid(xs, ys) -> np.ndarray:
+    return (np.asarray(xs)[:, None] + 1j * np.asarray(ys)[None, :]).ravel()
+
+
+# the region boundaries of both methods, where an error would show first
+EDGES_X = [1.84, 5.33, 6.3, 6.3 + 1e-9, 10.0 - 1e-9, 10.0]
+
+
+def test_relative_error_on_the_voigt_box():
+    xs = np.concatenate((np.linspace(-30.0, 30.0, 61), EDGES_X, np.negative(EDGES_X)))
+    ys = np.concatenate((np.logspace(-4.0, math.log10(30.0), 21), [0.5 - 1e-12, 0.5, 1.28, 4.4]))
+    z = grid(xs, ys)
+    expected = reference(z)
+    assert np.max(np.abs(faddeeva(z) - expected) / np.abs(expected)) <= 1e-13
+
+
+def test_real_part_near_the_axis_relative_to_itself():
+    # Re w << |w| here: a truncated continued fraction (Algorithm 680 alone)
+    # misses its e^{-x^2} part by up to 5e-8 relative near x = 5
+    xs = np.concatenate((np.linspace(-8.0, 8.0, 81), EDGES_X[:3], np.negative(EDGES_X[:3])))
+    z = grid(xs, np.logspace(-8.0, -2.0, 13))
+    expected = reference(z).real
+    keep = expected > 1e-300
+    got = faddeeva(z).real[keep]
+    assert np.max(np.abs(got - expected[keep]) / expected[keep]) <= 1e-11
+
+
+def test_scalar_and_array_agree():
+    z = np.array([0.3 + 0.01j, 3.0 + 1.0j, 20.0 + 0.001j, 0.5 + 2.0j])
+    assert [faddeeva(complex(v)) for v in z] == list(faddeeva(z))
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.01])
+def test_nonpositive_delta_is_rejected(delta):
+    with pytest.raises(ValueError, match="delta"):
+        voigt_rate(delta, 1.0, 0.0, 0.0, 0.1)
+    with pytest.raises(ValueError, match="delta"):
+        convolution_reference(delta, 1.0, [0.0], 0.0, 0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(-1e3, 1e3, allow_nan=False),
+    y=st.floats(0.0, 1e3, allow_nan=False),
+)
+def test_real_part_is_a_normalised_profile(x, y):
+    # Re w(x + iy) = (y/pi) int e^{-t^2} / ((x - t)^2 + y^2) dt: in [0, 1]
+    value = faddeeva(complex(x, y)).real
+    assert 0.0 <= value <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    delta=st.floats(1e-4, 1.0),
+    w=st.floats(0.05, 20.0),
+    eps=st.floats(-50.0, 50.0),
+    eps_p=st.floats(-5.0, 5.0),
+    gamma=st.floats(1e-10, 10.0),
+)
+def test_voigt_tends_to_the_gaussian(delta, w, eps, eps_p, gamma):
+    # |d Re w / dy| <= |w'| <= 2.6 on the closed upper half plane (w' =
+    # -2zw + 2i/sqrt(pi) is bounded there; its modulus peaks at z = 0 with
+    # 2/sqrt(pi)), so moving y from 0 to gamma/(sqrt(2) W) changes Re w by
+    # at most 2.6 gamma/(sqrt(2) W) and the rate by at most 2 Gamma_p gamma/W
+    gap = abs(voigt_rate(delta, w, eps, eps_p, gamma) - voigt_rate(delta, w, eps, eps_p, 0.0))
+    assert gap <= 2.0 * peak_rate(delta, w) * gamma / w * (1.0 + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    minus=st.floats(0.0, 10.0),
+    plus=st.floats(0.0, 10.0),
+    rho11_0=st.floats(0.0, 1.0),
+    span=st.floats(1e-3, 1e3),
+    speed=st.floats(-2.0, 2.0),
+    callable_rates=st.booleans(),
+)
+def test_local_evolution_keeps_trace_and_unit_interval(minus, plus, rho11_0, span, speed,
+                                                       callable_rates):
+    grid_t = np.linspace(0.0, span, 9)
+    if callable_rates:
+        # a bias ramp sweeping the shifted-Gaussian rates through resonance
+        rates = (lambda t: minus * math.exp(-0.5 * (speed * (t - 0.5 * span) - 0.3) ** 2),
+                 lambda t: plus * math.exp(-0.5 * (speed * (t - 0.5 * span) + 0.3) ** 2))
+    else:
+        rates = (minus, plus)
+    traj = evolve_local(*rates, rho11_0, grid_t)
+    assert np.all(np.abs(traj.rho00 + traj.rho11 - 1.0) <= 1e-12)
+    assert np.all((traj.rho11 >= 0.0) & (traj.rho11 <= 1.0))

@@ -2,13 +2,16 @@
 
 Each case runs in a fresh interpreter and reports the ``scipy`` modules in
 ``sys.modules`` afterwards.  Startup, config errors, every tabulated
-scenario, the ohmic moments, the ohmic envelope, peak, nonlocal evolve and
-gaussian, classical and nonlocal-corrected scans, and the full
-memory-correction oracle need NumPy alone; the convolution oracle loads
-only ``scipy.special`` (for ``wofz``), no integrator or optimiser.  A Voigt line shape is the positive control
-that the probe does see a SciPy import.
+scenario, the ohmic moments, the ohmic envelope, peak, nonlocal and local
+evolve (constant rates and a ramped bias), gaussian, classical, voigt and
+nonlocal-corrected scans, multichannel sums with relaxation, the
+convolution oracle and the full memory-correction oracle need NumPy alone.
+Short-time evolve is the positive control that the probe does see a SciPy
+import.  A static check parses the sources: SciPy is imported only in
+``oracle``, ``validation`` and ``dynamics.short_time_rho11``.
 """
 
+import ast
 import json
 import math
 import os
@@ -103,12 +106,12 @@ def test_tabulated_scenarios_import_no_scipy(tmp_path, scenario, body):
     assert (tmp_path / "out.csv").exists()
 
 
-def ohmic_config(tmp_path, scenario, body):
+def ohmic_config(tmp_path, scenario, body, ramp=""):
     config = tmp_path / "run.ini"
     config.write_text(
         f"[run]\nscenario = {scenario}\nout = {tmp_path / 'out.csv'}\n\n"
         "[spectral]\nkind = ohmic\neta = 8.0\nomega_c = 0.02\ntemperature = 1.0\n\n"
-        "[two-state]\ndelta = 0.003\neps = 0.05\ntemperature = 1.0\n\n" + body
+        f"[two-state]\ndelta = 0.003\neps = 0.05\ntemperature = 1.0\n{ramp}\n" + body
     )
     return str(config)
 
@@ -126,13 +129,25 @@ _BIAS_GRID = "[bias-grid]\nstart = -0.5\nstop = 0.5\nsteps = 3\n"
         ("mrt-scan", "[mrt-scan]\nshape = nonlocal-corrected\n\n" + _BIAS_GRID),
         ("envelope", "[time-grid]\nstart = 0.0\nstop = 5.0\nsteps = 21\n"),
         ("peak", ""),
+        ("mrt-scan", "[mrt-scan]\nshape = voigt\neps_p = auto\ngamma = 0.1\n\n" + _BIAS_GRID),
+        ("multichannel", "[levels]\nlevel_0 = 0.0 0.003 0.0\nlevel_1 = 0.5 0.05 0.2\n\n"
+                         "[multichannel]\neps_p = auto\n\n" + _BIAS_GRID),
     ],
     ids=["evolve-nonlocal", "scan-gaussian", "scan-classical", "scan-nonlocal-corrected",
-         "envelope", "peak"],
+         "envelope", "peak", "scan-voigt", "multichannel"],
 )
 def test_ohmic_scenarios_import_no_scipy(tmp_path, scenario, body):
     config = ohmic_config(tmp_path, scenario, body)
     report = run_probe(cli_body([scenario, "--config", config]))
+    assert report == {"code": 0, "scipy": []}
+    assert (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("ramp", ["", "eps_rate = 0.01\n"], ids=["constant", "ramped-bias"])
+def test_local_evolve_imports_no_scipy(tmp_path, ramp):
+    config = ohmic_config(tmp_path, "evolve", "[evolve]\nmode = local\neps_p = auto\n\n"
+                          "[time-grid]\nstart = 0.0\nstop = 40.0\nsteps = 41\n", ramp)
+    report = run_probe(cli_body(["evolve", "--config", config]))
     assert report == {"code": 0, "scipy": []}
     assert (tmp_path / "out.csv").exists()
 
@@ -145,9 +160,7 @@ def test_convolution_oracle_imports_no_integrator(tmp_path):
         + _BIAS_GRID
     )
     report = run_probe(cli_body(["oracle", "--config", str(config)]))
-    assert report["code"] == 0
-    assert "scipy.special" in report["scipy"]
-    assert not any(m.startswith(("scipy.integrate", "scipy.optimize")) for m in report["scipy"])
+    assert report == {"code": 0, "scipy": []}
 
 
 def test_ohmic_moments_import_no_scipy():
@@ -164,5 +177,46 @@ def test_corrected_rates_reference_imports_no_scipy():
 
 
 def test_probe_sees_a_scipy_import():
-    report = run_probe("from mrtkit.rates import faddeeva\nfaddeeva(1j)")
-    assert "scipy.special" in report["scipy"]
+    body = ("from mrtkit import OhmicCutoff, TwoStateParams, short_time_rho11\n"
+            "short_time_rho11(OhmicCutoff(eta=8.0, omega_c=0.02, temperature=1.0),\n"
+            "                 TwoStateParams(0.003, 0.05, 1.0), 0.28, 1.0)")
+    assert "scipy.integrate" in run_probe(body)["scipy"]
+
+
+# (module, top-level function or None for anywhere in the module) that may import SciPy
+SCIPY_SITES = {("oracle", None), ("validation", None), ("dynamics", "short_time_rho11")}
+
+
+def scipy_imports(tree: ast.Module) -> list[tuple[str | None, int]]:
+    """(enclosing top-level function or None, line) of every SciPy import."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""] if child.level == 0 else []
+            else:
+                names = []
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                found.append((owner, child.lineno))
+            top = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if owner is None and top else owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_scipy_is_imported_only_at_known_sites():
+    stray = []
+    for path in sorted(Path(SRC, "mrtkit").glob("*.py")):
+        for owner, line in scipy_imports(ast.parse(path.read_text(), str(path))):
+            if (path.stem, None) not in SCIPY_SITES and (path.stem, owner) not in SCIPY_SITES:
+                stray.append(f"{path.name}:{line} ({owner or 'module level'})")
+    assert stray == []
+
+
+def test_static_check_sees_a_scipy_import():
+    tree = ast.parse("import numpy\ndef f():\n    from scipy.special import wofz\n")
+    assert scipy_imports(tree) == [("f", 3)]
