@@ -33,9 +33,9 @@ import numpy as np
 
 from .errors import RegimeError, RegimeWarning
 from .quadrature import _GL_NODES, _GL_WEIGHTS, bounded_minimum, gauss_kronrod
-from .rates import (_SQRT_PI_OVER_8, TwoStateParams, _shifted_gaussian, peak_rate,
-                    warn_weak_coupling)
-from .spectral import SpectralModel, noise_rms, reorganization_shift, shift_function
+from .rates import (_SQRT_PI_OVER_8, TwoStateParams, _shifted_gaussian, faddeeva,
+                    peak_rate, warn_weak_coupling)
+from .spectral import SpectralModel, noise_rms, reorganization_shift
 
 __all__ = [
     "Trajectory",
@@ -300,7 +300,7 @@ def evolve_local(rate_minus, rate_plus, rho11_0: float, t_grid) -> Trajectory:
     G_- + G_+, the step halved until the series is resolved, and the
     integral runs on ``gauss_kronrod``.  Rates must be nonnegative: they
     are checked at every grid point and at every time they are evaluated.
-    The RK45 solution on a 16-fold refined grid is
+    The RK4 solution on a 16-fold refined grid is
     ``mrtkit.oracle.refined_local_reference``.
     """
     if not 0.0 <= rho11_0 <= 1.0:
@@ -489,9 +489,13 @@ def peak_summary(
 class ShortTimeResult:
     """Perturbative rho11(t) at three levels of approximation.
 
-    double_quadrature : nested integral over history and relative time.
-    single_quadrature : tunneling amplitudes evaluated at the midpoint.
+    double_quadrature : exact tunneling amplitudes Delta(tau_m + tau/2)
+                        Delta(tau_m - tau/2) over history and relative time.
+    single_quadrature : tunneling amplitudes evaluated at the midpoint tau_m.
     rate_approximation: running integral of the Gaussian rate Lambda_-(t).
+
+    The first two are one quadrature over tau_m each: the relative-time
+    integral inside is closed (``_gaussian_cosine_moments``).
     """
 
     double_quadrature: float
@@ -499,14 +503,37 @@ class ShortTimeResult:
     rate_approximation: float
 
 
+def _gaussian_cosine_moments(f, a, c: float):
+    """(J, I2) = integral_0^a (1, tau^2) e^{-c tau^2} cos(f tau) dtau, elementwise.
+
+    J = (sqrt(pi)/2 sqrt(c)) [e^{-f^2/4c} - Re(e^{-c a^2 + i a f}
+    w(f/2 sqrt(c) + i sqrt(c) a))] with the Faddeeva w, and I2 follows from
+    J by two integrations by parts.  Both are differences of terms on the
+    scales sqrt(pi)/2 sqrt(c) and (1 + f^2/2c) sqrt(pi)/4 c^{3/2}: their
+    error is roundoff of those scales, not of J ~ a or I2 ~ a^3/3 as a -> 0.
+    """
+    root = math.sqrt(c)
+    damp = np.exp(-c * a * a)
+    phase = f * a
+    tail = damp * np.exp(1j * phase) * faddeeva(f / (2.0 * root) + 1j * root * a)
+    j = (0.5 * math.sqrt(math.pi) / root) * (np.exp(-f * f / (4.0 * c)) - tail.real)
+    i2 = ((1.0 - f * f / (2.0 * c)) * j - a * damp * np.cos(phase)
+          + (f / (2.0 * c)) * damp * np.sin(phase)) / (2.0 * c)
+    return j, i2
+
+
 def short_time_rho11(
     model: SpectralModel, params: TwoStateParams, w_rms: float, t: float
 ) -> ShortTimeResult:
     """Second-order population growth rho11(t) for rho(0) = |0><0|.
 
-    Valid for t below ~1/Delta (warned beyond).  Constant and linear
-    schedules only: for those the inner phase integral is exactly
-    (eps(tau') - eps_p(tau')) * tau.
+    rho11(t) = (1/2) integral_0^t dtau_m integral_0^a dtau
+    Delta(tau_m + tau/2) Delta(tau_m - tau/2) e^{-W^2 tau^2/2} cos(f tau),
+    a = min(2 tau_m, 2(t - tau_m)), f = eps(tau_m) - eps_p(tau_m).  Valid
+    for t below ~1/Delta (warned beyond).  Constant and linear schedules
+    only: for those the phase is exactly f tau, and the amplitude product is
+    Delta(tau_m)^2 - (dDelta/dt tau/2)^2, so the tau integral is closed.
+    The tau_m integrals and the rate integral run on ``gauss_kronrod``.
     """
     if t < 0:
         raise ValueError("short_time_rho11 requires t >= 0")
@@ -522,50 +549,29 @@ def short_time_rho11(
             RegimeWarning,
             stacklevel=2,
         )
+    ramp_sq = (0.5 * delta_s.rate) ** 2
 
-    from scipy.integrate import quad
+    def growth(tau_m, ramp_sq):
+        eps_p = model.shift_arrays(tau_m)[0]
+        window = 2.0 * np.minimum(tau_m, t - tau_m)
+        j, i2 = _gaussian_cosine_moments(eps_s.value(tau_m) - eps_p, window, 0.5 * w * w)
+        return delta_s.value(tau_m) ** 2 * j - ramp_sq * i2
 
-    inner_cap = 12.0 / w
+    def outer(ramp_sq):
+        val, _, _ = gauss_kronrod(lambda tm: growth(tm, ramp_sq), [0.0, 0.5 * t, t],
+                                  epsabs=1e-15, epsrel=1e-13, limit=200)
+        return 0.5 * val
 
-    def inner(tau_mid: float, product: bool) -> float:
-        window = min(2.0 * tau_mid, 2.0 * (t - tau_mid))
-        if window <= 0.0:
-            return 0.0
-        freq = eps_s.value(tau_mid) - shift_function(model, tau_mid)
-        if product:
-            def f(tau):
-                amp = delta_s.value(tau_mid + 0.5 * tau) * delta_s.value(tau_mid - 0.5 * tau)
-                return amp * math.exp(-0.5 * (w * tau) ** 2) * math.cos(freq * tau)
-        else:
-            amp0 = delta_s.value(tau_mid) ** 2
-
-            def f(tau):
-                return amp0 * math.exp(-0.5 * (w * tau) ** 2) * math.cos(freq * tau)
-
-        val, _ = quad(f, 0.0, min(window, inner_cap), epsabs=1e-14, epsrel=1e-10, limit=200)
-        return 2.0 * val
-
-    def outer(product: bool) -> float:
-        val, _ = quad(
-            lambda tp: inner(tp, product),
-            0.0,
-            t,
-            epsabs=1e-13,
-            epsrel=1e-9,
-            limit=200,
-            points=[0.5 * t],
-        )
-        return 0.25 * val
-
-    def local_rate(s: float) -> float:
+    def local_rate(s):
         # not peak_rate: a Delta ramp may pass through zero
         d = delta_s.value(s)
         return _shifted_gaussian(_SQRT_PI_OVER_8 * d * d / w, w, eps_s.value(s),
-                                 shift_function(model, s))
+                                 model.shift_arrays(s)[0])
 
-    rate_int, _ = quad(local_rate, 0.0, t, epsabs=1e-14, epsrel=1e-10, limit=200)
+    rate_int, _, _ = gauss_kronrod(local_rate, [0.0, t], epsabs=1e-15, epsrel=1e-13,
+                                   limit=200)
     return ShortTimeResult(
-        double_quadrature=outer(True),
-        single_quadrature=outer(False),
+        double_quadrature=outer(ramp_sq),
+        single_quadrature=outer(0.0),
         rate_approximation=rate_int,
     )

@@ -4,13 +4,14 @@ Nothing here shares code with the paths it checks: the Monte Carlo
 transition rate averages exact closed-system Rabi oscillations over static
 Gaussian noise, the convolution reference integrates the Gaussian-
 Lorentzian product directly, the refined local reference integrates the
-local rate equation by RK45 on a finer grid, the refined nonlocal
+local rate equation by classical RK4 on a finer grid, the refined nonlocal
 reference reruns the memory-kernel solver at finer resolution, the direct
 nonlocal reference sums the memory-kernel history step by step in O(n^2)
 (from the solver's kernel values: the history summation is what it
 checks), the corrected-rates reference integrates the full memory
 denominator that the first-order rates expand, and the ohmic shift
-reference integrates eps_p(t) by adaptive quadrature.
+reference integrates eps_p(t) over frequency.  Every integral runs on the
+NumPy ``gauss_kronrod`` rule.
 """
 
 from __future__ import annotations
@@ -184,33 +185,61 @@ def _refined(solve, t_grid) -> Trajectory:
     return Trajectory(t=full.t[keep], rho00=full.rho00[keep], rho11=full.rho11[keep])
 
 
-def refined_local_reference(rate_minus, rate_plus, rho11_0: float, t_grid) -> Trajectory:
-    """The local rate equation by adaptive RK45 on each grid step split 16 ways.
+# Agreement of successive RK4 results, and the substep ceiling, of each fine
+# step in refined_local_reference.
+_RK4_AGREEMENT = 1e-13
+_RK4_MAX_SUBSTEPS = 2**16
 
-    d rho11/dt = G_-(t) (1 - rho11) - G_+(t) rho11 at rtol 1e-12 and atol
-    1e-15, with the fine grid spacing as the step ceiling: a generic
+
+def refined_local_reference(rate_minus, rate_plus, rho11_0: float, t_grid) -> Trajectory:
+    """The local rate equation by classical RK4 on each grid step split 16 ways.
+
+    d rho11/dt = G_-(t) (1 - rho11) - G_+(t) rho11: on each fine step the
+    RK4 substep count doubles from 1 until two successive results agree to
+    1e-13, and RuntimeError is raised past 2^16 substeps.  A generic
     integrator against ``evolve_local``'s closed and Duhamel forms.  Rates
-    are checked for sign wherever the integrator evaluates them.
+    are checked for sign at every evaluation.
     """
     if not 0.0 <= rho11_0 <= 1.0:
         raise ValueError("rho11_0 must lie in [0, 1]")
     gm = _as_rate(rate_minus)
     gp = _as_rate(rate_plus)
 
-    def rhs(time, state):
+    def rates(time):
         minus, plus = gm(time), gp(time)
         if minus < 0 or plus < 0:
             raise ValueError(f"negative rate at t = {time}")
-        return [minus * (1.0 - state[0]) - plus * state[0]]
+        return minus, minus + plus
+
+    def rk4(y, a, b, n):
+        # d rho11/dt = minus - total * rho11; stage rates shared at each time
+        h = (b - a) / n
+        start = rates(a)
+        for k in range(n):
+            s = a + k * h
+            mid, end = rates(s + 0.5 * h), rates(s + h)
+            k1 = start[0] - start[1] * y
+            k2 = mid[0] - mid[1] * (y + 0.5 * h * k1)
+            k3 = mid[0] - mid[1] * (y + 0.5 * h * k2)
+            k4 = end[0] - end[1] * (y + h * k3)
+            y += h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+            start = end
+        return y
 
     def solve(fine):
-        from scipy.integrate import solve_ivp
-
-        sol = solve_ivp(rhs, (fine[0], fine[-1]), [rho11_0], t_eval=fine, method="RK45",
-                        rtol=1e-12, atol=1e-15, max_step=np.min(np.diff(fine)))
-        if not sol.success:
-            raise RuntimeError(f"local evolution failed: {sol.message}")
-        return Trajectory.from_rho11(fine, sol.y[0])
+        rho11 = [float(rho11_0)]
+        for a, b in zip(fine[:-1].tolist(), fine[1:].tolist()):
+            n, coarse, refined = 2, rk4(rho11[-1], a, b, 1), rk4(rho11[-1], a, b, 2)
+            while not abs(refined - coarse) <= _RK4_AGREEMENT:  # NaN never agrees
+                n *= 2
+                if n > _RK4_MAX_SUBSTEPS:
+                    raise RuntimeError(
+                        f"local evolution failed: RK4 on [{a}, {b}] not settled "
+                        f"within {_RK4_MAX_SUBSTEPS} substeps"
+                    )
+                coarse, refined = refined, rk4(rho11[-1], a, b, n)
+            rho11.append(refined)
+        return Trajectory.from_rho11(fine, np.array(rho11))
 
     return _refined(solve, t_grid)
 
@@ -300,99 +329,43 @@ def direct_nonlocal_reference(
     return y
 
 
-_EPSREL = 1e-11
-# Head interval of an oscillatory integral is limited to a few cosine
-# periods so plain adaptive quadrature never sees unresolved oscillation.
-_HEAD_PERIODS = 3
-# Multiples of the model's frequency scale that contain the integrand mass.
-_MASS_SPAN = 40.0
-
-
 def ohmic_shift_reference(model: SpectralModel, t: float) -> float:
     """eps_p(t) of an ohmic-cutoff model by adaptive quadrature.
 
-    eps_p(t) = integral_0^inf (domega/pi) (S_a(omega)/omega)(1 - cos(omega t)),
+    eps_p(t) = integral_0^inf (domega/pi) g(omega)(1 - cos(omega t)), g = S_a/omega,
     the reference for the closed form eps_p0 (1 - e^{-omega_c t}(1 + omega_c t)).
-    The absolute tolerance follows the expected size eps_p0 min(1, (omega_c t)^2).
+    Split at a cut C it is (1/pi)[integral_0^C g 2 sin^2(omega t/2) +
+    integral_C^inf g - integral_C^inf g cos(omega t)].  The head runs on
+    ``gauss_kronrod`` with edges at the half-periods pi k/t and at the
+    decades of omega_c; the tail of g on u = C/omega in (0, 1].  The cosine
+    tail is dropped: for g decreasing beyond omega_c, the precondition here,
+    it is at most 2 g(C)/t (one integration by parts), and C doubles from
+    omega_c until 2 g(C)/(pi t) is a third of the absolute tolerance.  That
+    tolerance follows the expected size eps_p0 min(1, (omega_c t)^2).
     """
     if t < 0:
         raise ValueError("ohmic_shift_reference requires t >= 0")
-    eps_p0 = model.reorganization_shift()
-    x = model.omega_c * t
-    val = _one_minus_cos_integral(
-        lambda w: model.antisymmetric(w) / w,
-        t,
-        scale=model.omega_c,
-        epsabs=1e-10 * max(1.0, eps_p0) * min(1.0, x * x),
-        points=(model.omega_c,),
-    )
-    return val / math.pi
-
-
-def _quad(f, a, b, epsabs, points=None, limit=400):
-    from scipy.integrate import quad
-
-    val, _ = quad(f, a, b, epsabs=epsabs, epsrel=_EPSREL, limit=limit, points=points)
-    return val
-
-
-def _smooth_integral(f, a, b, epsabs, scale, points=()):
-    """Integral of a nonoscillatory f with features on `scale`; b may be inf."""
-    if b == np.inf:
-        cut = a + 2.0 * _MASS_SPAN * scale
-        pts = sorted(p for p in points if a < p < cut) or None
-        head = _quad(f, a, cut, 0.5 * epsabs, points=pts)
-        from scipy.integrate import quad
-
-        tail, _ = quad(f, cut, np.inf, epsabs=0.5 * epsabs, epsrel=_EPSREL, limit=200)
-        return head + tail
-    pts = sorted(p for p in points if a < p < b) or None
-    return _quad(f, a, b, epsabs, points=pts)
-
-
-def _cosine_integral(f, a, b, t, epsabs):
-    """integral_a^b f(w) cos(w t) dw via the oscillation-aware QUADPACK rules."""
-    from scipy.integrate import quad
-
-    if b == np.inf:
-        val, _ = quad(
-            f, a, np.inf, weight="cos", wvar=t, epsabs=epsabs, limlst=300, limit=300
-        )
-        return val
-    val, _ = quad(
-        f, a, b, weight="cos", wvar=t, epsabs=epsabs, epsrel=_EPSREL, limit=400
-    )
-    return val
-
-
-def _one_minus_cos_integral(f, t, scale, epsabs, points=()):
-    """integral_0^inf f(w) (1 - cos(w t)) dw for f bounded at w = 0.
-
-    The head interval, up to the sooner of a few oscillation periods and
-    the integrand's mass span, uses the cancellation-free form
-    2 sin^2(wt/2).  When the mass span ends first (small t), the smooth and
-    cosine parts of the remainder would each be far larger than their
-    difference, so the remainder stays in the sin^2 form, mapped onto
-    u = b/w in (0, 1].  Otherwise it is split into a smooth part and a
-    cosine-weighted part.
-    """
     if t == 0.0:
         return 0.0
-    period_cap = _HEAD_PERIODS * 2.0 * math.pi / t
-    b = min(_MASS_SPAN * scale, period_cap)
+    x = model.omega_c * t
+    epsabs = 1e-10 * max(1.0, model.reorganization_shift()) * min(1.0, x * x) / 3.0
+
+    def g(w):
+        return model.antisymmetric(w) / w
+
+    cut = model.omega_c
+    while 2.0 * g(cut) / (math.pi * t) > epsabs:
+        cut *= 2.0
+    half_periods = (math.pi / t) * np.arange(1, int(cut * t / math.pi) + 1)
+    decades = model.omega_c * 10.0 ** np.arange(int(math.log10(cut / model.omega_c)) + 1)
+    edges = np.unique(np.concatenate(([0.0, cut], half_periods, decades)))
+    edges = edges[edges <= cut]
 
     def head(w):
-        s = math.sin(0.5 * w * t)
-        return f(w) * 2.0 * s * s
+        s = np.sin(0.5 * w * t)
+        return g(w) * 2.0 * s * s
 
-    pts = sorted(p for p in points if 0.0 < p < b) or None
-    total = _quad(head, 0.0, b, epsabs / 3.0, points=pts)
-    if b < period_cap:
-        # the oscillation sets in near u = b t: decades of breakpoints lead there
-        ladder = [b * t * 10.0**k for k in range(-2, 12) if b * t * 10.0**k < 1.0]
-        remainder = _quad(lambda u: head(b / u) * b / (u * u), 0.0, 1.0, epsabs / 3.0,
-                          points=ladder)
-        return total + remainder
-    total += _smooth_integral(f, b, np.inf, epsabs / 3.0, scale, points=points)
-    total -= _cosine_integral(f, b, np.inf, t, epsabs / 3.0)
-    return total
+    total = gauss_kronrod(head, edges, epsabs=epsabs, epsrel=1e-11, limit=edges.size + 400)[0]
+    tail = gauss_kronrod(lambda u: g(cut / u) * cut / (u * u), [0.0, 1.0], epsabs=epsabs,
+                         epsrel=1e-11, limit=400)[0]
+    return (total + tail) / math.pi

@@ -120,23 +120,16 @@ def _static_noise_expectation(delta, w_rms, eps, probe_time) -> float:
     """Exact quadrature of E[P1(t)]/t over Q ~ N(0, W^2); oracle for the MC."""
 
     def integrand(q):
-        x = eps + q
-        rabi_sq = delta * delta + x * x
-        gauss = math.exp(-0.5 * (q / w_rms) ** 2) / (math.sqrt(2.0 * math.pi) * w_rms)
-        return gauss * (delta * delta / rabi_sq) * math.sin(
-            0.5 * math.sqrt(rabi_sq) * probe_time
-        ) ** 2
+        rabi_sq = delta * delta + (eps + q) ** 2
+        gauss = np.exp(-0.5 * (q / w_rms) ** 2) / (math.sqrt(2.0 * math.pi) * w_rms)
+        rabi = np.sin(0.5 * np.sqrt(rabi_sq) * probe_time)
+        return gauss * (delta * delta / rabi_sq) * rabi * rabi
 
-    from scipy.integrate import quad
-
-    resonance = [-eps - 2.0 * delta, -eps, -eps + 2.0 * delta]
-    total = 0.0
-    edges = np.linspace(-8.0 * w_rms, 8.0 * w_rms, 33)
-    for a, b in zip(edges[:-1], edges[1:]):
-        pts = [p for p in resonance if a < p < b]
-        total += quad(
-            integrand, a, b, points=pts or None, epsabs=1e-18, epsrel=1e-12, limit=2000
-        )[0]
+    panels = np.linspace(-8.0 * w_rms, 8.0 * w_rms, 33)
+    resonance = [p for p in (-eps - 2.0 * delta, -eps, -eps + 2.0 * delta)
+                 if panels[0] < p < panels[-1]]
+    edges = np.unique(np.concatenate((panels, resonance)))
+    total = gauss_kronrod(integrand, edges, epsabs=1e-18, epsrel=1e-12, limit=4000)[0]
     return total / probe_time
 
 
@@ -279,7 +272,7 @@ def check_nonlocal_peak(seed: int) -> list[CriterionRecord]:
 
 
 def check_short_time_slope(seed: int) -> list[CriterionRecord]:
-    """8: slope of the nested short-time quadrature vs Lambda_-(t) at t = 10/W."""
+    """8: slope of the short-time rho11(t) vs Lambda_-(t) at t = 10/W."""
     model = OhmicCutoff(eta=200.0, omega_c=0.01, temperature=1.0)  # eps_p0 = 0.5
     w_rms = 1.0
     params = TwoStateParams(delta=0.01, eps=0.7, temperature=1.0)

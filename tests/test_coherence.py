@@ -20,8 +20,46 @@ from mrtkit import (
     noise_rms,
     offdiag_element,
 )
-from mrtkit.oracle import _HEAD_PERIODS, _cosine_integral, _quad, _smooth_integral
-from scipy.integrate import IntegrationWarning
+from scipy.integrate import IntegrationWarning, quad
+
+
+# SciPy quad helpers of the X(t) oracle (formerly in mrtkit.oracle).
+_EPSREL = 1e-11
+# Head interval of an oscillatory integral is limited to a few cosine
+# periods so plain adaptive quadrature never sees unresolved oscillation.
+_HEAD_PERIODS = 3
+# Multiples of the model's frequency scale that contain the integrand mass.
+_MASS_SPAN = 40.0
+
+
+def _quad(f, a, b, epsabs, points=None, limit=400):
+    val, _ = quad(f, a, b, epsabs=epsabs, epsrel=_EPSREL, limit=limit, points=points)
+    return val
+
+
+def _smooth_integral(f, a, b, epsabs, scale, points=()):
+    """Integral of a nonoscillatory f with features on `scale`; b may be inf."""
+    if b == np.inf:
+        cut = a + 2.0 * _MASS_SPAN * scale
+        pts = sorted(p for p in points if a < p < cut) or None
+        head = _quad(f, a, cut, 0.5 * epsabs, points=pts)
+        tail, _ = quad(f, cut, np.inf, epsabs=0.5 * epsabs, epsrel=_EPSREL, limit=200)
+        return head + tail
+    pts = sorted(p for p in points if a < p < b) or None
+    return _quad(f, a, b, epsabs, points=pts)
+
+
+def _cosine_integral(f, a, b, t, epsabs):
+    """integral_a^b f(w) cos(w t) dw via the oscillation-aware QUADPACK rules."""
+    if b == np.inf:
+        val, _ = quad(
+            f, a, np.inf, weight="cos", wvar=t, epsabs=epsabs, limlst=300, limit=300
+        )
+        return val
+    val, _ = quad(
+        f, a, b, weight="cos", wvar=t, epsabs=epsabs, epsrel=_EPSREL, limit=400
+    )
+    return val
 
 
 def ohmic_symmetric_part(model, omega):

@@ -28,7 +28,9 @@ from mrtkit import (
     reorganization_shift,
     short_time_rho11,
 )
-from mrtkit.dynamics import _kernel_arrays
+from mrtkit.dynamics import ShortTimeResult, _gaussian_cosine_moments, _kernel_arrays
+from mrtkit.rates import _SQRT_PI_OVER_8, _shifted_gaussian
+from mrtkit.spectral import shift_function
 from mrtkit.oracle import corrected_rates_reference
 
 
@@ -490,6 +492,78 @@ class TestPeakSummary:
         assert skew_plus == pytest.approx(-skew_minus, rel=1e-9)
 
 
+def nested_quad_short_time(
+    model: SpectralModel, params: TwoStateParams, w_rms: float, t: float
+) -> ShortTimeResult:
+    """The nested-quad rho11(t) that ``short_time_rho11`` replaced, verbatim.
+
+    Valid for t below ~1/Delta (warned beyond).  Constant and linear
+    schedules only: for those the inner phase integral is exactly
+    (eps(tau') - eps_p(tau')) * tau.
+    """
+    if t < 0:
+        raise ValueError("short_time_rho11 requires t >= 0")
+    delta_s = params.delta_schedule
+    eps_s = params.eps_schedule
+    w = w_rms
+    if t == 0.0:
+        return ShortTimeResult(0.0, 0.0, 0.0)
+    delta_max = max(abs(delta_s.value(0.0)), abs(delta_s.value(t)))
+    if delta_max * t > 1.0:
+        warnings.warn(
+            "t * Delta > 1: second-order short-time expansion degrades",
+            RegimeWarning,
+            stacklevel=2,
+        )
+
+    from scipy.integrate import quad
+
+    inner_cap = 12.0 / w
+
+    def inner(tau_mid: float, product: bool) -> float:
+        window = min(2.0 * tau_mid, 2.0 * (t - tau_mid))
+        if window <= 0.0:
+            return 0.0
+        freq = eps_s.value(tau_mid) - shift_function(model, tau_mid)
+        if product:
+            def f(tau):
+                amp = delta_s.value(tau_mid + 0.5 * tau) * delta_s.value(tau_mid - 0.5 * tau)
+                return amp * math.exp(-0.5 * (w * tau) ** 2) * math.cos(freq * tau)
+        else:
+            amp0 = delta_s.value(tau_mid) ** 2
+
+            def f(tau):
+                return amp0 * math.exp(-0.5 * (w * tau) ** 2) * math.cos(freq * tau)
+
+        val, _ = quad(f, 0.0, min(window, inner_cap), epsabs=1e-14, epsrel=1e-10, limit=200)
+        return 2.0 * val
+
+    def outer(product: bool) -> float:
+        val, _ = quad(
+            lambda tp: inner(tp, product),
+            0.0,
+            t,
+            epsabs=1e-13,
+            epsrel=1e-9,
+            limit=200,
+            points=[0.5 * t],
+        )
+        return 0.25 * val
+
+    def local_rate(s: float) -> float:
+        # not peak_rate: a Delta ramp may pass through zero
+        d = delta_s.value(s)
+        return _shifted_gaussian(_SQRT_PI_OVER_8 * d * d / w, w, eps_s.value(s),
+                                 shift_function(model, s))
+
+    rate_int, _ = quad(local_rate, 0.0, t, epsabs=1e-14, epsrel=1e-10, limit=200)
+    return ShortTimeResult(
+        double_quadrature=outer(True),
+        single_quadrature=outer(False),
+        rate_approximation=rate_int,
+    )
+
+
 class TestShortTime:
     def setup_model(self):
         model = OhmicCutoff(eta=200.0, omega_c=0.01, temperature=1.0)
@@ -552,3 +626,57 @@ class TestShortTime:
         model, params = self.setup_model()
         with pytest.raises(ValueError):
             short_time_rho11(model, params, 1.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "delta, eps",
+        [(0.01, 0.7), (LinearSchedule(0.01, 1e-4), LinearSchedule(0.5, 0.02)),
+         (LinearSchedule(0.01, -0.004), 0.7)],
+        ids=["constant", "ramp", "ramp-through-zero"],
+    )
+    @pytest.mark.parametrize("t", [0.5, 8.0, 10.5])
+    def test_matches_nested_quad(self, delta, eps, t):
+        model, _ = self.setup_model()
+        params = TwoStateParams(delta=delta, eps=eps, temperature=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            got = short_time_rho11(model, params, 1.0, t)
+            expected = nested_quad_short_time(model, params, 1.0, t)
+        for name in ("double_quadrature", "single_quadrature", "rate_approximation"):
+            assert getattr(got, name) == pytest.approx(getattr(expected, name), rel=1e-12)
+
+
+def mpmath_moments(f, a, c):
+    """(J, I2) = integral_0^a (1, tau^2) e^{-c tau^2} cos(f tau) dtau by 30-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        # split at the half-periods so each piece is sub-oscillatory
+        half_periods = range(1, int(abs(f) * a / math.pi) + 1)
+        edges = [0, *(k * mpmath.pi / abs(f) for k in half_periods), mpmath.mpf(a)]
+        j = mpmath.quad(lambda t: mpmath.exp(-c * t * t) * mpmath.cos(f * t), edges)
+        i2 = mpmath.quad(lambda t: t * t * mpmath.exp(-c * t * t) * mpmath.cos(f * t), edges)
+        return float(j), float(i2)
+
+
+class TestGaussianCosineMoments:
+    # J and I2 are differences of terms on the scales sqrt(pi)/2 sqrt(c) and
+    # (1 + f^2/2c) sqrt(pi)/4 c^{3/2}: they are accurate to roundoff of those
+    # scales (relative accuracy fades as a -> 0, where J ~ a and I2 ~ a^3/3)
+    @pytest.mark.parametrize("c", [0.5, 0.02, 8.0])
+    @pytest.mark.parametrize("f", [-3.0, -0.4, 0.0, 0.7, 10.0])
+    @pytest.mark.parametrize("a", [1e-8, 1e-3, 0.3, 2.0, 40.0])
+    def test_matches_mpmath(self, c, f, a):
+        j, i2 = _gaussian_cosine_moments(np.array([f]), np.array([a]), c)
+        ref_j, ref_i2 = mpmath_moments(f, a, c)
+        j_scale = 0.5 * math.sqrt(math.pi / c)
+        i2_scale = (1.0 + f * f / (2.0 * c)) * j_scale / (2.0 * c)
+        assert abs(j[0] - ref_j) <= 2e-15 * j_scale
+        assert abs(i2[0] - ref_i2) <= 2e-15 * i2_scale
+
+    def test_limits(self):
+        j, i2 = _gaussian_cosine_moments(np.array([0.3, 0.3]), np.array([0.0, 1e3]), 0.5)
+        assert abs(j[0]) <= 2e-16 and abs(i2[0]) <= 2e-16
+        # a >> 1/W: the half-line Gaussian cosine transform and its second moment
+        assert j[1] == pytest.approx(math.sqrt(math.pi / 2.0) * math.exp(-0.045), rel=1e-15)
+        assert i2[1] == pytest.approx(
+            math.sqrt(math.pi / 2.0) * (1.0 - 0.09) * math.exp(-0.045), rel=1e-14)
+

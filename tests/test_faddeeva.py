@@ -2,6 +2,7 @@
 properties of the line shapes and the local rate equation built on it."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,55 @@ def test_scalar_and_array_agree():
     z = np.array([0.3 + 0.01j, 3.0 + 1.0j, 20.0 + 0.001j, 0.5 + 2.0j])
     assert [faddeeva(complex(v)) for v in z] == list(faddeeva(z))
 
+
+def laplace_fraction_reference(points, terms=40) -> np.ndarray:
+    """w(z) = (i/sqrt(pi)) / (z - (1/2)/(z - 1/(z - (3/2)/(z - ...)))) at 40 digits.
+
+    The continued fraction converges for Im z > 0, and within a few terms
+    once |z| is large; mpmath's erfc overflows or returns 0 there.
+    """
+    mp = pytest.importorskip("mpmath")
+    out = []
+    with mp.workdps(40):
+        for z in np.ravel(points):
+            zm = mp.mpc(complex(z))
+            tail = zm
+            for k in range(terms, 0, -1):
+                tail = zm - mp.mpf(k) / 2 / tail
+            out.append(complex(1j / (mp.sqrt(mp.pi) * tail)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("modulus", [1e8, 1e154, 1e200])
+def test_large_argument_matches_mpmath(modulus):
+    # directions from just above the positive to just above the negative axis
+    z = modulus * np.exp(1j * np.linspace(1e-3, math.pi - 1e-3, 9))
+    z = np.append(z, [modulus + 1.0j, -modulus + 1.0j, 1j * modulus, modulus + 0.0j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = faddeeva(z)
+    expected = laplace_fraction_reference(z)
+    assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-15
+    assert np.all(np.abs(got.real - expected.real) <= 1e-15 * np.abs(expected.real))
+
+
+def test_fraction_reference_matches_erfc_form():
+    z = 1e8 * np.exp(1j * np.linspace(0.1, math.pi - 0.1, 5))
+    expected = reference(z)
+    assert np.max(np.abs(laplace_fraction_reference(z) - expected) / np.abs(expected)) <= 1e-15
+
+
+def test_non_finite_input_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = faddeeva(complex(math.nan, 1.0))
+        mixed = faddeeva(np.array([math.nan + 0j, 1.0 + 1.0j, complex(2.0, math.nan)]))
+        infinite = faddeeva(np.array([complex(math.inf, 0.0), complex(-math.inf, 1.0),
+                                      complex(0.0, math.inf)]))
+    assert math.isnan(scalar.real) and math.isnan(scalar.imag)
+    assert np.isnan(mixed[[0, 2]]).all()
+    assert mixed[1] == faddeeva(1.0 + 1.0j)
+    assert np.all(infinite == 0.0)
 
 @pytest.mark.parametrize("delta", [0.0, -0.01])
 def test_nonpositive_delta_is_rejected(delta):

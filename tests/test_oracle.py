@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from mrtkit import (
     McConfig,
@@ -22,7 +22,8 @@ from mrtkit import (
     static_noise_transition,
     voigt_rate,
 )
-from mrtkit.oracle import _CHUNK, gaussian_noise_samples
+from mrtkit.dynamics import Trajectory, _as_rate
+from mrtkit.oracle import _CHUNK, _refined, gaussian_noise_samples
 
 
 def finite_time_expectation(delta, w_rms, eps, probe_time):
@@ -45,6 +46,33 @@ def finite_time_expectation(delta, w_rms, eps, probe_time):
             integrand, a, b, points=pts or None, epsabs=1e-18, epsrel=1e-12, limit=2000
         )[0]
     return total / probe_time
+
+
+def rk45_local_reference(rate_minus, rate_plus, rho11_0, t_grid):
+    """The RK45 ``refined_local_reference`` that RK4 replaced, verbatim.
+
+    d rho11/dt = G_-(t) (1 - rho11) - G_+(t) rho11 at rtol 1e-12 and atol
+    1e-15, with the fine grid spacing as the step ceiling.
+    """
+    if not 0.0 <= rho11_0 <= 1.0:
+        raise ValueError("rho11_0 must lie in [0, 1]")
+    gm = _as_rate(rate_minus)
+    gp = _as_rate(rate_plus)
+
+    def rhs(time, state):
+        minus, plus = gm(time), gp(time)
+        if minus < 0 or plus < 0:
+            raise ValueError(f"negative rate at t = {time}")
+        return [minus * (1.0 - state[0]) - plus * state[0]]
+
+    def solve(fine):
+        sol = solve_ivp(rhs, (fine[0], fine[-1]), [rho11_0], t_eval=fine, method="RK45",
+                        rtol=1e-12, atol=1e-15, max_step=np.min(np.diff(fine)))
+        if not sol.success:
+            raise RuntimeError(f"local evolution failed: {sol.message}")
+        return Trajectory.from_rho11(fine, sol.y[0])
+
+    return _refined(solve, t_grid)
 
 
 class TestNoiseSampler:
@@ -210,3 +238,28 @@ class TestRefinedReference:
         production = evolve_local(minus, plus, 0.0, grid)
         reference = refined_local_reference(minus, plus, 0.0, grid)
         assert np.max(np.abs(production.rho11 - reference.rho11)) <= 1e-6
+
+    @pytest.mark.parametrize("case", ["constant", "landau-zener", "ramp"])
+    def test_matches_rk45_reference(self, case):
+        if case == "constant":
+            rates, grid = (0.05, 0.02), np.linspace(0.0, 40.0, 81)
+        elif case == "landau-zener":
+            gp = peak_rate(0.01, 1.0)
+            rates = (lambda t: gp * math.exp(-0.5 * ((-30.0 + 0.02 * t) - 0.5) ** 2),
+                     lambda t: gp * math.exp(-0.5 * ((-30.0 + 0.02 * t) + 0.5) ** 2))
+            grid = np.linspace(0.0, 3000.0, 301)
+        else:
+            rates, grid = (lambda t: 0.1 + 0.01 * t, lambda t: 0.05), np.linspace(0.0, 20.0, 41)
+        rk4 = refined_local_reference(*rates, 0.3, grid)
+        rk45 = rk45_local_reference(*rates, 0.3, grid)
+        assert np.array_equal(rk4.t, grid)
+        assert np.max(np.abs(rk4.rho11 - rk45.rho11)) <= 1e-12
+
+    def test_unsettled_substeps_raise(self):
+        # rate * fine step = 6e6: RK4 needs over 2^21 substeps to be stable
+        with pytest.raises(RuntimeError, match="not settled"):
+            refined_local_reference(lambda t: 1e8, 0.0, 0.0, [0.0, 1.0])
+
+    def test_negative_rate_is_refused(self):
+        with pytest.raises(ValueError, match="negative rate"):
+            refined_local_reference(lambda t: 0.1 - 0.02 * t, 0.0, 0.0, [0.0, 10.0])

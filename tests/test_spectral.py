@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from mrtkit import (
     DecompositionError,
@@ -22,7 +23,7 @@ from mrtkit import (
     shift_function_derivative,
     symmetric_antisymmetric,
 )
-from mrtkit.oracle import _smooth_integral, ohmic_shift_reference
+from mrtkit.oracle import ohmic_shift_reference
 from mrtkit.spectral import _trigamma
 
 
@@ -65,18 +66,25 @@ def rms_trapezoid_oracle(eta, omega_c, temperature):
 
 
 def rms_quad_oracle(model):
-    """The adaptive-quadrature ohmic W that the closed Matsubara sum replaced."""
-    scale = max(model.omega_c, model.temperature)
-    pts = (min(model.omega_c, model.temperature), model.omega_c, model.temperature)
-    w2 = _smooth_integral(
-        lambda w: ohmic_symmetric_part(model, w),
-        0.0,
-        np.inf,
-        epsabs=1e-13,
-        scale=scale,
-        points=pts,
-    ) / math.pi
-    return math.sqrt(w2)
+    """W by SciPy quad, one panel per decade of T and omega_c from 1e-3 to 1e3 of each.
+
+    The tail beyond the last decade is taken on u = top/omega in (0, 1], and
+    each panel's absolute tolerance is 1e-15 of the sum so far.  Against
+    30-digit mpmath it is within 1e-15 relative on omega_c/T in 1e-3 .. 1e3.
+    """
+
+    def symmetric(w):
+        return ohmic_symmetric_part(model, w)
+
+    decades = {s * 10.0**k for s in (model.omega_c, model.temperature) for k in range(-3, 4)}
+    edges = [0.0, *sorted(decades)]
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        total += quad(symmetric, a, b, epsabs=1e-15 * total, epsrel=1e-12, limit=200)[0]
+    top = edges[-1]
+    total += quad(lambda u: symmetric(top / u) * top / (u * u), 0.0, 1.0,
+                  epsabs=1e-15 * total, epsrel=1e-12, limit=200)[0]
+    return math.sqrt(total / math.pi)
 
 
 def rms_mpmath_oracle(eta, omega_c, temperature, digits=30):
@@ -232,13 +240,24 @@ class TestNoiseRms:
         omega_c=st.floats(0.1, 10.0),
         log_ratio=st.floats(-3.0, 3.0),
     )
+    # a quad oracle with only the head split at T and omega_c misses its
+    # target here by 7.6e-11 (mpmath and the closed form agree)
+    @example(eta=1.0, omega_c=1.0, log_ratio=2.9693)
     def test_closed_form_matches_quad_oracle(self, eta, omega_c, log_ratio):
-        # omega_c / T spans 1e-3 .. 1e3; rel = the oracle's requested epsrel
+        # omega_c / T spans 1e-3 .. 1e3
         model = OhmicCutoff(eta=eta, omega_c=omega_c, temperature=omega_c / 10.0**log_ratio)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             expected = rms_quad_oracle(model)
         assert noise_rms(model) == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("eta, omega_c, log_ratio", [(1.0, 1.0, 2.9693), (8.0, 0.3, -2.7),
+                                                         (0.4, 5.0, 0.0)])
+    def test_quad_oracle_matches_mpmath(self, eta, omega_c, log_ratio):
+        temperature = omega_c / 10.0**log_ratio
+        expected = rms_mpmath_oracle(eta, omega_c, temperature)
+        got = rms_quad_oracle(OhmicCutoff(eta=eta, omega_c=omega_c, temperature=temperature))
+        assert abs(got - expected) <= 1e-13 * expected
 
     @pytest.mark.parametrize(
         "eta, omega_c, temperature",
