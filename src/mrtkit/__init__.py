@@ -39,7 +39,6 @@ from .rates import (
     RateCurve,
     TwoStateParams,
     WellLevels,
-    classical_rate,
     crossover_temperature,
     effective_delta,
     faddeeva,
@@ -49,19 +48,6 @@ from .rates import (
     voigt_rate,
 )
 from .schedules import LinearSchedule
-from .spectral import (
-    NoiseMoments,
-    OhmicCutoff,
-    SpectralModel,
-    Tabulated,
-    White,
-    eval_spectral_density,
-    noise_moments,
-    noise_rms,
-    reorganization_shift,
-    shift_function,
-    shift_function_derivative,
-    symmetric_antisymmetric,
-)
+from .spectral import OhmicCutoff, SpectralModel, Tabulated, White
 
 __version__ = "0.1.0"

@@ -26,14 +26,8 @@ import numpy as np
 
 from . import __version__, validation
 from .coherence import DephasingResult, dephasing_exponent
-from .dynamics import (
-    _require_constant,
-    evolve_local,
-    evolve_nonlocal,
-    nonlocal_corrected_scan,
-    peak_summary,
-    short_time_rho11,
-)
+from .dynamics import (evolve_local, evolve_nonlocal, nonlocal_corrected_scan, peak_summary,
+                       short_time_rho11)
 from .errors import ConfigError, DecompositionError, DivergentMomentError, RegimeError
 from .oracle import (McConfig, convolution_reference, refined_local_reference,
                      refined_nonlocal_reference, static_noise_transition)
@@ -48,7 +42,7 @@ from .rates import (
     warn_weak_coupling,
 )
 from .schedules import LinearSchedule
-from .spectral import OhmicCutoff, Tabulated, White, noise_rms, reorganization_shift
+from .spectral import OhmicCutoff, Tabulated, White
 
 log = logging.getLogger("mrtkit")
 
@@ -112,6 +106,12 @@ class RunConfig:
         raw = self.get(section, key)
         return fallback if raw is None else self._convert(section, key, raw, float)
 
+    def require_positive(self, section: str, key: str) -> float:
+        value = self.require_float(section, key)
+        if not value > 0:
+            raise ConfigError(f"{self.path}: [{section}] {key} = {value!r} must be positive")
+        return value
+
     def require_int(self, section: str, key: str) -> int:
         return self._convert(section, key, self.require(section, key), int)
 
@@ -153,21 +153,26 @@ def load_config(scenario: str, path: str, out: str | None, seed: int | None) -> 
 
 
 def _construct(config: RunConfig, section: str, cls, **kwargs):
-    """cls(**kwargs); a value the constructor rejects is a config error."""
+    """cls(**kwargs); a value the constructor rejects is a config error.
+
+    A RegimeError, though a ValueError, names a physics precondition and passes.
+    """
     try:
         return cls(**kwargs)
+    except RegimeError:
+        raise
     except ValueError as err:
         raise ConfigError(f"{config.path}: [{section}] {err}") from None
 
 
 def build_model(config: RunConfig):
     kind = config.require("spectral", "kind").lower()
+    # white and tabulated spectra use no temperature: the key is checked and
+    # echoed in the header, and nothing more
     if kind == "white":
-        return _construct(
-            config, "spectral", White,
-            s0=config.require_float("spectral", "s0"),
-            temperature=config.get_float("spectral", "temperature", None),
-        )
+        s0 = config.require_float("spectral", "s0")
+        config.get_float("spectral", "temperature", None)
+        return _construct(config, "spectral", White, s0=s0)
     if kind in ("ohmic", "ohmic-cutoff"):
         return _construct(
             config, "spectral", OhmicCutoff,
@@ -177,9 +182,9 @@ def build_model(config: RunConfig):
         )
     if kind == "tabulated":
         csv_path = config.require("spectral", "csv")
-        temperature = config.get_float("spectral", "temperature", None)
+        config.get_float("spectral", "temperature", None)
         try:
-            return Tabulated.from_csv(csv_path, temperature)
+            return Tabulated.from_csv(csv_path)
         except OSError as err:
             raise ConfigError(
                 f"{config.path}: [spectral] csv = {csv_path}: {err.strerror or err}"
@@ -217,10 +222,24 @@ def read_grid(config: RunConfig, section: str) -> np.ndarray:
     return np.linspace(start, stop, steps)
 
 
+def _require_time_invariant(config: RunConfig) -> None:
+    """Refuse a ramp where a scenario reads its line at t = 0 and would drop it."""
+    if (config.get_float("two-state", "delta_rate", 0.0)
+            or config.get_float("two-state", "eps_rate", 0.0)):
+        raise RegimeError("time-invariant Hamiltonian required: delta and eps must be constant")
+
+
+def _read_rho11_0(config: RunConfig, section: str) -> float:
+    rho11_0 = config.get_float(section, "rho11_0", 0.0)
+    if not 0.0 <= rho11_0 <= 1.0:
+        raise ConfigError(f"{config.path}: [{section}] rho11_0 = {rho11_0!r} must lie in [0, 1]")
+    return rho11_0
+
+
 def _resolve_eps_p(config: RunConfig, section: str, model) -> float:
     raw = config.get(section, "eps_p", fallback="auto")
     if raw.strip().lower() == "auto":
-        return reorganization_shift(model)
+        return model.reorganization_shift()
     return config.require_float(section, "eps_p")
 
 
@@ -287,15 +306,16 @@ def run_mrt_scan(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     params = build_params(config)
     shape = config.get("mrt-scan", "shape", fallback="gaussian").lower()
     grid = read_grid(config, "bias-grid")
-    w_rms = noise_rms(model)
+    w_rms = model.noise_rms()
     warn_weak_coupling(params.delta_schedule.initial, w_rms)
     eps_p = None
     if shape in ("gaussian", "classical", "voigt"):
-        # the line is read at t = 0: a ramp would be dropped without a word
-        _require_constant(params)
+        _require_time_invariant(config)
         # the Gaussian is the zero-width Voigt line; classical is it at eps_p = 0
         eps_p = 0.0 if shape == "classical" else _resolve_eps_p(config, "mrt-scan", model)
         gamma = config.require_float("mrt-scan", "gamma") if shape == "voigt" else 0.0
+        if gamma < 0:
+            raise ConfigError(f"{config.path}: [mrt-scan] gamma = {gamma!r} must be nonnegative")
         delta = params.delta_schedule.initial
         gm = voigt_rate(delta, w_rms, grid, eps_p, gamma)
         gp = voigt_rate(delta, w_rms, grid, -eps_p, gamma)
@@ -331,8 +351,8 @@ def run_evolve(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     params = build_params(config)
     mode = config.require("evolve", "mode").lower()
     grid = read_grid(config, "time-grid")
-    rho11_0 = config.get_float("evolve", "rho11_0", 0.0)
-    w_rms = noise_rms(model)
+    rho11_0 = _read_rho11_0(config, "evolve")
+    w_rms = model.noise_rms()
     warn_weak_coupling(params.delta_schedule.initial, w_rms)
     if mode == "local":
         rates = _local_rates(params, w_rms, _resolve_eps_p(config, "evolve", model))
@@ -352,7 +372,7 @@ def run_evolve(config: RunConfig) -> list[tuple[str, np.ndarray]]:
 def run_peak(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     model = build_model(config)
     params = build_params(config)
-    summary = peak_summary(model, params, noise_rms(model))
+    summary = peak_summary(model, params, model.noise_rms())
     return [
         ("gamma_peak", np.array([summary.gamma_peak])),
         ("eps_peak", np.array([summary.eps_peak])),
@@ -376,7 +396,8 @@ def _read_levels(config: RunConfig) -> WellLevels:
                 f"{config.path}: [levels] {key} must be 'energy delta gamma'"
             )
         rows.append(tuple(parts))
-    return WellLevels(
+    return _construct(
+        config, "levels", WellLevels,
         energies=tuple(r[0] for r in rows),
         deltas=tuple(r[1] for r in rows),
         relax_rates=tuple(r[2] for r in rows),
@@ -386,15 +407,10 @@ def _read_levels(config: RunConfig) -> WellLevels:
 def run_multichannel(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     model = build_model(config)
     levels = _read_levels(config)
-    temperature = config.require_float("two-state", "temperature")
-    # the channel sum is read at t = 0: a ramp would be dropped without a word
-    _require_constant(TwoStateParams(
-        delta=LinearSchedule(levels.deltas[0], config.get_float("two-state", "delta_rate", 0.0)),
-        eps=LinearSchedule(0.0, config.get_float("two-state", "eps_rate", 0.0)),
-        temperature=temperature,
-    ))
+    temperature = config.require_positive("two-state", "temperature")
+    _require_time_invariant(config)
     grid = read_grid(config, "bias-grid")
-    w_rms = noise_rms(model)
+    w_rms = model.noise_rms()
     eps_p = _resolve_eps_p(config, "multichannel", model)
     raw = config.get("multichannel", "normalized", fallback="true")
     normalized = config.parser.BOOLEAN_STATES.get(raw.lower())
@@ -407,19 +423,22 @@ def run_multichannel(config: RunConfig) -> list[tuple[str, np.ndarray]]:
 
 
 def _oracle_static_noise(config: RunConfig):
-    w_rms = config.require_float("oracle", "w")
-    delta = config.require_float("oracle", "delta")
+    w_rms = config.require_positive("oracle", "w")
+    delta = config.require_positive("oracle", "delta")
     probe = config.require_float("oracle", "probe_time")
     samples = config.require_int("oracle", "samples")
-    eps_values = config.require_floats("oracle", "eps")
+    mc_configs = [
+        _construct(config, "oracle", McConfig, sample_count=samples, seed=config.seed,
+                   w_rms=w_rms, delta=delta, eps=eps, probe_time=probe)
+        for eps in config.require_floats("oracle", "eps")
+    ]
     tolerance = config.get_float("oracle", "tolerance_rel", 0.05)
     gp = peak_rate(delta, w_rms)
     cols = {k: [] for k in ("eps", "estimate", "stderr", "expected", "rel_error", "status")}
     failures = 0
-    for eps in eps_values:
-        mc = static_noise_transition(
-            McConfig(samples, config.seed, w_rms, delta, eps, probe)
-        )
+    for mc_config in mc_configs:
+        eps = mc_config.eps
+        mc = static_noise_transition(mc_config)
         expected = gp * math.exp(-0.5 * (eps / w_rms) ** 2)
         rel = abs(mc.rate - expected) / expected
         ok = rel <= tolerance
@@ -434,11 +453,9 @@ def _oracle_static_noise(config: RunConfig):
 
 
 def _oracle_convolution(config: RunConfig):
-    w_rms = config.require_float("oracle", "w")
-    delta = config.require_float("oracle", "delta")
-    if delta <= 0:
-        raise ConfigError(f"{config.path}: [oracle] delta = {delta!r} must be positive")
-    gamma = config.require_float("oracle", "gamma")
+    w_rms = config.require_positive("oracle", "w")
+    delta = config.require_positive("oracle", "delta")
+    gamma = config.require_positive("oracle", "gamma")
     eps_p = config.get_float("oracle", "eps_p", 0.0)
     tolerance = config.get_float("oracle", "tolerance_rel", 1e-8)
     grid = read_grid(config, "bias-grid")
@@ -460,14 +477,14 @@ def _oracle_refined(config: RunConfig, kind: str):
     model = build_model(config)
     params = build_params(config)
     grid = read_grid(config, "time-grid")
-    rho11_0 = config.get_float("oracle", "rho11_0", 0.0)
+    rho11_0 = _read_rho11_0(config, "oracle")
     tolerance = config.get_float("oracle", "tolerance_sup", 1e-6)
-    w_rms = noise_rms(model)
+    w_rms = model.noise_rms()
     if kind == "nonlocal":
         production = evolve_nonlocal(model, params, rho11_0, grid, w_rms=w_rms)
         reference = refined_nonlocal_reference(model, params, rho11_0, grid)
     else:
-        rates = _local_rates(params, w_rms, reorganization_shift(model))
+        rates = _local_rates(params, w_rms, model.reorganization_shift())
         production = evolve_local(*rates, rho11_0, grid)
         reference = refined_local_reference(*rates, rho11_0, grid)
     sup = float(np.max(np.abs(production.rho11 - reference.rho11)))

@@ -35,7 +35,7 @@ from .errors import RegimeError, RegimeWarning
 from .quadrature import _GL_NODES, _GL_WEIGHTS, bounded_minimum, gauss_kronrod
 from .rates import (_SQRT_PI_OVER_8, TwoStateParams, _shifted_gaussian, faddeeva,
                     peak_rate, warn_weak_coupling)
-from .spectral import SpectralModel, noise_rms, reorganization_shift
+from .spectral import SpectralModel
 
 __all__ = [
     "Trajectory",
@@ -157,7 +157,7 @@ def evolve_nonlocal(
         raise ValueError("nonlocal evolution requires a uniform increasing grid")
 
     delta, _ = _require_constant(params)
-    w = noise_rms(model) if w_rms is None else w_rms
+    w = model.noise_rms() if w_rms is None else w_rms
     gp = peak_rate(delta, w)
     warn_weak_coupling(delta, w)
     omega_resp = model.response_frequency()
@@ -171,7 +171,7 @@ def evolve_nonlocal(
     eps_p, deps = model.shift_arrays(h * np.arange(t.size))
     # the delta weight Lambda(0) carries the whole kernel at tau = 0 only when
     # the smooth part starts from zero; otherwise the scheme is first order
-    if not abs(deps[0]) <= _ROUNDOFF * abs(reorganization_shift(model)) * omega_resp:
+    if not abs(deps[0]) <= _ROUNDOFF * abs(model.reorganization_shift()) * omega_resp:
         raise RegimeError(f"d eps_p/dtau at tau = 0 is {deps[0]:.3g}, not 0: "
                           "the memory kernel needs a spectrum with integrable S_a")
     lam_m, lam_p, dm, dp = _kernels_from_shift(params, w, eps_p, deps)
@@ -424,7 +424,7 @@ def _first_order_curve(
         raise RegimeError(
             f"Gamma_p/omega_c = {ratio:.3g} >= 0.5: memory correction out of regime"
         )
-    eps_p0 = reorganization_shift(model)
+    eps_p0 = model.reorganization_shift()
     suppression = math.exp(-0.5 * (eps_p0 / w) ** 2)
     return _FirstOrderCurve(gp, ratio, eps_p0, w, params.temperature, suppression)
 

@@ -25,7 +25,7 @@ from .dynamics import Trajectory, _as_rate, _kernel_arrays, evolve_nonlocal
 from .errors import RegimeError
 from .quadrature import gauss_kronrod
 from .rates import TwoStateParams, _shifted_gaussian, peak_rate
-from .spectral import SpectralModel, noise_rms
+from .spectral import SpectralModel
 
 __all__ = [
     "McConfig",
@@ -306,7 +306,7 @@ def direct_nonlocal_reference(
     """
     t = np.asarray(t_grid, dtype=float)
     h = t[1] - t[0]
-    w = noise_rms(model) if w_rms is None else w_rms
+    w = model.noise_rms() if w_rms is None else w_rms
     n = t.size
     lam_m, _, dm, dp = _kernel_arrays(model, params, w, h * np.arange(n))
 

@@ -33,7 +33,6 @@ __all__ = [
     "RateCurve",
     "peak_rate",
     "gaussian_rate",
-    "classical_rate",
     "faddeeva",
     "voigt_rate",
     "effective_delta",
@@ -185,11 +184,6 @@ def gaussian_rate(
         raise ValueError("direction must be -1 or +1")
     gp = peak_rate(params.delta_schedule.value(t), w_rms)
     return float(_shifted_gaussian(gp, w_rms, params.eps_schedule.value(t), -direction * eps_p))
-
-
-def classical_rate(params: TwoStateParams, w_rms: float, t: float = 0.0):
-    """Static-noise limit: Gamma_- = Gamma_+ = Gamma_p exp(-eps^2/2W^2)."""
-    return gaussian_rate(params, w_rms, 0.0, -1, t)
 
 
 def faddeeva(z):

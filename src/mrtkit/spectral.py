@@ -10,9 +10,9 @@ noise seen by the two-state system.  Three families are supported:
 * ``Tabulated`` -- monotone piecewise-cubic interpolation of sampled data,
   zero outside the grid.
 
-Each is a ``SpectralModel`` and carries its own moments and closed forms;
-the module-level functions only delegate to them, so a new noise family is
-one new class.
+Each is a ``SpectralModel`` and carries its own moments and closed forms.
+The model methods are the only spelling of each quantity the library
+calls, so a new noise family is one new class.
 
 Derived moments: the r.m.s. noise W = sqrt(integral S(omega) domega / 2pi),
 which for the ohmic-cutoff model is the closed Matsubara sum
@@ -40,36 +40,23 @@ from .coherence import _ohmic_exponent
 from .errors import DecompositionError, DivergentMomentError, RegimeError
 from .quadrature import _sine_contraction, _tabulated_nodes
 
-__all__ = [
-    "White",
-    "OhmicCutoff",
-    "Tabulated",
-    "SpectralModel",
-    "NoiseMoments",
-    "eval_spectral_density",
-    "symmetric_antisymmetric",
-    "noise_rms",
-    "reorganization_shift",
-    "shift_function",
-    "shift_function_derivative",
-    "noise_moments",
-]
+__all__ = ["SpectralModel", "White", "OhmicCutoff", "Tabulated"]
 
 
 class SpectralModel:
-    """Base class of the noise models: the protocol the library calls.
+    """Base class of the noise models: the one interface the library calls.
 
     A model defines ``density`` and ``dephasing_exponent``, and whichever
     finite moments it has: ``antisymmetric``, ``noise_rms``,
     ``reorganization_shift``, ``tau_r`` and ``shift_arrays``.  The defaults
     here are the refusals of a flat spectrum, whose frequency moments
-    diverge.  ``shift`` and ``response_frequency`` follow from
-    ``shift_arrays`` and ``tau_r``; a model may override them with closed
-    forms.
+    diverge.  ``shift``, ``symmetric_antisymmetric`` and
+    ``response_frequency`` follow from ``shift_arrays``, ``density`` and
+    ``tau_r``, and check their arguments here, once for every model.
     """
 
     def density(self, omega: float) -> float:
-        """S(omega)."""
+        """S(omega).  Tabulated models reject omega outside the grid."""
         raise NotImplementedError
 
     def dephasing_exponent(self, times: np.ndarray) -> np.ndarray:
@@ -77,7 +64,12 @@ class SpectralModel:
         raise NotImplementedError
 
     def symmetric_antisymmetric(self, omega: float) -> tuple[float, float]:
-        """(S_s, S_a) at omega >= 0 from S(omega) and S(-omega)."""
+        """(S_s, S_a) = ((S(w) + S(-w))/2, (S(w) - S(-w))/2) at omega >= 0.
+
+        For an equilibrium model S_s = S_a coth(w/2T).
+        """
+        if omega < 0:
+            raise ValueError("decomposition is defined for omega >= 0")
         plus = self.density(omega)
         minus = self.density(-omega)
         return 0.5 * (plus + minus), 0.5 * (plus - minus)
@@ -87,7 +79,7 @@ class SpectralModel:
         raise DivergentMomentError("flat spectrum has no antisymmetric part")
 
     def noise_rms(self) -> float:
-        """W = sqrt(integral S(omega) domega / 2pi)."""
+        """W = sqrt(integral_{-inf}^{inf} S(omega) domega / 2pi)."""
         raise DivergentMomentError("flat spectrum: integral of S(omega) diverges")
 
     def reorganization_shift(self) -> float:
@@ -105,13 +97,17 @@ class SpectralModel:
     def shift_arrays(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(eps_p(tau), d eps_p/dtau) for an array of tau >= 0.
 
+        eps_p(t) = integral_0^inf (domega/pi) (S_a(omega)/omega)(1 - cos(omega t))
+        and d eps_p/dt = integral_0^inf (domega/pi) S_a(omega) sin(omega t).
         d eps_p/dtau vanishes at tau = 0 for every integrable S_a; the
         memory-kernel solver is second order only when it does.
         """
         raise DivergentMomentError("flat spectrum has no antisymmetric part")
 
     def shift(self, t: float) -> float:
-        """eps_p(t) at one time t >= 0."""
+        """eps_p(t) at one time t >= 0, with eps_p(0) = 0."""
+        if t < 0:
+            raise ValueError("shift requires t >= 0")
         return float(self.shift_arrays(np.array([t]))[0][0])
 
 
@@ -120,12 +116,11 @@ class White(SpectralModel):
     """Flat spectrum S(omega) = s0 for all omega.
 
     Carries no finite frequency moments; only the dephasing operations
-    accept it.  ``temperature`` is kept for interface uniformity but the
-    flat spectrum is a classical (infinite-temperature) noise source.
+    accept it.  The flat spectrum is a classical (infinite-temperature)
+    noise source.
     """
 
     s0: float
-    temperature: float | None = None
 
     def __post_init__(self):
         if self.s0 < 0:
@@ -188,17 +183,11 @@ class OhmicCutoff(SpectralModel):
     def response_frequency(self):
         return self.omega_c
 
-    def shift(self, t):
-        """eps_p0 (1 - e^{-x} (1 + x)), x = omega_c t, in floating-point scalars."""
-        x = self.omega_c * t
-        eps_p0 = self.reorganization_shift()
-        if x < 1e-3:
-            # series of 1 - e^{-x}(1 + x); avoids cancellation at small x
-            return eps_p0 * (0.5 * x * x - x**3 / 3.0 + x**4 / 8.0)
-        return eps_p0 * (1.0 - math.exp(-x) * (1.0 + x))
-
     def shift_arrays(self, taus):
-        """The closed form of ``shift`` and its derivative eps_p0 omega_c x e^{-x}."""
+        """eps_p0 (1 - e^{-x} (1 + x)) and its derivative eps_p0 omega_c x e^{-x}, x = omega_c t.
+
+        Below x = 1e-3 the first is its series, free of cancellation.
+        """
         x = self.omega_c * np.asarray(taus, dtype=float)
         eps_p0 = self.reorganization_shift()
         decay = np.exp(-x)
@@ -291,7 +280,6 @@ class Tabulated(SpectralModel):
 
     omega: np.ndarray
     values: np.ndarray
-    temperature: float | None = None
 
     def __post_init__(self):
         # contiguous: the interpolant searches omega on every call, and a
@@ -313,7 +301,7 @@ class Tabulated(SpectralModel):
         object.__setattr__(self, "_interp", _Pchip(omega, values))
 
     @classmethod
-    def from_csv(cls, path, temperature: float | None = None) -> "Tabulated":
+    def from_csv(cls, path) -> "Tabulated":
         """Load a two-column CSV with header ``omega,S``, rows sorted ascending."""
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
@@ -325,7 +313,7 @@ class Tabulated(SpectralModel):
         data = np.array([[float(r[0]), float(r[1])] for r in rows[1:]], dtype=float)
         if data.size == 0:
             raise ValueError(f"{path}: no data rows")
-        return cls(data[:, 0], data[:, 1], temperature)
+        return cls(data[:, 0], data[:, 1])
 
     @property
     def two_sided(self) -> bool:
@@ -427,26 +415,6 @@ class Tabulated(SpectralModel):
             )
 
 
-@dataclass(frozen=True)
-class NoiseMoments:
-    """Scalar moments of a spectral model.
-
-    w_rms : r.m.s. noise amplitude (energy-level broadening, 1/T_phi).
-    eps_p0 : zero-frequency (long-time) resonance shift.
-    tau_r : environment response-time estimate.
-    """
-
-    w_rms: float
-    eps_p0: float
-    tau_r: float
-
-    def __post_init__(self):
-        if not (self.w_rms > 0 and self.tau_r > 0):
-            raise ValueError("noise moments require w_rms > 0 and tau_r > 0")
-        if self.eps_p0 < 0:
-            raise ValueError("eps_p0 must be nonnegative for equilibrium models")
-
-
 # Bernoulli numbers B_2 ... B_14 of the trigamma asymptotic series
 _TRIGAMMA_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
@@ -469,67 +437,3 @@ def _trigamma(x: float) -> float:
         series = series * inv2 + b
     return head + inv * (1.0 + inv * (0.5 + inv * series))
 
-
-# ---------------------------------------------------------------------------
-# module-level API: each function delegates to the model
-
-
-def eval_spectral_density(model: SpectralModel, omega: float) -> float:
-    """Evaluate S(omega).  Tabulated models reject omega outside the grid."""
-    return model.density(omega)
-
-
-def symmetric_antisymmetric(model: SpectralModel, omega: float) -> tuple[float, float]:
-    """Split S into its even and odd frequency parts at omega >= 0.
-
-    Returns (S_s, S_a) with S_s = (S(w) + S(-w))/2 and S_a = (S(w) - S(-w))/2.
-    For an equilibrium model S_s = S_a * coth(w/2T).
-    """
-    if omega < 0:
-        raise ValueError("decomposition is defined for omega >= 0")
-    return model.symmetric_antisymmetric(omega)
-
-
-def noise_rms(model: SpectralModel) -> float:
-    """W = sqrt(integral_{-inf}^{inf} S(omega) domega / 2pi).
-
-    Closed Matsubara sum for the ohmic cutoff, the exact integral of the
-    interpolant for a tabulated model.  Raises DivergentMomentError for the
-    flat spectrum.
-    """
-    return model.noise_rms()
-
-
-def reorganization_shift(model: SpectralModel) -> float:
-    """Long-time resonance shift eps_p0.
-
-    Equals integral_0^inf (domega/pi) S_a(omega)/omega; for the ohmic-cutoff
-    model this is exactly eta * omega_c / 4.
-    """
-    return model.reorganization_shift()
-
-
-def shift_function(model: SpectralModel, t: float) -> float:
-    """Time-dependent resonance shift eps_p(t) >= 0, with eps_p(0) = 0.
-
-    eps_p(t) = integral_0^inf (domega/pi) (S_a(omega)/omega)(1 - cos(omega t)).
-    The ohmic-cutoff model has the closed form
-    eps_p0 * (1 - e^{-omega_c t} (1 + omega_c t)).
-    """
-    if t < 0:
-        raise ValueError("shift_function requires t >= 0")
-    return model.shift(t)
-
-
-def shift_function_derivative(model: SpectralModel, t: float) -> float:
-    """d eps_p / dt = integral_0^inf (domega/pi) S_a(omega) sin(omega t)."""
-    if t < 0:
-        raise ValueError("shift_function_derivative requires t >= 0")
-    return float(model.shift_arrays(np.array([t]))[1][0])
-
-
-def noise_moments(model: SpectralModel) -> NoiseMoments:
-    """Bundle (W, eps_p0, tau_R) for a model with finite moments."""
-    return NoiseMoments(
-        w_rms=model.noise_rms(), eps_p0=model.reorganization_shift(), tau_r=model.tau_r()
-    )

@@ -45,7 +45,7 @@ from .rates import (
     peak_rate,
     voigt_rate,
 )
-from .spectral import OhmicCutoff, noise_rms, reorganization_shift, shift_function
+from .spectral import OhmicCutoff
 
 __all__ = ["CriterionRecord", "DEFAULT_SEED", "run_all", "run_criterion", "render_csv"]
 
@@ -83,8 +83,8 @@ def _ge(criterion, name, metric, value, bound) -> CriterionRecord:
 def check_fdt_low_frequency(seed: int) -> list[CriterionRecord]:
     """1: W^2 = 2 T eps_p0 for omega_c/T = 0.01."""
     model = OhmicCutoff(eta=1.0, omega_c=0.01, temperature=1.0)
-    w = noise_rms(model)
-    eps_p0 = reorganization_shift(model)
+    w = model.noise_rms()
+    eps_p0 = model.reorganization_shift()
     value = abs(w * w - 2.0 * model.temperature * eps_p0) / (w * w)
     return [_le(1, "fdt-low-frequency", "|W^2-2T*eps_p0|/W^2", value, 1e-3)]
 
@@ -94,7 +94,7 @@ def check_shift_crossover(seed: int) -> list[CriterionRecord]:
     model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
     worst = 0.0
     for t in np.linspace(0.0, 20.0, 50):
-        closed = shift_function(model, float(t))
+        closed = model.shift(float(t))
         numeric = ohmic_shift_reference(model, float(t))
         if closed == 0.0:
             worst = max(worst, abs(numeric))
@@ -280,7 +280,7 @@ def check_short_time_slope(seed: int) -> list[CriterionRecord]:
     upper = short_time_rho11(model, params, w_rms, t + step).double_quadrature
     lower = short_time_rho11(model, params, w_rms, t - step).double_quadrature
     slope = (upper - lower) / (2.0 * step)
-    eps_p = shift_function(model, t)
+    eps_p = model.shift(t)
     lam = peak_rate(0.01, w_rms) * math.exp(-0.5 * ((0.7 - eps_p) / w_rms) ** 2)
     return [
         _le(8, "short-time-slope", "|d rho11/dt - Lambda_-(t)| / Lambda_-(t)",

@@ -102,13 +102,13 @@ steps = 21
         assert rows2 == rows
 
     def test_detailed_balance_of_output(self, tmp_path):
-        from mrtkit import OhmicCutoff, noise_rms
+        from mrtkit import OhmicCutoff
 
         out = tmp_path / "scan.csv"
         main(["mrt-scan", "--config", self.config(tmp_path, out)])
         _, _, rows = read_csv(out)
         eps_p0 = 0.04
-        w2 = noise_rms(OhmicCutoff(8.0, 0.02, 1.0)) ** 2
+        w2 = OhmicCutoff(8.0, 0.02, 1.0).noise_rms() ** 2
         for eps_s, gm_s, gp_s in rows:
             eps, gm, gp = float(eps_s), float(gm_s), float(gp_s)
             # ln(G-/G+) = 2 eps eps_p / W^2 exactly, with W from the model
@@ -229,7 +229,7 @@ steps = 9
         source = mrtkit.OhmicCutoff(8.0, 0.02, 1.0)
         grid = np.linspace(-0.6, 0.6, 1201)
         rows = ["omega,S"] + [
-            f"{float(w)!r},{mrtkit.eval_spectral_density(source, float(w))!r}"
+            f"{float(w)!r},{source.density(float(w))!r}"
             for w in grid
         ]
         spectrum = tmp_path / "spectrum.csv"
@@ -270,21 +270,20 @@ steps = 5
         # eps_p0 and the response frequency depend on the model alone: one
         # evaluation per scan, not one per bias point
         import mrtkit
-        import mrtkit.dynamics as dynamics
 
         counts = {"reorganization_shift": 0, "tau_r": 0}
-        for owner, name in ((dynamics, "reorganization_shift"), (mrtkit.Tabulated, "tau_r")):
-            original = getattr(owner, name)
+        for name in counts:
+            original = getattr(mrtkit.Tabulated, name)
 
             def counted(model, original=original, name=name):
                 counts[name] += 1
                 return original(model)
 
-            monkeypatch.setattr(owner, name, counted)
+            monkeypatch.setattr(mrtkit.Tabulated, name, counted)
         source = mrtkit.OhmicCutoff(8.0, 0.02, 1.0)
         grid = np.linspace(-0.6, 0.6, 241)
         rows = ["omega,S"] + [
-            f"{float(w)!r},{mrtkit.eval_spectral_density(source, float(w))!r}" for w in grid
+            f"{float(w)!r},{source.density(float(w))!r}" for w in grid
         ]
         spectrum = tmp_path / "spectrum.csv"
         spectrum.write_text("\n".join(rows) + "\n")
@@ -320,8 +319,8 @@ steps = 11
         _, _, data = read_csv(out)
         assert len(data) == 11
         # each row equals the per-point public function
-        model = mrtkit.Tabulated.from_csv(spectrum, 1.0)
-        w_rms = mrtkit.noise_rms(model)
+        model = mrtkit.Tabulated.from_csv(spectrum)
+        w_rms = model.noise_rms()
         for eps, gm, gp in data:
             point = mrtkit.TwoStateParams(0.003, float(eps), 1.0)
             assert (float(gm), float(gp)) == mrtkit.nonlocal_corrected_rates(model, point, w_rms)
@@ -489,9 +488,9 @@ steps = 201
         assert header == ["t", "rho00", "rho11"]
         final = float(rows[-1][2])
         # equilibrium ratio G-/G+ = exp(2 eps eps_p0 / W^2); W^2 from the model
-        from mrtkit import OhmicCutoff, noise_rms
+        from mrtkit import OhmicCutoff
 
-        w2 = noise_rms(OhmicCutoff(8.0, 0.02, 1.0)) ** 2
+        w2 = OhmicCutoff(8.0, 0.02, 1.0).noise_rms() ** 2
         ratio = math.exp(2.0 * 0.1 * 0.04 / w2)
         assert final == pytest.approx(ratio / (1.0 + ratio), abs=1e-6)
 
@@ -552,6 +551,22 @@ steps = 4
             t = float(t_s)
             assert float(mag_s) == pytest.approx(math.exp(-t), rel=1e-12)
             assert float(phase_s) == pytest.approx(-1.5 * t, rel=1e-12)
+
+    @pytest.mark.parametrize("value, code", [("2.0", 0), ("nan", 2)], ids=["finite", "nan"])
+    def test_white_temperature_is_checked_and_echoed(self, tmp_path, value, code):
+        # the flat spectrum uses no temperature, but the key stays valid input
+        out = tmp_path / "env.csv"
+        config = write_config(
+            tmp_path,
+            f"[run]\nscenario = envelope\nout = {out}\n\n[spectral]\nkind = white\n"
+            f"s0 = 0.3\ntemperature = {value}\n\n[time-grid]\nstart = 0.0\nstop = 1.0\n"
+            "steps = 3\n",
+        )
+        assert main(["envelope", "--config", config]) == code
+        if code == 0:
+            assert read_csv(out)[0]["spectral.temperature"] == value
+        else:
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "spectral, model",
@@ -641,9 +656,25 @@ out = x.csv
             ("mrt-scan", "bias-grid", "start = -inf\nstop = 1.0\nsteps = 5"),
             ("oracle", "oracle", "name = convolution\nw = 1.0\ndelta = 0.0\ngamma = 0.1"),
             ("oracle", "oracle", "name = convolution\nw = 1.0\ndelta = -0.01\ngamma = 0.1"),
+            # values the library itself rejects
+            ("oracle", "oracle", "name = static-noise\nw = -1.0\ndelta = 0.01\n"
+                                 "probe_time = 18.0\nsamples = 100\neps = 0.0"),
+            ("oracle", "oracle", "name = static-noise\nw = 1.0\ndelta = 0.01\n"
+                                 "probe_time = 18.0\nsamples = 0\neps = 0.0"),
+            ("oracle", "oracle", "name = static-noise\nw = 1.0\ndelta = 0.0\n"
+                                 "probe_time = 18.0\nsamples = 100\neps = 0.0"),
+            ("oracle", "oracle", "name = convolution\nw = -1.0\ndelta = 0.01\ngamma = 0.1"),
+            ("oracle", "oracle", "name = convolution\nw = 1.0\ndelta = 0.01\ngamma = 0.0"),
+            ("oracle", "oracle", "name = convolution\nw = 1.0\ndelta = 0.01\ngamma = -0.1"),
+            ("mrt-scan", "mrt-scan", "shape = voigt\ngamma = -0.1"),
+            ("evolve", "evolve", "mode = local\nrho11_0 = 1.5"),
+            ("oracle", "oracle", "name = refined-local\nrho11_0 = -0.5"),
         ],
         ids=["seed", "eps_p", "steps", "samples", "missing-csv", "nan-delta", "inf-start",
-             "zero-oracle-delta", "negative-oracle-delta"],
+             "zero-oracle-delta", "negative-oracle-delta", "static-noise-negative-w",
+             "static-noise-zero-samples", "static-noise-zero-delta", "convolution-negative-w",
+             "convolution-zero-gamma", "convolution-negative-gamma", "voigt-negative-gamma",
+             "evolve-rho11_0-above-one", "refined-rho11_0-below-zero"],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, scenario, section, body):
         out = tmp_path / "x.csv"
@@ -652,6 +683,7 @@ out = x.csv
             "spectral": "kind = ohmic\neta = 8.0\nomega_c = 0.02\ntemperature = 1.0",
             "two-state": "delta = 0.001\neps = 0.0\ntemperature = 1.0",
             "bias-grid": "start = -1.0\nstop = 1.0\nsteps = 5",
+            "time-grid": "start = 0.0\nstop = 1.0\nsteps = 5",
         }
         body = body.format(tmp=tmp_path)
         sections[section] = sections[section] + "\n" + body if section == "run" else body
@@ -822,7 +854,7 @@ steps = 5
         assert np.allclose(values[:, 1], values[::-1, 2], rtol=1e-12)
 
 
-    def config(self, tmp_path, out, multichannel="", levels=None, ramp=""):
+    def config(self, tmp_path, out, multichannel="", levels=None, ramp="", temperature=0.8):
         levels = levels or "level_0 = 0.0 0.001 0.0\nlevel_1 = 0.5 0.05 0.0"
         return write_config(
             tmp_path,
@@ -833,7 +865,7 @@ out = {out}
 
 {BASE_SPECTRAL}
 [two-state]
-temperature = 0.8
+temperature = {temperature}
 {ramp}
 
 [levels]
@@ -862,15 +894,21 @@ steps = 5
         assert outputs["no"] != outputs["true"]
 
     @pytest.mark.parametrize(
-        "multichannel, levels",
-        [("normalized = maybe", None),
-         ("", "level_0 = 0.0 0.001 0.0\nlevel_2 = 2.2 0.3 0.0")],
-        ids=["normalized-word", "level-gap"],
+        "multichannel, levels, temperature",
+        [("normalized = maybe", None, 0.8),
+         ("", "level_0 = 0.0 0.001 0.0\nlevel_2 = 2.2 0.3 0.0", 0.8),
+         ("", None, -1.0),
+         ("", "level_0 = 0.0 0.001 0.0\nlevel_1 = 0.0 0.05 0.0", 0.8),
+         ("", "level_0 = 0.0 0.001 0.0\nlevel_1 = 0.5 0.0 0.0", 0.8),
+         ("", "level_0 = 0.0 -0.001 0.0\nlevel_1 = 0.5 0.05 0.0", 0.8),
+         ("", "level_0 = 0.0 0.001 0.1\nlevel_1 = 0.5 0.05 0.0", 0.8)],
+        ids=["normalized-word", "level-gap", "negative-temperature", "energies-not-increasing",
+             "zero-delta", "negative-delta", "ground-relaxation"],
     )
     def test_bad_multichannel_input_is_config_error(self, tmp_path, capsys,
-                                                    multichannel, levels):
+                                                    multichannel, levels, temperature):
         out = tmp_path / "mc.csv"
-        config = self.config(tmp_path, out, multichannel, levels)
+        config = self.config(tmp_path, out, multichannel, levels, temperature=temperature)
         assert main(["multichannel", "--config", config]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
@@ -934,6 +972,21 @@ tolerance_rel = 0.08
 """,
         )
         assert main(["oracle", "--config", config]) == 0
+
+    @pytest.mark.parametrize("probe_time", ["1.0", "30.0"], ids=["before-5/W", "after-0.2/Delta"])
+    def test_probe_window_is_precondition(self, tmp_path, capsys, probe_time):
+        # McConfig's window is a RegimeError, a ValueError the config check
+        # must let through
+        out = tmp_path / "orc.csv"
+        config = write_config(
+            tmp_path,
+            f"[run]\nscenario = oracle\nout = {out}\n\n[oracle]\nname = static-noise\n"
+            f"w = 1.0\ndelta = 0.01\nprobe_time = {probe_time}\nsamples = 100\neps = 0.0\n",
+        )
+        assert main(["oracle", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition violated:") and "probe_time" in err
+        assert not out.exists()
 
     def test_seed_reproducibility(self, tmp_path):
         config_text = f"""\

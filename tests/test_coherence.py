@@ -16,8 +16,6 @@ from mrtkit import (
     White,
     dephasing_exponent,
     dephasing_result,
-    eval_spectral_density,
-    noise_rms,
     offdiag_element,
 )
 from scipy.integrate import IntegrationWarning, quad
@@ -157,7 +155,7 @@ class TestDephasingExponent:
     def test_gaussian_decay_limit(self):
         # frequencies all below 1/t: exponent -> W^2 t^2 / 2
         model = OhmicCutoff(eta=1.0, omega_c=1e-5, temperature=1.0)
-        w = noise_rms(model)
+        w = model.noise_rms()
         t = 3.0 / w
         assert dephasing_exponent(model, t) == pytest.approx(
             0.5 * w * w * t * t, rel=1e-3
@@ -166,7 +164,7 @@ class TestDephasingExponent:
     def test_gaussian_window_consistency(self):
         # omega_c << 1/t << W regime within 1e-2
         model = OhmicCutoff(eta=1.0, omega_c=1e-4, temperature=1.0)
-        w = noise_rms(model)
+        w = model.noise_rms()
         t = 1.0 / w
         assert dephasing_exponent(model, t) == pytest.approx(
             0.5 * w * w * t * t, rel=1e-2
@@ -185,8 +183,8 @@ class TestDephasingExponent:
     def test_tabulated_two_sided_matches_source(self):
         source = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
         grid = np.linspace(-30.0, 30.0, 2401)
-        values = np.array([eval_spectral_density(source, w) for w in grid])
-        model = Tabulated(grid, values, temperature=1.0)
+        values = np.array([source.density(w) for w in grid])
+        model = Tabulated(grid, values)
         for t in (0.5, 2.0, 10.0):
             assert dephasing_exponent(model, t) == pytest.approx(
                 dephasing_exponent(source, t), rel=1e-4
@@ -195,7 +193,7 @@ class TestDephasingExponent:
     @pytest.mark.parametrize(
         "model",
         [White(s0=2.0), OhmicCutoff(1.0, 1.0, 1.0),
-         Tabulated(np.linspace(-5.0, 5.0, 41), np.exp(-np.linspace(-5.0, 5.0, 41) ** 2), 1.0)],
+         Tabulated(np.linspace(-5.0, 5.0, 41), np.exp(-np.linspace(-5.0, 5.0, 41) ** 2))],
         ids=["white", "ohmic", "tabulated"],
     )
     def test_array_contract(self, model):
@@ -219,7 +217,7 @@ class TestDephasingExponent:
     def test_tabulated_one_sided_supported(self):
         # dephasing needs no decomposition; S = 0 outside the grid
         grid = np.linspace(0.0, 10.0, 401)
-        model = Tabulated(grid, np.exp(-grid), temperature=1.0)
+        model = Tabulated(grid, np.exp(-grid))
         assert dephasing_exponent(model, 1.0) > 0.0
 
 
@@ -318,7 +316,7 @@ class TestOhmicMatsubaraSum:
     def test_short_time_limit(self):
         # X = W^2 t^2 / 2 (1 + O(omega_c t log)) as t -> 0
         model = OhmicCutoff(eta=2.0, omega_c=3.0, temperature=0.5)
-        w = noise_rms(model)
+        w = model.noise_rms()
         t = 1e-9
         assert dephasing_exponent(model, t) == pytest.approx(0.5 * w * w * t * t, rel=1e-7, abs=0.0)
 
@@ -350,7 +348,7 @@ class TestOffdiagElement:
     def test_gaussian_decay_value(self):
         # magnitude ratio e^{-W^2 t^2/2} = e^{-4.5} at t = 3/W
         model = OhmicCutoff(eta=1.0, omega_c=1e-5, temperature=1.0)
-        w = noise_rms(model)
+        w = model.noise_rms()
         value = offdiag_element(0.5, 0.0, model, 3.0 / w)
         assert abs(value) / 0.5 == pytest.approx(math.exp(-4.5), rel=1e-2)
         assert math.exp(-4.5) == pytest.approx(0.0111, abs=1e-4)

@@ -17,20 +17,16 @@ from mrtkit import (
     Tabulated,
     Trajectory,
     TwoStateParams,
-    classical_rate,
-    eval_spectral_density,
     evolve_local,
     evolve_nonlocal,
     gaussian_rate,
     nonlocal_corrected_rates,
     peak_rate,
     peak_summary,
-    reorganization_shift,
     short_time_rho11,
 )
 from mrtkit.dynamics import ShortTimeResult, _gaussian_cosine_moments, _kernel_arrays
 from mrtkit.rates import _SQRT_PI_OVER_8, _shifted_gaussian
-from mrtkit.spectral import shift_function
 from mrtkit.oracle import corrected_rates_reference
 
 
@@ -46,14 +42,17 @@ def fdt_model(eps_p0, omega_c, w_rms=1.0):
 def tabulated_model(source, span=30.0, points=601):
     """source sampled on a symmetric grid out to span * omega_c."""
     grid = np.linspace(-span * source.omega_c, span * source.omega_c, points)
-    values = np.array([eval_spectral_density(source, float(w)) for w in grid])
-    return Tabulated(grid, values, temperature=source.temperature)
+    values = np.array([source.density(float(w)) for w in grid])
+    return Tabulated(grid, values)
 
 
 def kernel_models(eps_p0, omega_c):
-    """fdt_model and its tabulated counterpart: the kernel identities hold for both."""
+    """(model, T) for fdt_model and its tabulated counterpart, which has no T of its own.
+
+    The kernel identities hold for both.
+    """
     model = fdt_model(eps_p0, omega_c)
-    return model, tabulated_model(model)
+    return (model, model.temperature), (tabulated_model(model), model.temperature)
 
 
 def kernel_at(model, params, tau):
@@ -122,8 +121,8 @@ class TestTrajectory:
 
 class TestLambdaPm:
     def test_zero_delay_common_value(self):
-        for model in kernel_models(0.5, 1.0):
-            params = TwoStateParams(delta=0.01, eps=0.8, temperature=model.temperature)
+        for model, temperature in kernel_models(0.5, 1.0):
+            params = TwoStateParams(delta=0.01, eps=0.8, temperature=temperature)
             expected = peak_rate(0.01, 1.0) * math.exp(-0.32)
             lam_minus, lam_plus, _, _ = kernel_at(model, params, 0.0)
             assert lam_minus == pytest.approx(expected, rel=1e-14)
@@ -132,23 +131,23 @@ class TestLambdaPm:
     def test_long_delay_reaches_equilibrium_rates(self):
         # a tabulated S_a(omega)/omega has a kink at omega = 0, so its shift
         # approaches eps_p0 only as 1/tau^2: 4e-6 relative at tau = 500
-        for model, rel in zip(kernel_models(0.5, 1.0), (1e-12, 1e-5)):
-            params = TwoStateParams(delta=0.01, eps=0.8, temperature=model.temperature)
+        for (model, temperature), rel in zip(kernel_models(0.5, 1.0), (1e-12, 1e-5)):
+            params = TwoStateParams(delta=0.01, eps=0.8, temperature=temperature)
             limit = kernel_at(model, params, 500.0)[0]
-            expected = gaussian_rate(params, 1.0, reorganization_shift(model), -1)
+            expected = gaussian_rate(params, 1.0, model.reorganization_shift(), -1)
             assert limit == pytest.approx(expected, rel=rel)
 
     def test_symmetric_at_zero_bias(self):
-        for model in kernel_models(0.5, 1.0):
-            params = TwoStateParams(delta=0.01, eps=0.0, temperature=model.temperature)
+        for model, temperature in kernel_models(0.5, 1.0):
+            params = TwoStateParams(delta=0.01, eps=0.0, temperature=temperature)
             taus = np.array([0.2, 1.0, 4.0])
             lam_minus, lam_plus, _, _ = _kernel_arrays(model, params, 1.0, taus)
             assert np.array_equal(lam_minus, lam_plus)
 
     def test_ramp_rejected(self):
-        for model in kernel_models(0.5, 1.0):
+        for model, temperature in kernel_models(0.5, 1.0):
             params = TwoStateParams(
-                delta=0.01, eps=LinearSchedule(0.0, 1.0), temperature=model.temperature
+                delta=0.01, eps=LinearSchedule(0.0, 1.0), temperature=temperature
             )
             with pytest.raises(RegimeError, match="time-invariant"):
                 _kernel_arrays(model, params, 1.0, np.array([1.0]))
@@ -165,10 +164,12 @@ def integrated_kernel(model, params, t, k):
 
 class TestKernelIntegral:
     def test_zero_time_is_delta_weight(self):
-        for model in kernel_models(0.25, 1.0):
-            params = TwoStateParams(delta=0.05, eps=0.0, temperature=model.temperature)
+        for model, temperature in kernel_models(0.25, 1.0):
+            params = TwoStateParams(delta=0.05, eps=0.0, temperature=temperature)
             lam_minus, lam_plus, dlam_minus, dlam_plus = kernel_at(model, params, 0.0)
-            assert lam_minus == lam_plus == pytest.approx(classical_rate(params, 1.0), rel=1e-14)
+            # the classical (eps_p = 0) rate
+            classical = gaussian_rate(params, 1.0, 0.0, -1)
+            assert lam_minus == lam_plus == pytest.approx(classical, rel=1e-14)
             assert dlam_minus == dlam_plus == 0.0
 
     def test_saturates_to_equilibrium_rate(self):
@@ -182,8 +183,8 @@ class TestKernelIntegral:
             )
 
     def test_matches_lambda_at_all_times(self):
-        for model in kernel_models(0.5, 1.0):
-            params = TwoStateParams(delta=0.05, eps=0.6, temperature=model.temperature)
+        for model, temperature in kernel_models(0.5, 1.0):
+            params = TwoStateParams(delta=0.05, eps=0.6, temperature=temperature)
             for t in (0.3, 1.0, 2.0, 6.0):
                 lam_t = kernel_at(model, params, t)
                 for k in (0, 1):
@@ -336,7 +337,7 @@ class TestNonlocalCorrectedRates:
     def test_fast_bath_reduces_to_gaussian(self):
         model = fdt_model(0.5, 50.0)
         params = TwoStateParams(delta=0.1, eps=0.3, temperature=model.temperature)
-        eps_p0 = reorganization_shift(model)
+        eps_p0 = model.reorganization_shift()
         minus, plus = nonlocal_corrected_rates(model, params, 1.0)
         base_minus = gaussian_rate(params, 1.0, eps_p0, -1)
         base_plus = gaussian_rate(params, 1.0, eps_p0, +1)
@@ -362,7 +363,7 @@ class TestNonlocalCorrectedRates:
         exact_minus, _ = corrected_rates_reference(model, params, 1.0)
         deficit = 1.0 - base / exact_minus
         lam_inf = base + gaussian_rate(params, 1.0, 2.5, +1)
-        lam_zero = 2.0 * classical_rate(params, 1.0)
+        lam_zero = 2.0 * gaussian_rate(params, 1.0, 0.0, -1)
         estimate = (lam_inf - lam_zero) / model.omega_c
         assert 0.3 <= deficit / estimate <= 3.0
 
@@ -385,7 +386,7 @@ class TestCorrectedRatesReference:
     def quad_reference(model, params, w):
         """The full denominator by SciPy quad: head to 60 tau_R plus the infinite tail."""
         gp = peak_rate(params.delta, w)
-        eps_p0 = reorganization_shift(model)
+        eps_p0 = model.reorganization_shift()
         base_minus = gp * math.exp(-0.5 * ((params.eps - eps_p0) / w) ** 2)
         base_plus = gp * math.exp(-0.5 * ((params.eps + eps_p0) / w) ** 2)
 
@@ -410,9 +411,10 @@ class TestCorrectedRatesReference:
     def test_unsettled_tabulated_deficit_rejected(self):
         # the interpolant's eps_p still drifts by ~1e-3 at 60 tau_R: the head
         # integral has no converged value to return
-        model = tabulated_model(fdt_model(0.5, 1.0))
+        source = fdt_model(0.5, 1.0)
+        model = tabulated_model(source)
         delta = math.sqrt(0.1 / math.sqrt(math.pi / 8.0))
-        params = TwoStateParams(delta=delta, eps=0.4, temperature=model.temperature)
+        params = TwoStateParams(delta=delta, eps=0.4, temperature=source.temperature)
         with pytest.raises(RegimeError, match="not settled by 60 tau_R"):
             corrected_rates_reference(model, params, 1.0)
 
@@ -524,7 +526,7 @@ def nested_quad_short_time(
         window = min(2.0 * tau_mid, 2.0 * (t - tau_mid))
         if window <= 0.0:
             return 0.0
-        freq = eps_s.value(tau_mid) - shift_function(model, tau_mid)
+        freq = eps_s.value(tau_mid) - model.shift(tau_mid)
         if product:
             def f(tau):
                 amp = delta_s.value(tau_mid + 0.5 * tau) * delta_s.value(tau_mid - 0.5 * tau)
@@ -554,7 +556,7 @@ def nested_quad_short_time(
         # not peak_rate: a Delta ramp may pass through zero
         d = delta_s.value(s)
         return _shifted_gaussian(_SQRT_PI_OVER_8 * d * d / w, w, eps_s.value(s),
-                                 shift_function(model, s))
+                                 model.shift(s))
 
     rate_int, _ = quad(local_rate, 0.0, t, epsabs=1e-14, epsrel=1e-10, limit=200)
     return ShortTimeResult(

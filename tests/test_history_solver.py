@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrtkit import OhmicCutoff, Tabulated, TwoStateParams, evolve_nonlocal, noise_rms, peak_rate
+from mrtkit import OhmicCutoff, Tabulated, TwoStateParams, evolve_nonlocal, peak_rate
 from mrtkit.dynamics import _LEAF
 from mrtkit.oracle import direct_nonlocal_reference
 
@@ -61,10 +61,10 @@ def test_tabulated_spectrum():
     safe = np.where(omega == 0.0, 1.0, omega)
     thermal = np.where(omega == 0.0, temperature, safe / -np.expm1(-safe / temperature))
     values = 2.0 * eta * thermal / (1.0 + (omega / omega_c) ** 2) ** 2
-    model = Tabulated(omega, values, temperature=temperature)
+    model = Tabulated(omega, values)
     params = TwoStateParams(delta=0.003, eps=0.05, temperature=temperature)
     grid = np.linspace(0.0, 200 * 0.02 / omega_c, 201)
-    assert_matches_direct(model, params, 0.0, grid, w_rms=noise_rms(model))
+    assert_matches_direct(model, params, 0.0, grid, w_rms=model.noise_rms())
 
 
 @settings(max_examples=25, deadline=None)

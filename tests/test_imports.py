@@ -11,10 +11,11 @@ imported) ``validate``, short-time evolve and the refined-local and
 static-noise oracles still run.  A probe body that imports
 ``scipy.integrate`` itself is the positive control that the probe sees a
 SciPy import.  A static check parses the sources: no module of the package
-imports SciPy.
+imports SciPy.  Every ``__all__`` entry of the package's layers resolves.
 """
 
 import ast
+import importlib
 import json
 import math
 import os
@@ -172,8 +173,9 @@ def test_convolution_oracle_imports_no_integrator(tmp_path):
 
 
 def test_ohmic_moments_import_no_scipy():
-    body = ("from mrtkit import OhmicCutoff, noise_moments\n"
-            "noise_moments(OhmicCutoff(eta=1.0, omega_c=1.0, temperature=0.1))")
+    body = ("from mrtkit import OhmicCutoff\n"
+            "model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=0.1)\n"
+            "model.noise_rms(), model.reorganization_shift(), model.tau_r()")
     assert run_probe(body)["scipy"] == []
 
 
@@ -271,3 +273,26 @@ def test_scipy_is_imported_only_at_known_sites():
 def test_static_check_sees_a_scipy_import():
     tree = ast.parse("import numpy\ndef f():\n    from scipy.special import wofz\n")
     assert scipy_imports(tree) == [("f", 3)]
+
+
+# the layers whose ``__all__`` names a tracer wraps one by one with getattr
+TRACED_LAYERS = ("spectral", "coherence", "rates", "dynamics", "oracle", "validation", "cli")
+
+
+@pytest.mark.parametrize("name", ["mrtkit", *(f"mrtkit.{layer}" for layer in TRACED_LAYERS)])
+def test_every_all_entry_resolves(name):
+    module = importlib.import_module(name)
+    assert [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)] == []
+    exec(f"from {name} import *", {})
+
+
+def test_package_exports_are_listed_by_their_layer():
+    # the package has no __all__ of its own: what it re-exports from a traced
+    # layer must be in that layer's __all__
+    unlisted = []
+    for name in dir(mrtkit):
+        owner = getattr(getattr(mrtkit, name), "__module__", None) or ""
+        layer = owner.removeprefix("mrtkit.")
+        if layer in TRACED_LAYERS and name not in importlib.import_module(owner).__all__:
+            unlisted.append(f"{owner}.{name}")
+    assert unlisted == []

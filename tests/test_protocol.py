@@ -26,11 +26,8 @@ from mrtkit import (
     TwoStateParams,
     dephasing_exponent,
     evolve_nonlocal,
-    noise_moments,
     nonlocal_corrected_rates,
     peak_rate,
-    shift_function,
-    shift_function_derivative,
 )
 from mrtkit.oracle import corrected_rates_reference, direct_nonlocal_reference
 
@@ -76,14 +73,14 @@ PARAMS = TwoStateParams(delta=math.sqrt(0.005 / math.sqrt(math.pi / 8.0)), eps=0
 
 
 def test_noise_moments():
-    moments = noise_moments(MODEL)
-    assert (moments.w_rms, moments.eps_p0, moments.tau_r) == (1.0, 0.5, 1.0)
+    assert (MODEL.noise_rms(), MODEL.reorganization_shift(), MODEL.tau_r()) == (1.0, 0.5, 1.0)
 
 
 def test_shift_functions_equal_the_built_in_ohmic():
     for t in (0.3, 1.0, 5.0):
-        assert shift_function(MODEL, t) == pytest.approx(shift_function(BUILT_IN, t), rel=1e-14)
-        assert shift_function_derivative(MODEL, t) == shift_function_derivative(BUILT_IN, t)
+        assert MODEL.shift(t) == pytest.approx(BUILT_IN.shift(t), rel=1e-14)
+    taus = np.array([0.3, 1.0, 5.0])
+    assert np.array_equal(MODEL.shift_arrays(taus)[1], BUILT_IN.shift_arrays(taus)[1])
 
 
 def test_classical_limit_of_the_built_in_ohmic():
@@ -91,7 +88,7 @@ def test_classical_limit_of_the_built_in_ohmic():
     # classical closed forms
     model = ClassicalOhmic(eta=2e-3, omega_c=1.0, temperature=1e3)
     built_in = OhmicCutoff(eta=2e-3, omega_c=1.0, temperature=1e3)
-    assert noise_moments(model).w_rms == pytest.approx(noise_moments(built_in).w_rms, rel=1e-6)
+    assert model.noise_rms() == pytest.approx(built_in.noise_rms(), rel=1e-6)
     times = np.array([0.05, 1.0, 20.0])
     values = dephasing_exponent(model, times)
     assert values.shape == times.shape

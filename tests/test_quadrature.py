@@ -12,12 +12,10 @@ from mrtkit import (
     IntegrationWarning,
     OhmicCutoff,
     TwoStateParams,
-    noise_rms,
     peak_rate,
     peak_summary,
 )
 from mrtkit.quadrature import RULE_SIZE, bounded_minimum, gauss_kronrod
-from mrtkit.spectral import reorganization_shift
 
 
 def lorentzian(gamma):
@@ -118,7 +116,7 @@ def quad_peak_summary(model, params, w_rms):
     w = w_rms
     gp = peak_rate(delta, w)
     ratio = gp / model.response_frequency()
-    eps_p0 = reorganization_shift(model)
+    eps_p0 = model.reorganization_shift()
     temperature = params.temperature
     gauss_supp = math.exp(-0.5 * (eps_p0 / w) ** 2)
 
@@ -176,7 +174,7 @@ class TestPeakSummaryAgainstQuad:
         ],
     )
     def test_agrees_with_quad_version(self, model, delta, eps):
-        w = noise_rms(model)
+        w = model.noise_rms()
         params = TwoStateParams(delta=delta, eps=eps, temperature=model.temperature)
         summary = peak_summary(model, params, w)
         gamma_peak, eps_peak, asymmetry = quad_peak_summary(model, params, w)

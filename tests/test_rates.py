@@ -15,7 +15,6 @@ from mrtkit import (
     RegimeWarning,
     TwoStateParams,
     WellLevels,
-    classical_rate,
     convolution_reference,
     crossover_temperature,
     effective_delta,
@@ -98,15 +97,16 @@ class TestGaussianRate:
 
 
 class TestClassicalRate:
+    """The static-noise limit: the shifted Gaussian at eps_p = 0."""
+
     def test_peak_at_zero_bias(self):
         params = TwoStateParams(delta=0.01, eps=0.0, temperature=1.0)
-        assert classical_rate(params, 1.0) == pytest.approx(peak_rate(0.01, 1.0))
+        assert gaussian_rate(params, 1.0, 0.0, -1) == pytest.approx(peak_rate(0.01, 1.0))
 
     def test_symmetric_directions(self):
         for eps in (-2.0, 0.3, 4.0):
             params = TwoStateParams(delta=0.01, eps=eps, temperature=1.0)
-            assert classical_rate(params, 1.0) == gaussian_rate(params, 1.0, 0.0, -1)
-            assert classical_rate(params, 1.0) == gaussian_rate(params, 1.0, 0.0, +1)
+            assert gaussian_rate(params, 1.0, 0.0, -1) == gaussian_rate(params, 1.0, 0.0, +1)
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,15 +13,9 @@ from mrtkit import (
     DecompositionError,
     DivergentMomentError,
     OhmicCutoff,
+    RegimeError,
     Tabulated,
     White,
-    eval_spectral_density,
-    noise_moments,
-    noise_rms,
-    reorganization_shift,
-    shift_function,
-    shift_function_derivative,
-    symmetric_antisymmetric,
 )
 from mrtkit.oracle import ohmic_shift_reference
 from mrtkit.spectral import _trigamma
@@ -39,8 +33,8 @@ def ohmic_grid_model(eta=1.0, omega_c=1.0, temperature=1.0, span=30.0, points=24
     """Tabulate an ohmic-cutoff spectrum on a symmetric grid."""
     source = OhmicCutoff(eta=eta, omega_c=omega_c, temperature=temperature)
     grid = np.linspace(-span, span, points)
-    values = np.array([eval_spectral_density(source, w) for w in grid])
-    return Tabulated(grid, values, temperature=temperature)
+    values = np.array([source.density(w) for w in grid])
+    return Tabulated(grid, values)
 
 
 def rms_trapezoid_oracle(eta, omega_c, temperature):
@@ -104,36 +98,36 @@ def rms_mpmath_oracle(eta, omega_c, temperature, digits=30):
 
 class TestEvalSpectralDensity:
     def test_white_is_constant(self):
-        assert eval_spectral_density(White(s0=2.0), 17.0) == 2.0
-        assert eval_spectral_density(White(s0=2.0), -3.5) == 2.0
+        assert White(s0=2.0).density(17.0) == 2.0
+        assert White(s0=2.0).density(-3.5) == 2.0
 
     def test_ohmic_zero_frequency_limit(self):
         model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
-        assert eval_spectral_density(model, 0.0) == pytest.approx(2.0, rel=1e-15)
-        assert eval_spectral_density(model, 1e-9) == pytest.approx(2.0, rel=1e-8)
+        assert model.density(0.0) == pytest.approx(2.0, rel=1e-15)
+        assert model.density(1e-9) == pytest.approx(2.0, rel=1e-8)
 
     def test_ohmic_direct_value(self):
         model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
         expected = 0.5 / (1.0 - math.exp(-1.0))
-        assert eval_spectral_density(model, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert model.density(1.0) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(0.79099, abs=5e-6)
 
     def test_ohmic_nonnegative_everywhere(self):
         model = OhmicCutoff(eta=0.7, omega_c=0.3, temperature=0.5)
         for w in np.linspace(-50, 50, 101):
-            assert eval_spectral_density(model, w) >= 0.0
+            assert model.density(w) >= 0.0
 
     def test_tabulated_range_error(self):
         model = ohmic_grid_model(span=5.0, points=51)
         with pytest.raises(ValueError, match="outside tabulated range"):
-            eval_spectral_density(model, 5.5)
+            model.density(5.5)
 
     def test_tabulated_matches_samples(self):
         source = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
         model = ohmic_grid_model()
         for w in (-2.3, -0.17, 0.41, 3.3):
-            assert eval_spectral_density(model, w) == pytest.approx(
-                eval_spectral_density(source, w), rel=1e-4
+            assert model.density(w) == pytest.approx(
+                source.density(w), rel=1e-4
             )
 
 
@@ -163,7 +157,7 @@ class TestModelValidation:
             f"{float(w)!r},{float(s)!r}" for w, s in zip(model.omega, model.values)
         ]
         path.write_text("\n".join(rows) + "\n")
-        loaded = Tabulated.from_csv(path, temperature=1.0)
+        loaded = Tabulated.from_csv(path)
         assert np.array_equal(loaded.omega, model.omega)
         assert np.array_equal(loaded.values, model.values)
 
@@ -176,13 +170,13 @@ class TestModelValidation:
 
 class TestSymmetricAntisymmetric:
     def test_white_has_no_odd_part(self):
-        assert symmetric_antisymmetric(White(s0=3.0), 2.0) == (3.0, 0.0)
+        assert White(s0=3.0).symmetric_antisymmetric(2.0) == (3.0, 0.0)
 
     def test_ohmic_fluctuation_dissipation_identity(self):
         model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
         rng = np.random.default_rng(11)
         for w in np.concatenate(([0.1, 1.0, 2.0, 8.0], rng.uniform(0.05, 20.0, 40))):
-            s_s, s_a = symmetric_antisymmetric(model, float(w))
+            s_s, s_a = model.symmetric_antisymmetric(float(w))
             coth = 1.0 / math.tanh(0.5 * w / model.temperature)
             assert s_s == pytest.approx(s_a * coth, rel=1e-12)
 
@@ -196,41 +190,50 @@ class TestSymmetricAntisymmetric:
         value = odd.subs({w: 2, eta: 1, wc: 1, T: 1})
         assert float(value) == pytest.approx(2.0 / 25.0, rel=1e-12)
         model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
-        assert symmetric_antisymmetric(model, 2.0)[1] == pytest.approx(0.08, rel=1e-12)
+        assert model.symmetric_antisymmetric(2.0)[1] == pytest.approx(0.08, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "model",
+        [White(s0=3.0), OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0),
+         ohmic_grid_model(span=5.0, points=51)],
+        ids=["white", "ohmic", "tabulated"],
+    )
+    def test_negative_frequency_rejected(self, model):
+        with pytest.raises(ValueError, match="omega >= 0"):
+            model.symmetric_antisymmetric(-1.0)
 
     def test_one_sided_tabulated_rejected(self):
         grid = np.linspace(0.0, 10.0, 101)
-        model = Tabulated(grid, np.ones_like(grid), temperature=1.0)
+        model = Tabulated(grid, np.ones_like(grid))
         with pytest.raises(DecompositionError):
-            symmetric_antisymmetric(model, 1.0)
+            model.symmetric_antisymmetric(1.0)
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 10.0), (-10.0, 0.0), (-10.0, -1.0)])
     def test_moments_need_data_on_both_sides(self, lo, hi):
         # the moments pair S(w) with S(-w): a grid that ends at or starts
         # from omega = 0 has nothing to pair
         grid = np.linspace(lo, hi, 11)
-        model = Tabulated(grid, 1.0 + grid * grid, temperature=1.0)
-        for moment in (reorganization_shift, noise_moments,
-                       lambda m: shift_function(m, 1.0),
-                       lambda m: shift_function_derivative(m, 1.0)):
+        model = Tabulated(grid, 1.0 + grid * grid)
+        for moment in (model.reorganization_shift, model.tau_r, lambda: model.shift(1.0),
+                       lambda: model.shift_arrays(np.array([1.0]))):
             with pytest.raises(DecompositionError):
-                moment(model)
+                moment()
 
 
 class TestNoiseRms:
     def test_white_diverges(self):
         with pytest.raises(DivergentMomentError):
-            noise_rms(White(s0=1.0))
+            White(s0=1.0).noise_rms()
 
     def test_low_frequency_fluctuation_dissipation(self):
         model = OhmicCutoff(eta=1.0, omega_c=0.01, temperature=1.0)
-        w = noise_rms(model)
-        eps_p0 = reorganization_shift(model)
+        w = model.noise_rms()
+        eps_p0 = model.reorganization_shift()
         assert abs(w * w - 2.0 * model.temperature * eps_p0) / (w * w) <= 1e-3
 
     def test_against_trapezoid_oracle(self):
         model = OhmicCutoff(eta=0.8, omega_c=0.05, temperature=2.0)
-        assert noise_rms(model) == pytest.approx(
+        assert model.noise_rms() == pytest.approx(
             rms_trapezoid_oracle(0.8, 0.05, 2.0), rel=1e-8
         )
 
@@ -249,7 +252,7 @@ class TestNoiseRms:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             expected = rms_quad_oracle(model)
-        assert noise_rms(model) == pytest.approx(expected, rel=1e-11)
+        assert model.noise_rms() == pytest.approx(expected, rel=1e-11)
 
     @pytest.mark.parametrize("eta, omega_c, log_ratio", [(1.0, 1.0, 2.9693), (8.0, 0.3, -2.7),
                                                          (0.4, 5.0, 0.0)])
@@ -266,7 +269,7 @@ class TestNoiseRms:
     def test_closed_form_matches_mpmath(self, eta, omega_c, temperature):
         expected = rms_mpmath_oracle(eta, omega_c, temperature)
         model = OhmicCutoff(eta=eta, omega_c=omega_c, temperature=temperature)
-        assert abs(noise_rms(model) - expected) <= 1e-15 * expected
+        assert abs(model.noise_rms() - expected) <= 1e-15 * expected
 
 
 class TestTrigamma:
@@ -290,42 +293,42 @@ class TestTrigamma:
 
 class TestReorganizationShift:
     def test_ohmic_closed_form(self):
-        assert reorganization_shift(
-            OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
-        ) == pytest.approx(0.25, rel=1e-15)
-        assert reorganization_shift(
-            OhmicCutoff(eta=4.0, omega_c=0.5, temperature=3.0)
-        ) == pytest.approx(0.5, rel=1e-15)
+        assert OhmicCutoff(
+            eta=1.0, omega_c=1.0, temperature=1.0
+        ).reorganization_shift() == pytest.approx(0.25, rel=1e-15)
+        assert OhmicCutoff(
+            eta=4.0, omega_c=0.5, temperature=3.0
+        ).reorganization_shift() == pytest.approx(0.5, rel=1e-15)
 
     def test_tabulated_matches_source(self):
-        assert reorganization_shift(ohmic_grid_model()) == pytest.approx(0.25, abs=1e-4)
+        assert ohmic_grid_model().reorganization_shift() == pytest.approx(0.25, abs=1e-4)
 
     def test_white_diverges(self):
         with pytest.raises(DivergentMomentError):
-            reorganization_shift(White(s0=1.0))
+            White(s0=1.0).reorganization_shift()
 
 
 class TestShiftFunction:
     def test_zero_time(self):
         model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
-        assert shift_function(model, 0.0) == 0.0
+        assert model.shift(0.0) == 0.0
         assert ohmic_shift_reference(model, 0.0) == 0.0
-        assert shift_function(ohmic_grid_model(), 0.0) == 0.0
+        assert ohmic_grid_model().shift(0.0) == 0.0
 
     def test_saturation(self):
         model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
-        assert shift_function(model, 50.0) == pytest.approx(0.25, rel=1e-10)
+        assert model.shift(50.0) == pytest.approx(0.25, rel=1e-10)
 
     def test_direct_value(self):
         model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
         expected = 0.25 * (1.0 - 2.0 * math.exp(-1.0))
-        assert shift_function(model, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert model.shift(1.0) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(0.066060, abs=5e-7)
 
     def test_quadrature_agrees_with_closed_form(self):
         model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
         for t in np.linspace(0.0, 100.0, 41):
-            closed = shift_function(model, float(t))
+            closed = model.shift(float(t))
             numeric = ohmic_shift_reference(model, float(t))
             assert numeric == pytest.approx(closed, rel=1e-6, abs=1e-12)
 
@@ -338,55 +341,72 @@ class TestShiftFunction:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             numeric = ohmic_shift_reference(model, x / omega_c)
-        closed = shift_function(model, x / omega_c)
+        closed = model.shift(x / omega_c)
         assert abs(numeric - closed) <= 1e-6 * closed
 
     def test_monotone_nondecreasing(self):
         model = OhmicCutoff(eta=2.0, omega_c=0.7, temperature=1.3)
         ts = np.linspace(0.0, 40.0, 200)
-        values = [shift_function(model, float(t)) for t in ts]
+        values = [model.shift(float(t)) for t in ts]
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
-        assert all(shift_function_derivative(model, float(t)) >= 0.0 for t in ts)
+        assert np.all(model.shift_arrays(ts)[1] >= 0.0)
 
     def test_negative_time_rejected(self):
         model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
         with pytest.raises(ValueError):
-            shift_function(model, -1.0)
+            model.shift(-1.0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [White(s0=1.0), OhmicCutoff(eta=2.0, omega_c=1.0, temperature=1.0),
+         ohmic_grid_model(span=5.0, points=51)],
+        ids=["white", "ohmic", "tabulated"],
+    )
+    def test_every_model_checks_the_time(self, model):
+        # the argument is checked before any moment, so the flat spectrum
+        # refuses t < 0 for the time, not for its divergent shift
+        with pytest.raises(ValueError, match="requires t >= 0"):
+            model.shift(-1.0)
 
     def test_white_diverges(self):
         with pytest.raises(DivergentMomentError):
-            shift_function(White(s0=1.0), 1.0)
+            White(s0=1.0).shift(1.0)
 
     def test_tabulated_tracks_source(self):
         source = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
         model = ohmic_grid_model()
         for t in (0.3, 1.0, 5.0, 30.0):
-            assert shift_function(model, t) == pytest.approx(
-                shift_function(source, t), abs=2e-5
+            assert model.shift(t) == pytest.approx(
+                source.shift(t), abs=2e-5
             )
 
     def test_derivative_matches_closed_form(self):
         model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
         for t in (0.0, 0.5, 2.0, 10.0):
             expected = 0.25 * t * math.exp(-t)
-            assert shift_function_derivative(model, t) == pytest.approx(
+            assert model.shift_arrays(np.array([t]))[1][0] == pytest.approx(
                 expected, rel=1e-12, abs=1e-300
             )
 
 
 class TestNoiseMoments:
+    """W, eps_p0 and tau_R together, as the scenarios read them."""
+
     def test_ohmic_bundle(self):
         model = OhmicCutoff(eta=0.8, omega_c=0.05, temperature=2.0)
-        moments = noise_moments(model)
-        assert moments.tau_r == pytest.approx(20.0)
-        assert moments.eps_p0 == pytest.approx(0.01, rel=1e-14)
-        assert moments.w_rms == pytest.approx(noise_rms(model))
+        assert model.tau_r() == pytest.approx(20.0)
+        assert model.response_frequency() == 1.0 / model.tau_r()
+        assert model.reorganization_shift() == pytest.approx(0.01, rel=1e-14)
+        assert model.noise_rms() > 0.0
 
     def test_tabulated_response_time(self):
         # 99% of the shift weight of eta/(1+w^2)^2 sits below omega ~ 3.4
-        moments = noise_moments(ohmic_grid_model())
-        assert 1.0 / moments.tau_r == pytest.approx(3.37, rel=0.05)
+        assert 1.0 / ohmic_grid_model().tau_r() == pytest.approx(3.37, rel=0.05)
 
     def test_white_rejected(self):
-        with pytest.raises(DivergentMomentError):
-            noise_moments(White(s0=1.0))
+        model = White(s0=1.0)
+        for moment in (model.noise_rms, model.reorganization_shift):
+            with pytest.raises(DivergentMomentError):
+                moment()
+        with pytest.raises(RegimeError):
+            model.tau_r()

@@ -29,10 +29,6 @@ from mrtkit import (
     Tabulated,
     White,
     dephasing_exponent,
-    eval_spectral_density,
-    reorganization_shift,
-    shift_function,
-    shift_function_derivative,
 )
 from mrtkit.quadrature import _GL_NODES, _GL_WEIGHTS, _oscillation_edges, _tabulated_nodes
 from mrtkit.spectral import _Pchip
@@ -98,8 +94,8 @@ def perturbed_ohmic(seed=3, knots=300):
     rng = np.random.default_rng(seed)
     omega = np.sort(np.concatenate(([-4.0, 0.0, 5.0], rng.uniform(-4.0, 5.0, knots))))
     source = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=0.7)
-    values = np.array([eval_spectral_density(source, float(w)) for w in omega])
-    return Tabulated(omega, values * (1.0 + 0.3 * rng.random(omega.size)), temperature=0.7)
+    values = np.array([source.density(float(w)) for w in omega])
+    return Tabulated(omega, values * (1.0 + 0.3 * rng.random(omega.size)))
 
 
 def scalar_tau_r(model):
@@ -205,9 +201,7 @@ def test_shift_arrays_equal_per_tau_quadrature():
     taus = 0.37 * np.arange(41)
     assert_shift_matches_oracle(model, taus)
     for t in taus.tolist():
-        shift, rate = model.shift_arrays(np.array([t]))
-        assert shift_function(model, t) == shift[0]
-        assert shift_function_derivative(model, t) == rate[0]
+        assert model.shift(t) == model.shift_arrays(np.array([t]))[0][0]
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -219,7 +213,7 @@ def test_symmetric_grid_has_no_sliver_panels():
     # mirrored negative knots miss their positive twins by an ulp
     omega = np.linspace(-0.6, 0.6, 1201)
     source = OhmicCutoff(eta=8.0, omega_c=0.02, temperature=1.0)
-    model = Tabulated(omega, [eval_spectral_density(source, float(w)) for w in omega], 1.0)
+    model = Tabulated(omega, [source.density(float(w)) for w in omega])
     upper = model._positive_overlap()
     assert np.unique(np.concatenate((omega[omega > 0], -omega[omega < 0]))).size > 600
     for t_max in (0.0, 200.0):
@@ -232,7 +226,7 @@ def test_symmetric_grid_has_no_sliver_panels():
         lambda w: 0.5 * (interp(w) - interp(-w)) / w, 0.0, upper,
         _tabulated_panel_edges(model, upper),
     ) / math.pi
-    assert abs(reorganization_shift(model) - per_knot) <= 1e-14 * per_knot
+    assert abs(model.reorganization_shift() - per_knot) <= 1e-14 * per_knot
 
 
 def test_shift_arrays_preconditions():
@@ -254,7 +248,7 @@ def grid_from(data, lead):
     """Knots from (step, value) pairs; lead in (0, 1) puts that share below zero."""
     steps, values = zip(*data)
     omega = np.cumsum((0.0,) + steps[1:])
-    return Tabulated(omega - lead * omega[-1], values, temperature=1.0)
+    return Tabulated(omega - lead * omega[-1], values)
 
 
 def absolute_shift_bounds(model):
@@ -325,7 +319,7 @@ def test_accuracy_against_mpmath(lead):
     steps[0] = 0.0
     omega = np.cumsum(steps) - lead * np.sum(steps)
     source = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=0.7)
-    model = Tabulated(omega, [eval_spectral_density(source, float(w)) for w in omega], 0.7)
+    model = Tabulated(omega, [source.density(float(w)) for w in omega])
     # at the largest tau a half-period (0.31) is shorter than most knot steps
     taus = np.linspace(0.0, 10.0, 41)
     exponent = dephasing_exponent(model, taus)
