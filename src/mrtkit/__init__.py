@@ -6,14 +6,13 @@ tunneling, and the brute-force references that validate them.  Natural
 units throughout (hbar = k_B = 1).
 """
 
-from .coherence import DephasingResult, dephasing_exponent, dephasing_result, offdiag_element
+from .coherence import dephasing_exponent, offdiag_element
 from .dynamics import (
     PeakSummary,
     ShortTimeResult,
     Trajectory,
     evolve_local,
     evolve_nonlocal,
-    nonlocal_corrected_rates,
     nonlocal_corrected_scan,
     peak_summary,
     short_time_rho11,
@@ -36,13 +35,11 @@ from .oracle import (
     static_noise_transition,
 )
 from .rates import (
-    RateCurve,
     TwoStateParams,
     WellLevels,
     crossover_temperature,
     effective_delta,
     faddeeva,
-    gaussian_rate,
     multichannel_rate,
     peak_rate,
     voigt_rate,

@@ -25,22 +25,14 @@ import warnings
 import numpy as np
 
 from . import __version__, validation
-from .coherence import DephasingResult, dephasing_exponent
+from .coherence import dephasing_exponent
 from .dynamics import (evolve_local, evolve_nonlocal, nonlocal_corrected_scan, peak_summary,
                        short_time_rho11)
 from .errors import ConfigError, DecompositionError, DivergentMomentError, RegimeError
 from .oracle import (McConfig, convolution_reference, refined_local_reference,
                      refined_nonlocal_reference, static_noise_transition)
-from .rates import (
-    RateCurve,
-    TwoStateParams,
-    WellLevels,
-    gaussian_rate,
-    multichannel_rate,
-    peak_rate,
-    voigt_rate,
-    warn_weak_coupling,
-)
+from .rates import (TwoStateParams, WellLevels, multichannel_rate, peak_rate, voigt_rate,
+                    warn_weak_coupling)
 from .schedules import LinearSchedule
 from .spectral import OhmicCutoff, Tabulated, White
 
@@ -120,8 +112,10 @@ class RunConfig:
         return fallback if raw is None else self._convert(section, key, raw, int)
 
     def require_floats(self, section: str, key: str) -> list[float]:
-        """A whitespace-separated list of numbers."""
+        """A whitespace-separated list of at least one number."""
         raw = self.require(section, key)
+        if not raw.split():
+            raise ConfigError(f"{self.path}: [{section}] {key} is empty")
         return [self._convert(section, key, part, float) for part in raw.split()]
 
     def comments(self) -> dict[str, str]:
@@ -219,7 +213,11 @@ def read_grid(config: RunConfig, section: str) -> np.ndarray:
         raise ConfigError(f"{config.path}: [{section}] steps capped at 1e6")
     if not stop > start:
         raise ConfigError(f"{config.path}: [{section}] stop must exceed start")
-    return np.linspace(start, stop, steps)
+    grid = np.linspace(start, stop, steps)
+    if not np.all(np.diff(grid) > 0):
+        raise ConfigError(f"{config.path}: [{section}] {steps} points between {start!r} and "
+                          f"{stop!r} repeat values in floating point")
+    return grid
 
 
 def _require_time_invariant(config: RunConfig) -> None:
@@ -288,17 +286,9 @@ def run_envelope(config: RunConfig) -> list[tuple[str, np.ndarray]]:
         config.get_float("two-state", "eps_rate", 0.0),
     )
     grid = read_grid(config, "time-grid")
-    # one call for the whole grid; every row passes DephasingResult's [0, 1] check
-    exponents = dephasing_exponent(model, grid)
-    results = [
-        DephasingResult(t=t, magnitude_ratio=math.exp(-x), phase=-eps.integral(t))
-        for t, x in zip(grid.tolist(), exponents.tolist())
-    ]
-    return [
-        ("t", grid),
-        ("magnitude_ratio", np.array([r.magnitude_ratio for r in results])),
-        ("phase", np.array([r.phase for r in results])),
-    ]
+    # math.exp row by row: np.exp may differ in the last bit
+    magnitude = [math.exp(-x) for x in dephasing_exponent(model, grid).tolist()]
+    return [("t", grid), ("magnitude_ratio", np.array(magnitude)), ("phase", -eps.integral(grid))]
 
 
 def run_mrt_scan(config: RunConfig) -> list[tuple[str, np.ndarray]]:
@@ -323,16 +313,11 @@ def run_mrt_scan(config: RunConfig) -> list[tuple[str, np.ndarray]]:
         gm, gp = nonlocal_corrected_scan(model, params, w_rms, grid)
     else:
         raise ConfigError(f"{config.path}: unknown mrt-scan shape {shape!r}")
-    curve = RateCurve(bias=grid, gamma_minus=gm, gamma_plus=gp, shape=shape)
-    extras = {"shape": curve.shape, "w_rms": _fmt(w_rms)}
+    extras = {"shape": shape, "w_rms": _fmt(w_rms)}
     if eps_p is not None:
         extras["eps_p"] = _fmt(eps_p)
     config.derived.update(extras)
-    return [
-        ("eps", curve.bias),
-        ("gamma_minus", curve.gamma_minus),
-        ("gamma_plus", curve.gamma_plus),
-    ]
+    return [("eps", grid), ("gamma_minus", gm), ("gamma_plus", gp)]
 
 
 def _local_rates(params: TwoStateParams, w_rms: float, eps_p: float):
@@ -340,10 +325,12 @@ def _local_rates(params: TwoStateParams, w_rms: float, eps_p: float):
 
     Numbers for a time-invariant Hamiltonian, functions of t for a ramp.
     """
-    if params.delta_schedule.is_constant and params.eps_schedule.is_constant:
-        return (gaussian_rate(params, w_rms, eps_p, -1), gaussian_rate(params, w_rms, eps_p, +1))
-    return (lambda t: gaussian_rate(params, w_rms, eps_p, -1, t),
-            lambda t: gaussian_rate(params, w_rms, eps_p, +1, t))
+    delta, eps = params.delta_schedule, params.eps_schedule
+    if delta.is_constant and eps.is_constant:
+        return (voigt_rate(delta.initial, w_rms, eps.initial, eps_p, 0.0),
+                voigt_rate(delta.initial, w_rms, eps.initial, -eps_p, 0.0))
+    return (lambda t: voigt_rate(delta.value(t), w_rms, eps.value(t), eps_p, 0.0),
+            lambda t: voigt_rate(delta.value(t), w_rms, eps.value(t), -eps_p, 0.0))
 
 
 def run_evolve(config: RunConfig) -> list[tuple[str, np.ndarray]]:

@@ -13,7 +13,6 @@ frequencies below 1/t gives X = W^2 t^2 / 2 (Gaussian decay, 1/T_phi = W).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -24,20 +23,7 @@ if TYPE_CHECKING:
     # spectral imports this module for the ohmic Matsubara sum
     from .spectral import SpectralModel
 
-__all__ = ["DephasingResult", "dephasing_exponent", "offdiag_element", "dephasing_result"]
-
-
-@dataclass(frozen=True)
-class DephasingResult:
-    """Envelope sample: |rho01(t)/rho01(0)| and the accumulated phase -int eps dt."""
-
-    t: float
-    magnitude_ratio: float
-    phase: float
-
-    def __post_init__(self):
-        if not (-1e-12 <= self.magnitude_ratio <= 1.0 + 1e-12):
-            raise ValueError("magnitude_ratio must lie in [0, 1]")
+__all__ = ["dephasing_exponent", "offdiag_element"]
 
 
 def dephasing_exponent(model: SpectralModel, t):
@@ -47,12 +33,16 @@ def dephasing_exponent(model: SpectralModel, t):
     the same shape is returned).  Every model evaluates all times at once:
     white noise in closed form, the ohmic cutoff as a Matsubara sum
     (``_ohmic_exponent``), a tabulated model in one contraction on shared
-    nodes.
+    nodes.  A value below -1e-12 (an envelope above 1) or NaN raises
+    ValueError.
     """
     times = np.asarray(t, dtype=float)
     if np.any(times < 0):
         raise ValueError("dephasing_exponent requires t >= 0")
     values = model.dephasing_exponent(times)
+    # written so that NaN fails too
+    if not np.all(values >= -1e-12):
+        raise ValueError("dephasing exponent X(t) must be nonnegative: exp(-X) leaves [0, 1]")
     return float(values) if times.ndim == 0 else values
 
 
@@ -264,13 +254,3 @@ def offdiag_element(
     phase = schedule.integral(t)
     return rho01_0 * np.exp(-1j * phase) * math.exp(-dephasing_exponent(model, t))
 
-
-def dephasing_result(
-    model: SpectralModel, eps_schedule: LinearSchedule | float, t: float
-) -> DephasingResult:
-    """Envelope magnitude ratio and accumulated phase at time t."""
-    schedule = as_schedule(eps_schedule)
-    exponent = dephasing_exponent(model, t)
-    return DephasingResult(
-        t=t, magnitude_ratio=math.exp(-exponent), phase=-schedule.integral(t)
-    )

@@ -43,7 +43,6 @@ __all__ = [
     "ShortTimeResult",
     "evolve_nonlocal",
     "evolve_local",
-    "nonlocal_corrected_rates",
     "nonlocal_corrected_scan",
     "peak_summary",
     "short_time_rho11",
@@ -350,27 +349,16 @@ def _duhamel_step(gm, gp, a: float, b: float, rho_a: float, splits: int) -> floa
     return math.exp(-growth) * rho_a + inflow
 
 
-def nonlocal_corrected_rates(
-    model: SpectralModel, params: TwoStateParams, w_rms: float
-) -> tuple[float, float]:
-    """Local rates with the leading memory correction, (Gamma_-, Gamma_+).
+def nonlocal_corrected_scan(
+    model: SpectralModel, params: TwoStateParams, w_rms: float, biases
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local rates with the leading memory correction, (Gamma_-, Gamma_+), at every bias.
 
     The expansion to first order in Gamma_p/omega_resp of
     Lambda_pm(inf) / (1 - integral_0^inf [Lambda(inf) - Lambda(tau)] dtau);
     the un-expanded denominator is ``mrtkit.oracle.corrected_rates_reference``.
-    """
-    curve = _first_order_curve(model, params, w_rms)
-    minus, plus = curve(np.array([params.eps_schedule.initial]))
-    return float(minus[0]), float(plus[0])
-
-
-def nonlocal_corrected_scan(
-    model: SpectralModel, params: TwoStateParams, w_rms: float, biases
-) -> tuple[np.ndarray, np.ndarray]:
-    """First-order corrected (Gamma_-, Gamma_+) at every bias of a scan.
-
-    Equal to ``nonlocal_corrected_rates`` at each bias, with the model's
-    response frequency and eps_p0 computed once for the whole scan.
+    The model's response frequency and eps_p0 are computed once for the
+    whole scan.
     """
     return _first_order_curve(model, params, w_rms)(np.asarray(biases, dtype=float))
 
@@ -460,7 +448,7 @@ def peak_summary(
         lambda e: -curve(e), eps_p0 - span, eps_p0 + span,
         xatol=1e-11 * max(w, abs(eps_p0)),
     )
-    # through the array path of nonlocal_corrected_rates, which it equals
+    # through the array path of nonlocal_corrected_scan, which it equals
     gamma_peak = float(curve(np.array([eps_peak]))[0])
 
     # moments of the normalized curve; window covers the cosh saddle

@@ -258,7 +258,7 @@ def corrected_rates_reference(
 
     Gamma_pm = Lambda_pm(inf) / (1 - D), D = integral_0^inf [Lambda(inf) -
     Lambda(tau)] dtau with Lambda = Lambda_- + Lambda_+: the quantity whose
-    first order in Gamma_p/omega_resp is ``nonlocal_corrected_rates``.  D is
+    first order in Gamma_p/omega_resp is ``nonlocal_corrected_scan``.  D is
     integrated over [0, 60 tau_R]; a deficit that has not settled there,
     |Lambda(inf) - Lambda(cut)| * cut above the integral's own tolerance,
     has no converged value and raises RegimeError.

@@ -30,9 +30,7 @@ from .schedules import LinearSchedule, as_schedule
 __all__ = [
     "TwoStateParams",
     "WellLevels",
-    "RateCurve",
     "peak_rate",
-    "gaussian_rate",
     "faddeeva",
     "voigt_rate",
     "effective_delta",
@@ -123,32 +121,6 @@ class WellLevels:
         return self.energies[1] - self.energies[0]
 
 
-@dataclass(frozen=True, eq=False)
-class RateCurve:
-    """Gamma_-/+ sampled on a bias grid, tagged with the line-shape family."""
-
-    bias: np.ndarray
-    gamma_minus: np.ndarray
-    gamma_plus: np.ndarray
-    shape: str
-
-    def __post_init__(self):
-        bias = np.asarray(self.bias, dtype=float)
-        gm = np.asarray(self.gamma_minus, dtype=float)
-        gp = np.asarray(self.gamma_plus, dtype=float)
-        if np.any(np.diff(bias) <= 0):
-            raise ValueError("bias grid must be strictly increasing")
-        if gm.shape != bias.shape or gp.shape != bias.shape:
-            raise ValueError("rate arrays must match the bias grid")
-        if np.any(gm < 0) or np.any(gp < 0):
-            raise ValueError("rates must be nonnegative")
-        if self.shape not in ("gaussian", "classical", "voigt", "nonlocal-corrected"):
-            raise ValueError(f"unknown line-shape tag {self.shape!r}")
-        object.__setattr__(self, "bias", bias)
-        object.__setattr__(self, "gamma_minus", gm)
-        object.__setattr__(self, "gamma_plus", gp)
-
-
 def peak_rate(delta: float, w_rms: float) -> float:
     """Gamma_p = sqrt(pi/8) Delta^2 / W."""
     if delta <= 0 or w_rms <= 0:
@@ -163,27 +135,6 @@ def _shifted_gaussian(gp, w, eps, eps_p):
     Gamma_+ is the same call with -eps_p.
     """
     return gp * np.exp(-0.5 * ((eps - eps_p) / w) ** 2)
-
-
-def gaussian_rate(
-    params: TwoStateParams,
-    w_rms: float,
-    eps_p: float,
-    direction: int,
-    t: float = 0.0,
-):
-    """Shifted-Gaussian rate Gamma_dir(eps) = Gamma_p exp(-(eps + dir*eps_p)^2/2W^2).
-
-    direction -1 is the 0 -> 1 rate Gamma_- (peaks at eps = +eps_p);
-    direction +1 is Gamma_+.  With eps_p = W^2/2T the pair satisfies
-    detailed balance.  t evaluates time-dependent schedules.
-    """
-    if w_rms <= 0:
-        raise ValueError("w_rms must be positive")
-    if direction not in (-1, 1):
-        raise ValueError("direction must be -1 or +1")
-    gp = peak_rate(params.delta_schedule.value(t), w_rms)
-    return float(_shifted_gaussian(gp, w_rms, params.eps_schedule.value(t), -direction * eps_p))
 
 
 def faddeeva(z):

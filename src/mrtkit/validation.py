@@ -40,7 +40,6 @@ from .rates import (
     WellLevels,
     crossover_temperature,
     effective_delta,
-    gaussian_rate,
     multichannel_rate,
     peak_rate,
     voigt_rate,
@@ -109,9 +108,8 @@ def check_detailed_balance(seed: int) -> list[CriterionRecord]:
     eps_p = w * w / (2.0 * temperature)
     worst = 0.0
     for eps in np.linspace(-5.0 * w, 5.0 * w, 21):
-        params = TwoStateParams(delta=0.01, eps=float(eps), temperature=temperature)
-        gm = gaussian_rate(params, w, eps_p, -1)
-        gp = gaussian_rate(params, w, eps_p, +1)
+        gm = voigt_rate(0.01, w, float(eps), eps_p, 0.0)
+        gp = voigt_rate(0.01, w, float(eps), -eps_p, 0.0)
         worst = max(worst, abs(math.log(gm / gp) - eps / temperature))
     return [_le(3, "detailed-balance", "max |ln(G-/G+) - eps/T|", worst, 1e-12)]
 

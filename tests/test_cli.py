@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mrtkit import LinearSchedule, OhmicCutoff, White, dephasing_result
+from mrtkit import LinearSchedule, OhmicCutoff, White, dephasing_exponent
 from mrtkit.cli import main
 
 BASE_SPECTRAL = """\
@@ -318,12 +318,13 @@ steps = 11
         assert counts == {"reorganization_shift": 1, "tau_r": 1}
         _, _, data = read_csv(out)
         assert len(data) == 11
-        # each row equals the per-point public function
+        # each row equals the scan at that one bias
         model = mrtkit.Tabulated.from_csv(spectrum)
         w_rms = model.noise_rms()
+        params = mrtkit.TwoStateParams(0.003, 0.0, 1.0)
         for eps, gm, gp in data:
-            point = mrtkit.TwoStateParams(0.003, float(eps), 1.0)
-            assert (float(gm), float(gp)) == mrtkit.nonlocal_corrected_rates(model, point, w_rms)
+            minus, plus = mrtkit.nonlocal_corrected_scan(model, params, w_rms, [float(eps)])
+            assert (float(gm), float(gp)) == (minus[0], plus[0])
 
 
 class TestPeakCommand:
@@ -577,7 +578,7 @@ steps = 4
     )
     def test_matches_per_t_scalar_rendering(self, tmp_path, spectral, model):
         # the envelope evaluates its grid in one call; for these models the
-        # CSV is byte-identical to rendering dephasing_result row by row
+        # CSV is byte-identical to rendering exp(-X(t)) and -int eps row by row
         out = tmp_path / "env.csv"
         config = write_config(
             tmp_path,
@@ -586,12 +587,10 @@ steps = 4
             "[time-grid]\nstart = 0.0\nstop = 12.0\nsteps = 7\n",
         )
         assert main(["envelope", "--config", config]) == 0
-        rows = [
-            dephasing_result(model, LinearSchedule(0.2, 0.01), float(t))
-            for t in np.linspace(0.0, 12.0, 7)
-        ]
+        eps = LinearSchedule(0.2, 0.01)
         expected = "t,magnitude_ratio,phase\n" + "".join(
-            f"{r.t!r},{r.magnitude_ratio!r},{r.phase!r}\n" for r in rows
+            f"{t!r},{math.exp(-dephasing_exponent(model, t))!r},{-eps.integral(t)!r}\n"
+            for t in np.linspace(0.0, 12.0, 7).tolist()
         )
         assert out.read_text().endswith(expected)
 
@@ -602,8 +601,9 @@ steps = 4
             f"[run]\nscenario = envelope\nout = {out}\n\n[spectral]\nkind = white\n"
             "s0 = 0.3\n\n[time-grid]\nstart = 0.0\nstop = 1.0\nsteps = 3\n",
         )
+        # the model's own X(t), below the one range check in dephasing_exponent
         monkeypatch.setattr(
-            "mrtkit.cli.dephasing_exponent", lambda model, t: np.array([0.0, 0.1, -1.0])
+            White, "dephasing_exponent", lambda self, t: np.array([0.0, 0.1, -1.0])
         )
         assert main(["envelope", "--config", config]) == 3
         assert not out.exists()
@@ -669,12 +669,21 @@ out = x.csv
             ("mrt-scan", "mrt-scan", "shape = voigt\ngamma = -0.1"),
             ("evolve", "evolve", "mode = local\nrho11_0 = 1.5"),
             ("oracle", "oracle", "name = refined-local\nrho11_0 = -0.5"),
+            # an oracle that would check nothing
+            ("oracle", "oracle", "name = static-noise\nw = 1.0\ndelta = 0.01\n"
+                                 "probe_time = 18.0\nsamples = 100\neps ="),
+            # 1e6 points in a span of 1e-12 repeat values once linspace rounds them
+            ("envelope", "time-grid", "start = 1.0\nstop = 1.000000000001\nsteps = 1000000"),
+            ("mrt-scan", "bias-grid", "start = 1.0\nstop = 1.000000000001\nsteps = 1000000"),
+            ("evolve", "time-grid", "start = 1.0\nstop = 1.000000000001\nsteps = 1000000"),
         ],
         ids=["seed", "eps_p", "steps", "samples", "missing-csv", "nan-delta", "inf-start",
              "zero-oracle-delta", "negative-oracle-delta", "static-noise-negative-w",
              "static-noise-zero-samples", "static-noise-zero-delta", "convolution-negative-w",
              "convolution-zero-gamma", "convolution-negative-gamma", "voigt-negative-gamma",
-             "evolve-rho11_0-above-one", "refined-rho11_0-below-zero"],
+             "evolve-rho11_0-above-one", "refined-rho11_0-below-zero",
+             "static-noise-empty-eps", "envelope-collapsed-grid", "mrt-scan-collapsed-grid",
+             "evolve-collapsed-grid"],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, scenario, section, body):
         out = tmp_path / "x.csv"
@@ -684,6 +693,7 @@ out = x.csv
             "two-state": "delta = 0.001\neps = 0.0\ntemperature = 1.0",
             "bias-grid": "start = -1.0\nstop = 1.0\nsteps = 5",
             "time-grid": "start = 0.0\nstop = 1.0\nsteps = 5",
+            "evolve": "mode = local",
         }
         body = body.format(tmp=tmp_path)
         sections[section] = sections[section] + "\n" + body if section == "run" else body

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from mrtkit import (
     LinearSchedule,
     OhmicCutoff,
+    SpectralModel,
     Tabulated,
     White,
     dephasing_exponent,
-    dephasing_result,
     offdiag_element,
 )
 from scipy.integrate import IntegrationWarning, quad
@@ -378,14 +378,25 @@ class TestOffdiagElement:
             offdiag_element(0.8, 0.0, White(s0=1.0), 1.0)
 
 
-class TestDephasingResult:
-    def test_fields(self):
-        result = dephasing_result(White(s0=2.0), 1.5, 2.0)
-        assert result.t == 2.0
-        assert result.magnitude_ratio == pytest.approx(math.exp(-2.0))
-        assert result.phase == pytest.approx(-3.0)
+class TestRangeCheck:
+    """dephasing_exponent refuses an X(t) whose envelope would leave [0, 1]."""
 
-    def test_initial_point(self):
-        result = dephasing_result(White(s0=2.0), 1.5, 0.0)
-        assert result.magnitude_ratio == 1.0
-        assert result.phase == 0.0
+    class Faulty(SpectralModel):
+        def __init__(self, value):
+            self.value = value
+
+        def dephasing_exponent(self, times):
+            return np.full(times.shape, self.value)
+
+    @pytest.mark.parametrize("value", [-1e-9, math.nan], ids=["negative", "nan"])
+    def test_refused_by_every_caller(self, value):
+        model = self.Faulty(value)
+        with pytest.raises(ValueError, match="nonnegative"):
+            dephasing_exponent(model, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            dephasing_exponent(model, np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            offdiag_element(0.3, 0.0, model, 1.0)
+
+    def test_roundoff_below_zero_passes(self):
+        assert dephasing_exponent(self.Faulty(-1e-13), 1.0) == -1e-13

@@ -19,11 +19,11 @@ from mrtkit import (
     TwoStateParams,
     evolve_local,
     evolve_nonlocal,
-    gaussian_rate,
-    nonlocal_corrected_rates,
+    nonlocal_corrected_scan,
     peak_rate,
     peak_summary,
     short_time_rho11,
+    voigt_rate,
 )
 from mrtkit.dynamics import ShortTimeResult, _gaussian_cosine_moments, _kernel_arrays
 from mrtkit.rates import _SQRT_PI_OVER_8, _shifted_gaussian
@@ -134,7 +134,7 @@ class TestLambdaPm:
         for (model, temperature), rel in zip(kernel_models(0.5, 1.0), (1e-12, 1e-5)):
             params = TwoStateParams(delta=0.01, eps=0.8, temperature=temperature)
             limit = kernel_at(model, params, 500.0)[0]
-            expected = gaussian_rate(params, 1.0, model.reorganization_shift(), -1)
+            expected = voigt_rate(params.delta, 1.0, params.eps, model.reorganization_shift(), 0.0)
             assert limit == pytest.approx(expected, rel=rel)
 
     def test_symmetric_at_zero_bias(self):
@@ -168,7 +168,7 @@ class TestKernelIntegral:
             params = TwoStateParams(delta=0.05, eps=0.0, temperature=temperature)
             lam_minus, lam_plus, dlam_minus, dlam_plus = kernel_at(model, params, 0.0)
             # the classical (eps_p = 0) rate
-            classical = gaussian_rate(params, 1.0, 0.0, -1)
+            classical = voigt_rate(params.delta, 1.0, params.eps, 0.0, 0.0)
             assert lam_minus == lam_plus == pytest.approx(classical, rel=1e-14)
             assert dlam_minus == dlam_plus == 0.0
 
@@ -177,9 +177,9 @@ class TestKernelIntegral:
         # tabulated one as 1/tau^2 (test_long_delay_reaches_equilibrium_rates)
         model = fdt_model(0.25, 1.0)
         params = TwoStateParams(delta=0.05, eps=0.0, temperature=model.temperature)
-        for k, direction in ((0, -1), (1, +1)):
+        for k, eps_p in ((0, 0.25), (1, -0.25)):
             assert integrated_kernel(model, params, 20.0, k) == pytest.approx(
-                gaussian_rate(params, 1.0, 0.25, direction), rel=1e-8
+                voigt_rate(params.delta, 1.0, params.eps, eps_p, 0.0), rel=1e-8
             )
 
     def test_matches_lambda_at_all_times(self):
@@ -224,8 +224,8 @@ class TestEvolveNonlocal:
         model = fdt_model(2.0, 1.0)
         delta = math.sqrt(0.05 / math.sqrt(math.pi / 8.0))
         params = TwoStateParams(delta=delta, eps=2.0, temperature=model.temperature)
-        lam_minus = gaussian_rate(params, 1.0, 2.0, -1)
-        lam_plus = gaussian_rate(params, 1.0, 2.0, +1)
+        lam_minus = voigt_rate(params.delta, 1.0, params.eps, 2.0, 0.0)
+        lam_plus = voigt_rate(params.delta, 1.0, params.eps, -2.0, 0.0)
         local_rate = lam_minus + lam_plus
         rho_inf = lam_minus / local_rate
         h = 0.05
@@ -248,8 +248,8 @@ class TestEvolveNonlocal:
         params = TwoStateParams(delta=delta, eps=0.0, temperature=model.temperature)
         grid = np.linspace(0.0, 5.0 / gp_target, 10001)
         nonlocal_traj = evolve_nonlocal(model, params, 0.0, grid, w_rms=1.0)
-        minus = gaussian_rate(params, 1.0, 0.1, -1)
-        plus = gaussian_rate(params, 1.0, 0.1, +1)
+        minus = voigt_rate(params.delta, 1.0, params.eps, 0.1, 0.0)
+        plus = voigt_rate(params.delta, 1.0, params.eps, -0.1, 0.0)
         local_traj = evolve_local(minus, plus, 0.0, grid)
         assert np.max(np.abs(nonlocal_traj.rho11 - local_traj.rho11)) <= 1e-4
 
@@ -309,8 +309,8 @@ class TestEvolveLocal:
         w, temperature, eps = 1.0, 0.5, 0.4
         eps_p = w * w / (2.0 * temperature)
         params = TwoStateParams(delta=0.01, eps=eps, temperature=temperature)
-        minus = gaussian_rate(params, w, eps_p, -1)
-        plus = gaussian_rate(params, w, eps_p, +1)
+        minus = voigt_rate(params.delta, w, params.eps, eps_p, 0.0)
+        plus = voigt_rate(params.delta, w, params.eps, -eps_p, 0.0)
         grid = np.linspace(0.0, 20.0 / (minus + plus), 301)
         traj = evolve_local(minus, plus, 0.0, grid)
         thermal = math.exp(eps / temperature) / (1.0 + math.exp(eps / temperature))
@@ -333,14 +333,20 @@ class TestEvolveLocal:
             evolve_local(lambda t: (t - 0.5) ** 2 - 0.2, 0.1, 0.5, [0.0, 1.0, 2.0])
 
 
+def corrected_at(model, params, w_rms):
+    """nonlocal_corrected_scan at the one bias of params, as two floats."""
+    minus, plus = nonlocal_corrected_scan(model, params, w_rms, [params.eps])
+    return float(minus[0]), float(plus[0])
+
+
 class TestNonlocalCorrectedRates:
     def test_fast_bath_reduces_to_gaussian(self):
         model = fdt_model(0.5, 50.0)
         params = TwoStateParams(delta=0.1, eps=0.3, temperature=model.temperature)
         eps_p0 = model.reorganization_shift()
-        minus, plus = nonlocal_corrected_rates(model, params, 1.0)
-        base_minus = gaussian_rate(params, 1.0, eps_p0, -1)
-        base_plus = gaussian_rate(params, 1.0, eps_p0, +1)
+        minus, plus = corrected_at(model, params, 1.0)
+        base_minus = voigt_rate(params.delta, 1.0, params.eps, eps_p0, 0.0)
+        base_plus = voigt_rate(params.delta, 1.0, params.eps, -eps_p0, 0.0)
         assert minus == pytest.approx(base_minus, rel=1e-3)
         assert plus == pytest.approx(base_plus, rel=1e-3)
 
@@ -348,7 +354,7 @@ class TestNonlocalCorrectedRates:
         model = fdt_model(2.0, 1.0)
         delta = math.sqrt(0.1 / math.sqrt(math.pi / 8.0))
         params = TwoStateParams(delta=delta, eps=0.0, temperature=model.temperature)
-        minus, plus = nonlocal_corrected_rates(model, params, 1.0)
+        minus, plus = corrected_at(model, params, 1.0)
         gp = peak_rate(delta, 1.0)
         factor = 1.0 + 0.2 * (math.exp(-2.0) - 1.0)
         expected = gp * math.exp(-2.0) * factor
@@ -359,11 +365,11 @@ class TestNonlocalCorrectedRates:
         model = fdt_model(2.5, 1.0)
         delta = math.sqrt(0.1 / math.sqrt(math.pi / 8.0))
         params = TwoStateParams(delta=delta, eps=2.5, temperature=model.temperature)
-        base = gaussian_rate(params, 1.0, 2.5, -1)
+        base = voigt_rate(params.delta, 1.0, params.eps, 2.5, 0.0)
         exact_minus, _ = corrected_rates_reference(model, params, 1.0)
         deficit = 1.0 - base / exact_minus
-        lam_inf = base + gaussian_rate(params, 1.0, 2.5, +1)
-        lam_zero = 2.0 * gaussian_rate(params, 1.0, 0.0, -1)
+        lam_inf = base + voigt_rate(params.delta, 1.0, params.eps, -2.5, 0.0)
+        lam_zero = 2.0 * voigt_rate(params.delta, 1.0, params.eps, 0.0, 0.0)
         estimate = (lam_inf - lam_zero) / model.omega_c
         assert 0.3 <= deficit / estimate <= 3.0
 
@@ -371,14 +377,14 @@ class TestNonlocalCorrectedRates:
         model = fdt_model(0.5, 0.01)
         params = TwoStateParams(delta=0.2, eps=0.0, temperature=model.temperature)
         with pytest.raises(RegimeError, match="out of regime"):
-            nonlocal_corrected_rates(model, params, 1.0)
+            corrected_at(model, params, 1.0)
 
     def test_overflow_at_low_temperature_rejected(self):
         # cosh(eps/2T) at eps/2T = 2000 overflows a double
         model = OhmicCutoff(eta=10.0, omega_c=1.0, temperature=0.001)
         params = TwoStateParams(delta=0.05, eps=4.0, temperature=0.001)
         with pytest.raises(RegimeError, match="eps/2T = 2e"):
-            nonlocal_corrected_rates(model, params, 1.0)
+            corrected_at(model, params, 1.0)
 
 
 class TestCorrectedRatesReference:
@@ -435,8 +441,8 @@ class TestPeakSummary:
         delta = math.sqrt(0.1 / math.sqrt(math.pi / 8.0))
         params = TwoStateParams(delta=delta, eps=2.5, temperature=model.temperature)
         summary = peak_summary(model, params, 1.0)
-        at_peak = TwoStateParams(delta=delta, eps=summary.eps_peak, temperature=model.temperature)
-        assert summary.gamma_peak == nonlocal_corrected_rates(model, at_peak, 1.0)[0]
+        minus, _ = nonlocal_corrected_scan(model, params, 1.0, [summary.eps_peak])
+        assert summary.gamma_peak == minus[0]
 
     def test_enhancement_matches_first_order(self):
         model = fdt_model(2.5, 1.0)

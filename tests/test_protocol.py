@@ -26,7 +26,7 @@ from mrtkit import (
     TwoStateParams,
     dephasing_exponent,
     evolve_nonlocal,
-    nonlocal_corrected_rates,
+    nonlocal_corrected_scan,
     peak_rate,
 )
 from mrtkit.oracle import corrected_rates_reference, direct_nonlocal_reference
@@ -106,7 +106,12 @@ def test_evolve_nonlocal_equals_the_built_in_ohmic():
     assert traj.rho11 == pytest.approx(built_in.rho11, abs=1e-12)
 
 
-@pytest.mark.parametrize("corrected", [nonlocal_corrected_rates, corrected_rates_reference],
+def first_order_rates(model, params, w_rms):
+    minus, plus = nonlocal_corrected_scan(model, params, w_rms, [params.eps])
+    return float(minus[0]), float(plus[0])
+
+
+@pytest.mark.parametrize("corrected", [first_order_rates, corrected_rates_reference],
                          ids=["first_order", "exact"])
 def test_nonlocal_corrected_rates_equal_the_built_in_ohmic(corrected):
     rates = corrected(MODEL, PARAMS, 1.0)

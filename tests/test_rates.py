@@ -10,16 +10,13 @@ from hypothesis import strategies as st
 
 from mrtkit import (
     LinearSchedule,
-    RateCurve,
     RegimeError,
     RegimeWarning,
-    TwoStateParams,
     WellLevels,
     convolution_reference,
     crossover_temperature,
     effective_delta,
     faddeeva,
-    gaussian_rate,
     multichannel_rate,
     peak_rate,
     voigt_rate,
@@ -57,56 +54,54 @@ class TestPeakRate:
 
 
 class TestGaussianRate:
+    """The zero-width voigt_rate: Gamma_- at eps_p, Gamma_+ at -eps_p."""
+
     def test_peak_attained_at_shifted_bias(self):
         w, eps_p = 1.3, 0.4
         gp = peak_rate(0.01, w)
-        minus = TwoStateParams(delta=0.01, eps=+eps_p, temperature=1.0)
-        plus = TwoStateParams(delta=0.01, eps=-eps_p, temperature=1.0)
-        assert gaussian_rate(minus, w, eps_p, -1) == pytest.approx(gp, rel=1e-15)
-        assert gaussian_rate(plus, w, eps_p, +1) == pytest.approx(gp, rel=1e-15)
+        assert voigt_rate(0.01, w, +eps_p, eps_p, 0.0) == pytest.approx(gp, rel=1e-15)
+        assert voigt_rate(0.01, w, -eps_p, -eps_p, 0.0) == pytest.approx(gp, rel=1e-15)
 
     def test_detailed_balance_is_exact(self):
         w, temperature = 1.0, 0.4
         eps_p = w * w / (2.0 * temperature)
         rng = np.random.default_rng(23)
         for eps in rng.uniform(-5.0, 5.0, 50):
-            params = TwoStateParams(delta=0.02, eps=float(eps), temperature=temperature)
-            ratio = gaussian_rate(params, w, eps_p, -1) / gaussian_rate(params, w, eps_p, +1)
+            ratio = (voigt_rate(0.02, w, float(eps), eps_p, 0.0)
+                     / voigt_rate(0.02, w, float(eps), -eps_p, 0.0))
             assert math.log(ratio) == pytest.approx(eps / temperature, abs=1e-12)
 
     def test_one_sigma_displacement(self):
         w, eps_p = 1.0, 0.7
-        params = TwoStateParams(delta=0.01, eps=eps_p + w, temperature=1.0)
-        assert gaussian_rate(params, w, eps_p, -1) == pytest.approx(
+        assert voigt_rate(0.01, w, eps_p + w, eps_p, 0.0) == pytest.approx(
             peak_rate(0.01, w) * math.exp(-0.5), rel=1e-14
         )
 
     def test_time_dependent_schedule(self):
-        params = TwoStateParams(
-            delta=0.01, eps=LinearSchedule(0.0, 2.0), temperature=1.0
-        )
+        # a ramp is the same call on the schedule's value at t
+        eps = LinearSchedule(0.0, 2.0)
         w, eps_p = 1.0, 0.5
-        at_one = gaussian_rate(params, w, eps_p, -1, t=1.0)
-        frozen = TwoStateParams(delta=0.01, eps=2.0, temperature=1.0)
-        assert at_one == pytest.approx(gaussian_rate(frozen, w, eps_p, -1), rel=1e-15)
+        at_one = voigt_rate(0.01, w, eps.value(1.0), eps_p, 0.0)
+        assert at_one == pytest.approx(voigt_rate(0.01, w, 2.0, eps_p, 0.0), rel=1e-15)
 
-    def test_direction_validation(self):
-        params = TwoStateParams(delta=0.01, eps=0.0, temperature=1.0)
-        with pytest.raises(ValueError):
-            gaussian_rate(params, 1.0, 0.0, 2)
+    def test_input_validation(self):
+        with pytest.raises(ValueError, match="delta_ij"):
+            voigt_rate(0.0, 1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="w_rms"):
+            voigt_rate(0.01, -1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="gamma_ij"):
+            voigt_rate(0.01, 1.0, 0.0, 0.0, -1e-3)
 
 
 class TestClassicalRate:
     """The static-noise limit: the shifted Gaussian at eps_p = 0."""
 
     def test_peak_at_zero_bias(self):
-        params = TwoStateParams(delta=0.01, eps=0.0, temperature=1.0)
-        assert gaussian_rate(params, 1.0, 0.0, -1) == pytest.approx(peak_rate(0.01, 1.0))
+        assert voigt_rate(0.01, 1.0, 0.0, 0.0, 0.0) == pytest.approx(peak_rate(0.01, 1.0))
 
     def test_symmetric_directions(self):
         for eps in (-2.0, 0.3, 4.0):
-            params = TwoStateParams(delta=0.01, eps=eps, temperature=1.0)
-            assert gaussian_rate(params, 1.0, 0.0, -1) == gaussian_rate(params, 1.0, 0.0, +1)
+            assert voigt_rate(0.01, 1.0, eps, 0.0, 0.0) == voigt_rate(0.01, 1.0, eps, -0.0, 0.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -116,11 +111,12 @@ class TestClassicalRate:
     eps=st.floats(-50.0, 50.0),
     eps_p=st.floats(-20.0, 20.0),
 )
-def test_gaussian_rate_is_zero_width_voigt_rate_bit_for_bit(delta, w, eps, eps_p):
-    """Both directions of gaussian_rate are the one Gamma_- line shape."""
-    params = TwoStateParams(delta=delta, eps=eps, temperature=1.0)
-    assert gaussian_rate(params, w, eps_p, -1) == voigt_rate(delta, w, eps, eps_p, 0.0)
-    assert gaussian_rate(params, w, eps_p, +1) == voigt_rate(delta, w, eps, -eps_p, 0.0)
+def test_gaussian_line_mirrors_and_matches_its_array_path_bit_for_bit(delta, w, eps, eps_p):
+    """Gamma_+(eps) is Gamma_-(-eps), and a point equals its value inside a scan."""
+    minus = voigt_rate(delta, w, eps, eps_p, 0.0)
+    mirrored = voigt_rate(delta, w, -eps, eps_p, 0.0)
+    assert voigt_rate(delta, w, eps, -eps_p, 0.0) == mirrored
+    assert voigt_rate(delta, w, np.array([eps, -eps]), eps_p, 0.0).tolist() == [minus, mirrored]
 
 
 class TestFaddeeva:
@@ -158,8 +154,8 @@ class TestFaddeeva:
 
 class TestVoigtRate:
     def test_zero_width_equals_gaussian_exactly(self):
-        params = TwoStateParams(delta=0.01, eps=1.3, temperature=1.0)
-        assert voigt_rate(0.01, 1.0, 1.3, 0.4, 0.0) == gaussian_rate(params, 1.0, 0.4, -1)
+        expected = peak_rate(0.01, 1.0) * np.exp(-0.5 * ((1.3 - 0.4) / 1.0) ** 2)
+        assert voigt_rate(0.01, 1.0, 1.3, 0.4, 0.0) == expected
 
     def test_narrow_width_close_to_gaussian(self):
         grid = np.linspace(-4.0, 5.0, 11)
@@ -331,15 +327,3 @@ class TestValidityWarning:
             warnings.simplefilter("error")
             assert not warn_weak_coupling(0.01, 1.0)
 
-
-class TestRateCurve:
-    def test_validation(self):
-        bias = np.array([0.0, 1.0, 2.0])
-        good = np.array([1.0, 2.0, 1.0])
-        RateCurve(bias, good, good, "gaussian")
-        with pytest.raises(ValueError, match="strictly increasing"):
-            RateCurve(np.array([0.0, 0.0, 1.0]), good, good, "gaussian")
-        with pytest.raises(ValueError, match="nonnegative"):
-            RateCurve(bias, np.array([1.0, -2.0, 1.0]), good, "gaussian")
-        with pytest.raises(ValueError, match="unknown line-shape"):
-            RateCurve(bias, good, good, "triangle")

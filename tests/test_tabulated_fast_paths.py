@@ -11,7 +11,9 @@ two agree exactly.  The shared-node paths put their panel edges at the
 half-periods of the largest tau rather than of each tau, so they agree with
 the per-tau oracles to roundoff: |delta| <= 1e-13 max|value| for the shift
 arrays (worst measured 1.9e-14) and 1e-13 relative per point for the
-dephasing exponent.
+dephasing exponent.  On random grids the shift arrays are held to 1e-13 of
+their absolute-value integrals plus the rounding of S_a = (S(w) - S(-w))/2,
+which a nearly even table leaves however small S_a is.
 """
 
 import math
@@ -19,7 +21,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
@@ -263,6 +265,19 @@ def absolute_shift_bounds(model):
     )
 
 
+def cancellation_floor(model):
+    """eps (1/pi) int_0^upper (|S(w)| + |S(-w)|): the rounding of S_a = (S(w) - S(-w))/2.
+
+    When S(w) and S(-w) nearly cancel, the shared-node and per-tau panels
+    round S_a differently by about eps |S|, however small S_a itself is.
+    """
+    upper = model._positive_overlap()
+    interp = model._interp
+    edges = _tabulated_panel_edges(model, upper)
+    both = lambda w: np.abs(interp(w)) + np.abs(interp(-w))
+    return np.finfo(float).eps * _piecewise_gauss(both, 0.0, upper, edges) / math.pi
+
+
 knot_data = st.lists(
     st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 10.0)), min_size=4, max_size=40
 )
@@ -271,6 +286,9 @@ tau_grids = st.lists(st.floats(0.0, 30.0), min_size=0, max_size=6).map(np.array)
 
 @settings(max_examples=60, deadline=None)
 @given(data=knot_data, lead=st.floats(0.05, 0.95), taus=tau_grids)
+# a nearly even table: the rate row differed by 9.3e-18 against 1e-13 bound = 7.6e-18
+@example(data=[(1.0, 0.0), (1.0, 6.765625), (1.0, 6.77734375), (1.0, 6.7734375)],
+         lead=0.75, taus=np.array([1.0, 6.0]))
 def test_shared_nodes_match_per_tau_oracle_on_random_grids(data, lead, taus):
     model = grid_from(data, lead)
     try:
@@ -278,8 +296,12 @@ def test_shared_nodes_match_per_tau_oracle_on_random_grids(data, lead, taus):
     except DivergentMomentError:
         assume(False)
     oracle = np.array([scalar_shift_pair(model, float(t)) for t in taus]).reshape(-1, 2)
-    for got, want, bound in zip((shift, rate), oracle.T, absolute_shift_bounds(model)):
-        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * bound
+    # the shift kernel 2 sin^2(w tau/2)/w is at most tau, the rate kernel at most 1
+    floor = cancellation_floor(model)
+    floors = (floor * np.max(taus, initial=0.0), floor)
+    for got, want, bound, rounding in zip((shift, rate), oracle.T,
+                                          absolute_shift_bounds(model), floors):
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * bound + rounding
     assert_exponent_matches_oracle(model, taus)
 
 
