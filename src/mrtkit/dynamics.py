@@ -24,7 +24,6 @@ Gamma_p/omega_resp, and ``mrtkit.oracle`` integrates the full denominator.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -142,8 +141,9 @@ def evolve_nonlocal(
     smooth part is accumulated over the history with trapezoid weights, and
     each step solves the (linear) implicit trapezoid update exactly.  The
     history starts at the first grid point (state initialization time).
-    The history sums cost O(n log^2 n) for n grid points; the direct O(n^2)
-    loop is kept as ``mrtkit.oracle.direct_nonlocal_reference``.
+    All steps are solved at once as one triangular Toeplitz system, in
+    O(n log n) for n grid points; the direct O(n^2) step loop is kept as
+    ``mrtkit.oracle.direct_nonlocal_reference``.
     """
     if not 0.0 <= rho11_0 <= 1.0:
         raise ValueError("rho11_0 must lie in [0, 1]")
@@ -180,80 +180,63 @@ def evolve_nonlocal(
     return Trajectory.from_rho11(t, y)
 
 
-# Steps per leaf of the history recursion.  Inside a leaf the history is
-# summed directly on Python floats; below this size that beats an FFT.
-_LEAF = 32
-
-
 def _trapezoid_history_solve(
     dm: np.ndarray, dp: np.ndarray, lam0: float, h: float, rho11_0: float
 ) -> np.ndarray:
     """Implicit product-trapezoid steps of the memory-kernel equation.
 
-    With s = dm + dp the smooth history at step m is
+    With s = dm + dp the smooth history at step m is sum_{i<m} dm[i] minus
+    the causal convolution sum_{j=1}^{m-1} s[m-j] y_j.  Adding the updates
+    of steps m - 1 and m eliminates the trapezoid right-hand side and leaves
+    one lower-triangular Toeplitz system a * y = b for y_1 ... y_{n-1}:
 
-        sum_{j=1}^{m-1} dm[m-j] (1 - y_j) - dp[m-j] y_j
-            = sum_{i=1}^{m-1} dm[i] - sum_{j=1}^{m-1} s[m-j] y_j,
+        a_0 = 1 + h lam0,   a_1 = -(1 - h lam0) + (h^2/2) s_1,
+        a_k = (h^2/2) (s_k + s_{k-1}) for k >= 2,
 
-    a cumulative sum plus a causal convolution with the unknowns.  The
-    convolution is built by divide and conquer (Hairer, Lubich & Schlichte,
-    SIAM J. Sci. Stat. Comput. 6, 1985): once the left half of [lo, hi) is
-    solved, its whole contribution to the right half is added with one FFT
-    product, for O(n log^2 n) work in total.  The weights and the per-step
-    linear solve are those of the direct O(n^2) loop; only the order of
-    summation differs.  The history starts at index 1: y_0 enters through
-    the half-weighted head term.
+    so y = r * b with r = 1/a(z), found by Newton doubling with real-FFT
+    products (Brent & Kung, J. ACM 25, 581 (1978)) in O(n log n).  The
+    discrete solution is that of the direct O(n^2) loop; y_0 enters through
+    the half-weighted head term and b_1.
     """
     n = dm.size
-    s = dm + dp
-    # known[m] = lam0 + h * (head[m] + sum_{i=1}^{m-1} dm[i]) - h * conv[m]
+    m = n - 1
+    half = 0.5 * h
+    # known[m] = base[m] - h * sum_{j=1}^{m-1} s[m-j] y_j
     base = np.zeros(n)
     np.cumsum(dm[1:-1], out=base[2:])
     base += 0.5 * (dm * (1.0 - rho11_0) - dp * rho11_0)
     base *= h
     base += lam0
-    conv = np.zeros(n)
-    y = np.empty(n)
-    y[0] = rho11_0
+    s = dm + dp
+    a0 = 1.0 + h * lam0
+    a1 = half * h * s[1] - (1.0 - h * lam0)
+    tail = np.zeros(m)  # a_k for k >= 2, of order h^2
+    tail[2:] = half * h * (s[2:m] + s[1:m - 1])
+    b = half * (base[:-1] + base[1:])
+    b[0] = rho11_0 + half * (lam0 * (1.0 - 2.0 * rho11_0) + base[1])
+    del base, s
 
-    total0 = 2.0 * lam0
-    half = 0.5 * h
-    denom = 1.0 + half * total0
-    leaf_kernel = s[min(_LEAF, n - 1):0:-1].tolist()  # s[L], ..., s[1]
-    top = len(leaf_kernel)
-    y_prev = rho11_0
-    rhs_prev = lam0 * (1.0 - 2.0 * rho11_0)
-
-    def leaf(lo: int, hi: int) -> None:
-        nonlocal y_prev, rhs_prev
-        outside = conv[lo:hi].tolist()
-        known0 = base[lo:hi].tolist()
-        ys: list[float] = []
-        for k in range(hi - lo):
-            inside = sum(map(operator.mul, leaf_kernel[top - k:], ys))
-            known = known0[k] - h * (outside[k] + inside)
-            y_prev = (y_prev + half * (rhs_prev + known)) / denom
-            rhs_prev = known - total0 * y_prev
-            ys.append(y_prev)
-        y[lo:hi] = ys
-
-    def solve(lo: int, hi: int) -> None:
-        if hi - lo <= _LEAF:
-            leaf(lo, hi)
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid)
-        # middle product: a cyclic length >= hi - lo - 1 keeps the wrapped
-        # terms out of the outputs kept for [mid, hi)
-        width = hi - lo
-        size = 1 << (width - 2).bit_length()
-        product = np.fft.rfft(y[lo:mid], size) * np.fft.rfft(s[1:width], size)
-        part = np.fft.irfft(product, size)
-        conv[mid:hi] += part[mid - lo - 1:width - 1]
-        solve(mid, hi)
-
-    solve(1, n)
-    return y
+    r = np.empty(m)
+    r[0] = 1.0 / a0
+    done = 1
+    while done < m:
+        # r <- r - r (a r - 1): a r - 1 vanishes below done, and a cyclic
+        # length >= size keeps the wrapped terms out of it.  a_0 and a_1, of
+        # order 1, are applied exactly, so FFT roundoff scales with the tail.
+        size = min(2 * done, m)
+        fft = 1 << (size - 1).bit_length()
+        r_hat = np.fft.rfft(r[:done], fft)
+        excess = np.fft.irfft(np.fft.rfft(tail[:size], fft) * r_hat, fft)[done:size]
+        excess[0] += a1 * r[done - 1]
+        r[done:size] = -np.fft.irfft(np.fft.rfft(excess, fft) * r_hat, fft)[:size - done]
+        done = size
+    # the largest product: free what it does not need first
+    del tail
+    fft = 1 << (2 * m - 2).bit_length()
+    product = np.fft.rfft(r, fft)
+    product *= np.fft.rfft(b, fft)
+    del r, b
+    return np.concatenate(([rho11_0], np.fft.irfft(product, fft)[:m]))
 
 
 def _as_rate(schedule) -> Callable[[float], float]:

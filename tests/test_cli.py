@@ -521,6 +521,53 @@ steps = 11
         )
         assert main(["evolve", "--config", config]) == 3
 
+    @staticmethod
+    def delta_ramp_through_zero(tmp_path, out, scenario, section):
+        # Delta(t) = 0.02 - 0.001 t changes sign at t = 20; the rates depend
+        # on Delta^2 alone, so the sweep is a valid run
+        return write_config(
+            tmp_path,
+            f"""\
+[run]
+scenario = {scenario}
+out = {out}
+
+{BASE_SPECTRAL}
+[two-state]
+delta = 0.02
+delta_rate = -0.001
+eps = 0.1
+temperature = 1.0
+
+{section}
+rho11_0 = 0.0
+
+[time-grid]
+start = 0.0
+stop = 40.0
+steps = 81
+""",
+        )
+
+    def test_local_delta_ramp_through_zero(self, tmp_path):
+        out = tmp_path / "evolve.csv"
+        config = self.delta_ramp_through_zero(tmp_path, out, "evolve", "[evolve]\nmode = local")
+        assert main(["evolve", "--config", config]) == 0
+        rho11 = np.array([float(row[2]) for row in read_csv(out)[2]])
+        assert rho11.size == 81
+        assert np.all((rho11 >= 0.0) & (rho11 <= 1.0))
+        # the population keeps moving after the crossing, where Delta^2 grows again
+        assert rho11[-1] > rho11[40] > 0.0
+
+    def test_refined_local_oracle_delta_ramp_through_zero(self, tmp_path):
+        out = tmp_path / "oracle.csv"
+        config = self.delta_ramp_through_zero(tmp_path, out, "oracle",
+                                              "[oracle]\nname = refined-local")
+        assert main(["oracle", "--config", config]) == 0
+        _, header, rows = read_csv(out)
+        assert header == ["sup_diff", "tolerance", "status"]
+        assert rows[0][-1] == "1.0"
+
 
 class TestEnvelope:
     def test_white_noise_envelope(self, tmp_path):

@@ -1,8 +1,9 @@
-"""The divide-and-conquer history sums of evolve_nonlocal against the direct loop.
+"""The Toeplitz resolvent of evolve_nonlocal against the direct step loop.
 
-Both sides use the same product-trapezoid weights and the same per-step
-linear solve; only the order of summation differs, so they must agree to
-roundoff.
+Both sides solve the same discrete equations, the product-trapezoid steps
+with the same weights: the direct loop one step at a time, evolve_nonlocal
+all at once as one triangular Toeplitz system through the power-series
+reciprocal of its first column.  So they must agree to roundoff.
 """
 
 import math
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrtkit import OhmicCutoff, Tabulated, TwoStateParams, evolve_nonlocal, peak_rate
-from mrtkit.dynamics import _LEAF
+from mrtkit import (OhmicCutoff, SpectralModel, Tabulated, TwoStateParams, evolve_nonlocal,
+                    peak_rate)
 from mrtkit.oracle import direct_nonlocal_reference
 
 pytestmark = pytest.mark.filterwarnings("ignore::mrtkit.errors.RegimeWarning")
@@ -35,7 +36,10 @@ def assert_matches_direct(model, params, rho11_0, grid, w_rms=1.0):
     assert np.max(np.abs(fast.rho00 + fast.rho11 - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 4097])
+# the Newton doubling of the reciprocal works on 1, 2, 4, ... of the n - 1
+# unknowns; these sizes sit on and around its boundaries, and keep the
+# 32-step leaf edges (n = 32, 33, 65) of the earlier divide-and-conquer sums
+@pytest.mark.parametrize("n", [2, 3, 4, 32, 33, 34, 65, 4097, 4098])
 @pytest.mark.parametrize("rho11_0", [0.0, 0.3, 1.0])
 def test_grid_sizes_around_the_leaf(n, rho11_0):
     grid = np.linspace(0.0, 0.05 * (n - 1), n)
@@ -53,6 +57,45 @@ def test_criterion_6_constant_kernel_grid():
 def test_criterion_6_order_grids(factor):
     grid = np.linspace(0.0, 20.0, 400 * factor + 1)
     assert_matches_direct(MEMORY_MODEL, MEMORY_PARAMS, 0.0, grid)
+
+
+def test_slow_relaxation_long_grid():
+    # eps_p0 = 0.5 at W = omega_c = 1 (W^2 = 2 T eps_p0) and Delta = 0.05:
+    # Gamma_p h = 1.6e-4, so the resolvent's tail is long
+    model = OhmicCutoff(eta=2.0, omega_c=1.0, temperature=1.0)
+    params = TwoStateParams(delta=0.05, eps=0.0, temperature=1.0)
+    assert_matches_direct(model, params, 0.0, 0.1 * np.arange(16001))
+
+
+class Memoryless(SpectralModel):
+    """A test-side model with eps_p = 0 at every delay: the kernel is its delta weight."""
+
+    def noise_rms(self):
+        return 1.0
+
+    def reorganization_shift(self):
+        return 0.0
+
+    def tau_r(self):
+        return 1.0
+
+    def shift_arrays(self, taus):
+        zeros = np.zeros_like(np.asarray(taus, dtype=float))
+        return zeros, zeros
+
+
+@pytest.mark.parametrize("n", [2**18 + 1, 2**18 + 2])
+@pytest.mark.parametrize("rho11_0", [0.0, 1.0])
+def test_memoryless_kernel_far_beyond_the_direct_loop(n, rho11_0):
+    # without memory each trapezoid step is (1 + h lam0) y_m = (1 - h lam0) y_{m-1}
+    # + h lam0, so y_m = 1/2 + (y_0 - 1/2) q^m exactly
+    params = TwoStateParams(delta=0.05, eps=0.3, temperature=1.0)
+    lam0 = peak_rate(0.05, 1.0) * math.exp(-0.5 * 0.3**2)
+    h = 0.1
+    q = (1.0 - h * lam0) / (1.0 + h * lam0)
+    exact = 0.5 + (rho11_0 - 0.5) * q ** np.arange(n)
+    traj = evolve_nonlocal(Memoryless(), params, rho11_0, h * np.arange(n))
+    assert np.max(np.abs(traj.rho11 - exact)) <= 1e-12
 
 
 def test_tabulated_spectrum():
