@@ -38,7 +38,6 @@ from .spectral import OhmicCutoff, Tabulated, White
 
 log = logging.getLogger("mrtkit")
 
-_SCENARIOS = ("envelope", "mrt-scan", "evolve", "peak", "multichannel", "oracle")
 _PHYSICS_ERRORS = (RegimeError, DivergentMomentError, DecompositionError, ValueError)
 
 
@@ -428,21 +427,18 @@ def _oracle_static_noise(config: RunConfig):
     tolerance = config.get_float("oracle", "tolerance_rel", 0.05)
     gp = peak_rate(delta, w_rms)
     cols = {k: [] for k in ("eps", "estimate", "stderr", "expected", "rel_error", "status")}
-    failures = 0
     for mc_config in mc_configs:
         eps = mc_config.eps
         mc = static_noise_transition(mc_config)
         expected = gp * math.exp(-0.5 * (eps / w_rms) ** 2)
         rel = abs(mc.rate - expected) / expected
-        ok = rel <= tolerance
-        failures += 0 if ok else 1
         cols["eps"].append(eps)
         cols["estimate"].append(mc.rate)
         cols["stderr"].append(mc.stderr)
         cols["expected"].append(expected)
         cols["rel_error"].append(rel)
-        cols["status"].append(1.0 if ok else 0.0)
-    return [(k, np.array(v)) for k, v in cols.items()], failures
+        cols["status"].append(1.0 if rel <= tolerance else 0.0)
+    return [(k, np.array(v)) for k, v in cols.items()]
 
 
 def _oracle_convolution(config: RunConfig):
@@ -455,15 +451,13 @@ def _oracle_convolution(config: RunConfig):
     fadd = np.asarray(voigt_rate(delta, w_rms, grid, eps_p, gamma))
     conv = convolution_reference(delta, w_rms, grid, eps_p, gamma)
     rel = np.abs(fadd - conv) / conv
-    status = (rel <= tolerance).astype(float)
-    failures = int(np.sum(status == 0.0))
     return [
         ("eps", grid),
         ("faddeeva_rate", fadd),
         ("convolution_rate", conv),
         ("rel_error", rel),
-        ("status", status),
-    ], failures
+        ("status", (rel <= tolerance).astype(float)),
+    ]
 
 
 def _oracle_refined(config: RunConfig, kind: str):
@@ -481,15 +475,15 @@ def _oracle_refined(config: RunConfig, kind: str):
         production = evolve_local(*rates, rho11_0, grid)
         reference = refined_local_reference(*rates, rho11_0, grid)
     sup = float(np.max(np.abs(production.rho11 - reference.rho11)))
-    ok = sup <= tolerance
     return [
         ("sup_diff", np.array([sup])),
         ("tolerance", np.array([tolerance])),
-        ("status", np.array([1.0 if ok else 0.0])),
-    ], (0 if ok else 1)
+        ("status", np.array([1.0 if sup <= tolerance else 0.0])),
+    ]
 
 
-def run_oracle(config: RunConfig):
+def run_oracle(config: RunConfig) -> list[tuple[str, np.ndarray]]:
+    """The columns of one oracle; its verdict is the ``status`` column."""
     name = config.require("oracle", "name").lower()
     if name == "static-noise":
         return _oracle_static_noise(config)
@@ -500,36 +494,28 @@ def run_oracle(config: RunConfig):
     raise ConfigError(f"{config.path}: unknown oracle {name!r}")
 
 
+# The subcommands that run from a config file, each to its list of CSV columns.
+_RUNNERS = {"envelope": run_envelope, "mrt-scan": run_mrt_scan, "evolve": run_evolve,
+            "peak": run_peak, "multichannel": run_multichannel, "oracle": run_oracle}
+
+
 def run(config: RunConfig) -> int:
     """Dispatch a parsed configuration; write CSV; return the exit status."""
     _check_writable(config.out)
-    oracle_failures = 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if config.scenario == "oracle":
-            columns, oracle_failures = run_oracle(config)
-        elif config.scenario == "envelope":
-            columns = run_envelope(config)
-        elif config.scenario == "mrt-scan":
-            columns = run_mrt_scan(config)
-        elif config.scenario == "evolve":
-            columns = run_evolve(config)
-        elif config.scenario == "peak":
-            columns = run_peak(config)
-        elif config.scenario == "multichannel":
-            columns = run_multichannel(config)
-        else:
-            raise ConfigError(f"unknown scenario {config.scenario!r}")
+        columns = _RUNNERS[config.scenario](config)
     # a warning raised at several layers is reported once
     messages = list(dict.fromkeys(str(w.message) for w in caught))
     write_csv(config.out, config.comments(), messages, columns)
     for message in messages:
         print(f"warning: {message}", file=sys.stderr)
-    if config.scenario == "oracle":
-        verdict = "PASS" if oracle_failures == 0 else f"FAIL ({oracle_failures} rows)"
-        print(f"oracle {config.get('oracle', 'name')}: {verdict}")
-        return 0 if oracle_failures == 0 else 1
-    return 0
+    if config.scenario != "oracle":
+        return 0
+    failures = int(np.sum(dict(columns)["status"] == 0.0))
+    verdict = "PASS" if failures == 0 else f"FAIL ({failures} rows)"
+    print(f"oracle {config.get('oracle', 'name')}: {verdict}")
+    return 0 if failures == 0 else 1
 
 
 def run_validate(out: str | None, seed: int) -> int:
@@ -565,7 +551,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mrtkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SCENARIOS:
+    for name in _RUNNERS:
         p = sub.add_parser(name, help=f"run the {name} scenario from a config file")
         p.add_argument("--config", required=True, help="path to the INI-style run config")
         p.add_argument("--out", help="output CSV path (overrides [run] out)")

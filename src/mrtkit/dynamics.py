@@ -48,47 +48,38 @@ __all__ = [
 ]
 
 
-# Roundoff allowance on trace preservation and on rho11 staying in [0, 1].
+# Roundoff allowance on rho11 staying in [0, 1].
 _ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Populations on a strictly increasing time grid; trace-preserving."""
+    """rho11 on a strictly increasing time grid; rho00 = 1 - rho11.
+
+    Roundoff excursions out of [0, 1] are clipped.  An excursion above the
+    roundoff allowance (or a NaN) is a solver fault and raises ValueError
+    instead of being clipped away.
+    """
 
     t: np.ndarray
-    rho00: np.ndarray
     rho11: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
-        r0 = np.asarray(self.rho00, dtype=float)
-        r1 = np.asarray(self.rho11, dtype=float)
+        rho11 = np.asarray(self.rho11, dtype=float)
         if np.any(np.diff(t) <= 0):
             raise ValueError("time grid must be strictly increasing")
-        if r0.shape != t.shape or r1.shape != t.shape:
-            raise ValueError("population arrays must match the time grid")
-        if np.any(np.abs(r0 + r1 - 1.0) > _ROUNDOFF):
-            raise ValueError("trace violated: rho00 + rho11 != 1")
-        if np.any(r1 < -_ROUNDOFF) or np.any(r1 > 1.0 + _ROUNDOFF):
-            raise ValueError("rho11 outside [0, 1]")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "rho00", r0)
-        object.__setattr__(self, "rho11", r1)
-
-    @classmethod
-    def from_rho11(cls, t, rho11) -> "Trajectory":
-        """Build from rho11 alone, clipping roundoff excursions out of [0, 1].
-
-        An excursion above the roundoff allowance (or a NaN) is a solver
-        fault and raises ValueError instead of being clipped away.
-        """
-        rho11 = np.asarray(rho11, dtype=float)
+        if rho11.shape != t.shape:
+            raise ValueError("rho11 must match the time grid")
         excursion = float(np.max(np.maximum(-rho11, rho11 - 1.0), initial=0.0))
         if not excursion <= _ROUNDOFF:
             raise ValueError(f"rho11 leaves [0, 1] by {excursion:.3g}")
-        rho11 = np.clip(rho11, 0.0, 1.0)
-        return cls(t=np.asarray(t, dtype=float), rho00=1.0 - rho11, rho11=rho11)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "rho11", np.clip(rho11, 0.0, 1.0))
+
+    @property
+    def rho00(self) -> np.ndarray:
+        return 1.0 - self.rho11
 
 
 def _require_constant(params: TwoStateParams) -> tuple[float, float]:
@@ -102,22 +93,16 @@ def _require_constant(params: TwoStateParams) -> tuple[float, float]:
 
 
 def _kernel_arrays(
-    model: SpectralModel, params: TwoStateParams, w: float, taus: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(Lambda_-, Lambda_+, dLambda_-/dtau, dLambda_+/dtau) at the delays taus.
-
-    Lambda_pm(tau) = Gamma_p exp(-(eps pm eps_p(tau))^2 / 2 W^2) for a
-    constant-parameter system.  Lambda_-(0) = Lambda_+(0) is the delta weight
-    of the kernels; the derivatives vanish at tau = 0 with d eps_p/dtau, as
-    they do for every spectrum with an integrable S_a.
-    """
-    return _kernels_from_shift(params, w, *model.shift_arrays(taus))
-
-
-def _kernels_from_shift(
     params: TwoStateParams, w: float, eps_p: np.ndarray, deps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_kernel_arrays`` from the shift arrays (eps_p, d eps_p/dtau)."""
+    """(Lambda_-, Lambda_+, dLambda_-/dtau, dLambda_+/dtau) from the shift arrays.
+
+    Lambda_pm(tau) = Gamma_p exp(-(eps pm eps_p(tau))^2 / 2 W^2) for a
+    constant-parameter system, with (eps_p, d eps_p/dtau) at the delays as
+    ``SpectralModel.shift_arrays`` returns them.  Lambda_-(0) = Lambda_+(0)
+    is the delta weight of the kernels; the derivatives vanish at tau = 0
+    with d eps_p/dtau, as they do for every spectrum with an integrable S_a.
+    """
     delta, eps = _require_constant(params)
     gp = peak_rate(delta, w)
     lam_m = _shifted_gaussian(gp, w, eps, eps_p)
@@ -173,11 +158,11 @@ def evolve_nonlocal(
     if not abs(deps[0]) <= _ROUNDOFF * abs(model.reorganization_shift()) * omega_resp:
         raise RegimeError(f"d eps_p/dtau at tau = 0 is {deps[0]:.3g}, not 0: "
                           "the memory kernel needs a spectrum with integrable S_a")
-    lam_m, lam_p, dm, dp = _kernels_from_shift(params, w, eps_p, deps)
+    lam_m, lam_p, dm, dp = _kernel_arrays(params, w, eps_p, deps)
     lam0 = float(lam_m[0])
     del lam_m, lam_p, eps_p, deps
     y = _trapezoid_history_solve(dm, dp, lam0, h, float(rho11_0))
-    return Trajectory.from_rho11(t, y)
+    return Trajectory(t, y)
 
 
 def _trapezoid_history_solve(
@@ -296,17 +281,17 @@ def evolve_local(rate_minus, rate_plus, rho11_0: float, t_grid) -> Trajectory:
         minus = float(_checked_rates(gm, t[:1])[0])
         total = minus + float(_checked_rates(gp, t[:1])[0])
         if total == 0.0:
-            return Trajectory.from_rho11(t, np.full(t.size, float(rho11_0)))
+            return Trajectory(t, np.full(t.size, float(rho11_0)))
         elapsed = total * (t - t[0])
         rho11 = rho11_0 * np.exp(-elapsed) - (minus / total) * np.expm1(-elapsed)
-        return Trajectory.from_rho11(t, rho11)
+        return Trajectory(t, rho11)
     _checked_rates(gm, t)
     _checked_rates(gp, t)
     rho11 = np.empty(t.size)
     rho11[0] = rho11_0
     for k in range(t.size - 1):
         rho11[k + 1] = _duhamel_step(gm, gp, float(t[k]), float(t[k + 1]), rho11[k], 0)
-    return Trajectory.from_rho11(t, rho11)
+    return Trajectory(t, rho11)
 
 
 def _duhamel_step(gm, gp, a: float, b: float, rho_a: float, splits: int) -> float:

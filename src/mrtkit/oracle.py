@@ -1,17 +1,27 @@
-"""Independent brute-force references used to validate the main modules.
+"""Brute-force references used to validate the main modules.
 
-Nothing here shares code with the paths it checks: the Monte Carlo
-transition rate averages exact closed-system Rabi oscillations over static
-Gaussian noise, the convolution reference integrates the Gaussian-
-Lorentzian product directly, the refined local reference integrates the
-local rate equation by classical RK4 on a finer grid, the refined nonlocal
-reference reruns the memory-kernel solver at finer resolution, the direct
-nonlocal reference sums the memory-kernel history step by step in O(n^2)
-(from the solver's kernel values: the history summation is what it
-checks), the corrected-rates reference integrates the full memory
-denominator that the first-order rates expand, and the ohmic shift
-reference integrates eps_p(t) over frequency.  Every integral runs on the
-NumPy ``gauss_kronrod`` rule.
+Each reference recomputes a result by a different method; what it shares
+with the path it checks is stated here, since that part goes unchecked:
+
+* the static-noise Monte Carlo averages exact closed-system Rabi
+  oscillations over static Gaussian noise, and shares nothing;
+* the convolution reference integrates the Gaussian-Lorentzian product
+  directly, and shares nothing with the Faddeeva path it checks;
+* the refined local reference integrates the local rate equation by
+  classical RK4 on a finer grid, and shares ``dynamics._as_rate`` (a number
+  as a constant rate) and ``Trajectory``;
+* the refined nonlocal reference reruns ``evolve_nonlocal`` itself on each
+  step split 16 ways, so it checks convergence in the step and nothing else;
+* the direct nonlocal reference sums the memory-kernel history step by step
+  in O(n^2) from the solver's own kernel values (``dynamics._kernel_arrays``
+  on ``shift_arrays``): the history summation is what it checks;
+* the corrected-rates reference integrates the full memory denominator that
+  the first-order rates expand, from the same ``_kernel_arrays`` and
+  ``rates._shifted_gaussian``;
+* the ohmic shift reference integrates eps_p(t) over frequency from the
+  model's ``antisymmetric``, against its closed form.
+
+Every integral runs on the NumPy ``gauss_kronrod`` rule, as in the library.
 """
 
 from __future__ import annotations
@@ -182,7 +192,7 @@ def _refined(solve, t_grid) -> Trajectory:
     pieces = [np.linspace(a, b, _REFINEMENT, endpoint=False) for a, b in zip(t[:-1], t[1:])]
     full = solve(np.concatenate(pieces + [t[-1:]]))
     keep = slice(None, None, _REFINEMENT)
-    return Trajectory(t=full.t[keep], rho00=full.rho00[keep], rho11=full.rho11[keep])
+    return Trajectory(full.t[keep], full.rho11[keep])
 
 
 # Agreement of successive RK4 results, and the substep ceiling, of each fine
@@ -239,7 +249,7 @@ def refined_local_reference(rate_minus, rate_plus, rho11_0: float, t_grid) -> Tr
                     )
                 coarse, refined = refined, rk4(rho11[-1], a, b, n)
             rho11.append(refined)
-        return Trajectory.from_rho11(fine, np.array(rho11))
+        return Trajectory(fine, np.array(rho11))
 
     return _refined(solve, t_grid)
 
@@ -271,7 +281,7 @@ def corrected_rates_reference(
     base_plus = _shifted_gaussian(gp, w, eps, -eps_p0)
 
     def deficit(taus):
-        minus, plus, _, _ = _kernel_arrays(model, params, w, taus)
+        minus, plus, _, _ = _kernel_arrays(params, w, *model.shift_arrays(taus))
         return base_minus + base_plus - (minus + plus)
 
     cut = 60.0 / model.response_frequency()
@@ -308,7 +318,7 @@ def direct_nonlocal_reference(
     h = t[1] - t[0]
     w = model.noise_rms() if w_rms is None else w_rms
     n = t.size
-    lam_m, _, dm, dp = _kernel_arrays(model, params, w, h * np.arange(n))
+    lam_m, _, dm, dp = _kernel_arrays(params, w, *model.shift_arrays(h * np.arange(n)))
 
     lam0 = lam_m[0]
     total0 = 2.0 * lam0

@@ -337,7 +337,17 @@ class Tabulated(SpectralModel):
         return super().symmetric_antisymmetric(omega)
 
     def antisymmetric(self, omega):
-        return 0.5 * (self.density(omega) - self.density(-omega))
+        """S_a = (S(w) - S(-w))/2 on a float or an array: the one tabulated S_a.
+
+        |omega| beyond the two-sided part of the grid is rejected.
+        """
+        w = np.asarray(omega, dtype=float)
+        limit = min(self.omega[-1], -self.omega[0])
+        if np.any(np.abs(w) > limit):
+            raise ValueError(f"omega = +-{np.max(np.abs(w))} outside tabulated range "
+                             f"[{self.omega[0]}, {self.omega[-1]}]")
+        s_a = 0.5 * (self._interp(w) - self._interp(-w))
+        return s_a if w.ndim else float(s_a)
 
     def noise_rms(self):
         """W from the exact integral of the interpolant."""
@@ -350,15 +360,13 @@ class Tabulated(SpectralModel):
         upper = self._positive_overlap()
         self._check_shift_finite(upper)
         nodes, weights = _tabulated_nodes(self.omega, upper, 0.0)
-        s_a = 0.5 * (self._interp(nodes) - self._interp(-nodes))
-        return float(np.sum(weights * s_a / nodes)) / math.pi
+        return float(np.sum(weights * self.antisymmetric(nodes) / nodes)) / math.pi
 
     def tau_r(self):
         """1/omega*, where omega* holds 99 % of the weight of S_a(omega)/omega."""
         upper = self._positive_overlap()
         grid = np.linspace(0.0, upper, 8193)[1:]
-        interp = self._interp
-        g = 0.5 * (interp(grid) - interp(-grid)) / grid
+        g = self.antisymmetric(grid) / grid
         cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(grid))))
         total = cumulative[-1]
         if total <= 0:
@@ -375,8 +383,7 @@ class Tabulated(SpectralModel):
         upper = self._positive_overlap()
         self._check_shift_finite(upper)
         nodes, weights = _tabulated_nodes(self.omega, upper, float(np.max(taus, initial=0.0)))
-        interp = self._interp
-        rate_weights = weights * 0.5 * (interp(nodes) - interp(-nodes)) / math.pi
+        rate_weights = weights * self.antisymmetric(nodes) / math.pi
         return tuple(_sine_contraction(taus, nodes, 2.0 * rate_weights / nodes, rate_weights))
 
     def dephasing_exponent(self, times):
@@ -407,8 +414,8 @@ class Tabulated(SpectralModel):
 
     def _check_shift_finite(self, upper: float) -> None:
         # Limit-sample S_a(w)/w toward w -> 0; geometric growth means a pole.
-        probes = [upper * 1e-4, upper * 1e-5, upper * 1e-6]
-        vals = [abs(self.antisymmetric(w)) / w for w in probes]
+        probes = upper * np.array([1e-4, 1e-5, 1e-6])
+        vals = np.abs(self.antisymmetric(probes)) / probes
         if vals[-1] > 4.0 * (vals[0] + 1e-300):
             raise DivergentMomentError(
                 "S_a(omega)/omega grows toward omega = 0; shift moment diverges"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mrtkit import LinearSchedule, OhmicCutoff, White, dephasing_exponent
-from mrtkit.cli import main
+from mrtkit.cli import _RUNNERS, main
 
 BASE_SPECTRAL = """\
 [spectral]
@@ -817,7 +817,7 @@ steps = 5
         out = tmp_path / target
         config = TestMrtScan().config(tmp_path, out)
         computed = []
-        monkeypatch.setattr("mrtkit.cli.run_mrt_scan", lambda cfg: computed.append(cfg))
+        monkeypatch.setitem(_RUNNERS, "mrt-scan", lambda cfg: computed.append(cfg))
         assert main(["mrt-scan", "--config", config]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
@@ -981,9 +981,9 @@ steps = 5
 
 
 class TestOracleScenario:
-    def test_convolution_oracle_passes(self, tmp_path):
-        out = tmp_path / "orc.csv"
-        config = write_config(
+    @staticmethod
+    def convolution_config(tmp_path, out, extra=""):
+        return write_config(
             tmp_path,
             f"""\
 [run]
@@ -996,17 +996,30 @@ w = 1.0
 delta = 0.01
 gamma = 1.0
 eps_p = 0.3
-
+{extra}
 [bias-grid]
 start = -2.0
 stop = 3.0
 steps = 9
 """,
         )
-        assert main(["oracle", "--config", config]) == 0
+
+    def test_convolution_oracle_passes(self, tmp_path):
+        out = tmp_path / "orc.csv"
+        assert main(["oracle", "--config", self.convolution_config(tmp_path, out)]) == 0
         _, header, rows = read_csv(out)
         assert header[:3] == ["eps", "faddeeva_rate", "convolution_rate"]
         assert all(row[-1] == "1.0" for row in rows)
+
+    def test_failing_oracle_exits_1_with_rows_from_status(self, tmp_path, capsys):
+        out = tmp_path / "orc.csv"
+        config = self.convolution_config(tmp_path, out, "tolerance_rel = 1e-30\n")
+        assert main(["oracle", "--config", config]) == 1
+        _, header, rows = read_csv(out)
+        assert header[-1] == "status"
+        failed = sum(row[-1] == "0.0" for row in rows)
+        assert failed >= 1
+        assert capsys.readouterr().out == f"oracle convolution: FAIL ({failed} rows)\n"
 
     def test_static_noise_oracle_with_tolerance(self, tmp_path):
         out = tmp_path / "orc.csv"

@@ -57,7 +57,8 @@ def kernel_models(eps_p0, omega_c):
 
 def kernel_at(model, params, tau):
     """(Lambda_-, Lambda_+, dLambda_-/dtau, dLambda_+/dtau) at one delay, W = 1."""
-    return [float(row[0]) for row in _kernel_arrays(model, params, 1.0, np.array([tau]))]
+    return [float(row[0])
+            for row in _kernel_arrays(params, 1.0, *model.shift_arrays(np.array([tau])))]
 
 
 @dataclass(frozen=True)
@@ -100,23 +101,18 @@ def _quiet_regime_warnings():
 
 
 class TestTrajectory:
-    def test_trace_enforced(self):
-        t = np.array([0.0, 1.0, 2.0])
-        with pytest.raises(ValueError, match="trace"):
-            Trajectory(t, np.array([0.5, 0.5, 0.5]), np.array([0.5, 0.6, 0.5]))
-
-    def test_from_rho11(self):
+    def test_rho00_is_one_minus_rho11(self):
         t = np.array([0.0, 1.0])
-        traj = Trajectory.from_rho11(t, np.array([0.25, 0.5]))
+        traj = Trajectory(t, np.array([0.25, 0.5]))
         assert np.array_equal(traj.rho00, np.array([0.75, 0.5]))
 
-    def test_from_rho11_clips_roundoff_only(self):
+    def test_clips_roundoff_only(self):
         t = np.array([0.0, 1.0])
-        traj = Trajectory.from_rho11(t, np.array([-1e-12, 1.0 + 5e-13]))
+        traj = Trajectory(t, np.array([-1e-12, 1.0 + 5e-13]))
         assert np.array_equal(traj.rho11, np.array([0.0, 1.0]))
         for bad in ([-2e-12, 0.5], [0.5, 1.0 + 2e-12], [0.5, math.nan]):
             with pytest.raises(ValueError, match="leaves"):
-                Trajectory.from_rho11(t, np.array(bad))
+                Trajectory(t, np.array(bad))
 
 
 class TestLambdaPm:
@@ -141,7 +137,7 @@ class TestLambdaPm:
         for model, temperature in kernel_models(0.5, 1.0):
             params = TwoStateParams(delta=0.01, eps=0.0, temperature=temperature)
             taus = np.array([0.2, 1.0, 4.0])
-            lam_minus, lam_plus, _, _ = _kernel_arrays(model, params, 1.0, taus)
+            lam_minus, lam_plus, _, _ = _kernel_arrays(params, 1.0, *model.shift_arrays(taus))
             assert np.array_equal(lam_minus, lam_plus)
 
     def test_ramp_rejected(self):
@@ -150,7 +146,7 @@ class TestLambdaPm:
                 delta=0.01, eps=LinearSchedule(0.0, 1.0), temperature=temperature
             )
             with pytest.raises(RegimeError, match="time-invariant"):
-                _kernel_arrays(model, params, 1.0, np.array([1.0]))
+                _kernel_arrays(params, 1.0, *model.shift_arrays(np.array([1.0])))
 
 
 def integrated_kernel(model, params, t, k):

@@ -70,7 +70,7 @@ def rk45_local_reference(rate_minus, rate_plus, rho11_0, t_grid):
                         rtol=1e-12, atol=1e-15, max_step=np.min(np.diff(fine)))
         if not sol.success:
             raise RuntimeError(f"local evolution failed: {sol.message}")
-        return Trajectory.from_rho11(fine, sol.y[0])
+        return Trajectory(fine, sol.y[0])
 
     return _refined(solve, t_grid)
 

@@ -116,6 +116,22 @@ def test_tau_r_equals_scalar_loop(seed):
     assert model.tau_r() == scalar_tau_r(model)
 
 
+def test_shift_moments_take_s_a_from_antisymmetric(monkeypatch):
+    # S_a is formed in Tabulated.antisymmetric alone: doubling it doubles
+    # eps_p0 and both shift rows exactly and leaves tau_R, a quantile, as it is
+    model = perturbed_ohmic()
+    taus = np.array([0.0, 0.3, 2.0, 11.0])
+    eps_p0, tau_r = model.reorganization_shift(), model.tau_r()
+    shift, rate = model.shift_arrays(taus)
+    antisymmetric = Tabulated.antisymmetric
+    monkeypatch.setattr(Tabulated, "antisymmetric", lambda self, w: 2.0 * antisymmetric(self, w))
+    doubled_shift, doubled_rate = model.shift_arrays(taus)
+    assert model.reorganization_shift() == 2.0 * eps_p0
+    assert np.array_equal(doubled_shift, 2.0 * shift)
+    assert np.array_equal(doubled_rate, 2.0 * rate)
+    assert model.tau_r() == tau_r
+
+
 def _piecewise_gauss(f, a, b, knots):
     """Gauss-Legendre panel quadrature aligned to interpolation knots (the oracle rule)."""
     edges = np.concatenate(([a], np.asarray(knots, dtype=float), [b]))
