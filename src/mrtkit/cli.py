@@ -419,17 +419,13 @@ def _oracle_static_noise(config: RunConfig):
     delta = config.require_positive("oracle", "delta")
     probe = config.require_float("oracle", "probe_time")
     samples = config.require_int("oracle", "samples")
-    mc_configs = [
-        _construct(config, "oracle", McConfig, sample_count=samples, seed=config.seed,
-                   w_rms=w_rms, delta=delta, eps=eps, probe_time=probe)
-        for eps in config.require_floats("oracle", "eps")
-    ]
+    biases = config.require_floats("oracle", "eps")
+    mc_config = _construct(config, "oracle", McConfig, sample_count=samples, seed=config.seed,
+                           w_rms=w_rms, delta=delta, probe_time=probe)
     tolerance = config.get_float("oracle", "tolerance_rel", 0.05)
     gp = peak_rate(delta, w_rms)
     cols = {k: [] for k in ("eps", "estimate", "stderr", "expected", "rel_error", "status")}
-    for mc_config in mc_configs:
-        eps = mc_config.eps
-        mc = static_noise_transition(mc_config)
+    for eps, mc in zip(biases, static_noise_transition(mc_config, biases)):
         expected = gp * math.exp(-0.5 * (eps / w_rms) ** 2)
         rel = abs(mc.rate - expected) / expected
         cols["eps"].append(eps)

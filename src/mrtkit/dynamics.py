@@ -243,10 +243,19 @@ def _checked_rates(rate, times) -> np.ndarray:
     return values
 
 
+def _legendre_rows(x: np.ndarray, degree: int) -> np.ndarray:
+    """P_0(x) ... P_degree(x) as rows, by the recurrence of np.polynomial.legendre.legvander."""
+    rows = np.empty((degree + 1, x.size))
+    rows[0] = 1.0
+    rows[1] = x
+    for i in range(2, degree + 1):
+        rows[i] = (rows[i - 1] * x * (2 * i - 1) - rows[i - 2] * (i - 1)) / i
+    return rows
+
+
 # The matrix taking Gamma_- + Gamma_+ at the 16 Gauss-Legendre nodes on
 # [-1, 1] to the coefficients of its degree-15 Legendre interpolant.
-_TO_SERIES = (np.polynomial.legendre.legvander(_GL_NODES, 15).T * _GL_WEIGHTS
-              * (np.arange(16) + 0.5)[:, None])
+_TO_SERIES = _legendre_rows(_GL_NODES, 15) * _GL_WEIGHTS * (np.arange(16) + 0.5)[:, None]
 # A piece is resolved when its last two Legendre coefficients bound the
 # error of its A-increment below this, relative to max(1, increment).  A
 # jump in a rate is resolved too, once its piece is short enough; the
@@ -304,13 +313,15 @@ def _duhamel_step(gm, gp, a: float, b: float, rho_a: float, splits: int) -> floa
         mid = a + half
         rho_mid = _duhamel_step(gm, gp, a, mid, rho_a, splits + 1)
         return _duhamel_step(gm, gp, mid, b, rho_mid, splits + 1)
+    from numpy.polynomial import legendre
+
     # A(s) - A(a) = half * antiderivative(u) on u = (s - a)/half - 1 in [-1, 1]
-    antiderivative = np.polynomial.legendre.legint(series, lbnd=-1.0) * half
-    growth = float(np.polynomial.legendre.legval(1.0, antiderivative))
+    antiderivative = legendre.legint(series, lbnd=-1.0) * half
+    growth = float(legendre.legval(1.0, antiderivative))
 
     def integrand(s):
         u = (s - a) / half - 1.0
-        remaining = growth - np.polynomial.legendre.legval(u, antiderivative)
+        remaining = growth - legendre.legval(u, antiderivative)
         return _checked_rates(gm, s) * np.exp(-remaining)
 
     inflow, _, _ = gauss_kronrod(integrand, [a, b], epsabs=1e-15, epsrel=1e-13, limit=200)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .dynamics import Trajectory, _as_rate, _kernel_arrays, evolve_nonlocal
 from .errors import RegimeError
-from .quadrature import gauss_kronrod
+from .quadrature import _sorted_unique, gauss_kronrod
 from .rates import TwoStateParams, _shifted_gaussian, peak_rate
 from .spectral import SpectralModel
 
@@ -52,6 +52,8 @@ __all__ = [
 # Samples are generated in fixed chunks, each from its own counter-based
 # stream keyed by (seed, chunk index): every sample is a pure function of
 # (seed, sample index), independent of evaluation order or parallelism.
+# Monte Carlo moments are merged chunk by chunk in increasing chunk index,
+# so each estimate is a pure function of the configuration as well.
 _CHUNK = 4096
 
 
@@ -68,7 +70,6 @@ class McConfig:
     seed: int
     w_rms: float
     delta: float
-    eps: float
     probe_time: float
 
     def __post_init__(self):
@@ -99,45 +100,60 @@ class StaticNoiseEstimate:
     sample_count: int
 
 
+def _chunk_samples(seed: int, chunk_index: int) -> np.ndarray:
+    """All _CHUNK standard-normal draws of the stream keyed by (seed, chunk_index).
+
+    A chunk is always drawn in full so in-chunk positions never shift.
+    """
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64))
+    )
+    return rng.standard_normal(_CHUNK)
+
+
 def gaussian_noise_samples(seed: int, count: int) -> np.ndarray:
     """Standard-normal draws, sample i a pure function of (seed, i)."""
     out = np.empty(count)
     for start in range(0, count, _CHUNK):
-        chunk_index = start // _CHUNK
         stop = min(start + _CHUNK, count)
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64))
-        )
-        # a chunk is always drawn in full so in-chunk positions never shift
-        block = rng.standard_normal(_CHUNK)
-        out[start:stop] = block[: stop - start]
+        out[start:stop] = _chunk_samples(seed, start // _CHUNK)[: stop - start]
     return out
 
 
-def static_noise_transition(config: McConfig) -> StaticNoiseEstimate:
-    """Monte Carlo estimate of the static-noise (classical) tunneling rate.
+def static_noise_transition(config: McConfig, eps_values) -> list[StaticNoiseEstimate]:
+    """Monte Carlo static-noise (classical) tunneling rates, one per bias.
 
-    Each sample draws a frozen bias offset Q ~ N(0, W^2), evolves the
-    closed two-level system exactly (Rabi formula), and the averaged
-    occupation at the probe time divided by the probe time estimates
-    Gamma = Gamma_p exp(-eps^2/2W^2).
+    Each sample draws a frozen bias offset Q ~ N(0, W^2) and evolves the
+    closed two-level system exactly (Rabi formula); the mean occupation at
+    the probe time over the probe time estimates Gamma_p exp(-eps^2/2W^2).
+    All biases share the samples, streamed by chunk with the chunk moments
+    merged (Chan, Golub & LeVeque): memory does not grow with the sample
+    count.
     """
-    q = config.w_rms * gaussian_noise_samples(config.seed, config.sample_count)
+    eps = np.asarray(eps_values, dtype=float).reshape(-1, 1)
+    n = config.sample_count
     if config.delta == 0.0:
-        return StaticNoiseEstimate(0.0, 0.0, config.sample_count)
-    rabi_sq = config.delta**2 + (config.eps + q) ** 2
-    occupancy = (config.delta**2 / rabi_sq) * np.sin(
-        0.5 * np.sqrt(rabi_sq) * config.probe_time
-    ) ** 2
-    # np.mean/np.var reduce pairwise in fixed index order
-    mean = float(np.mean(occupancy))
-    spread = float(np.std(occupancy, ddof=1)) if config.sample_count > 1 else 0.0
-    stderr = spread / math.sqrt(config.sample_count)
-    return StaticNoiseEstimate(
-        rate=mean / config.probe_time,
-        stderr=stderr / config.probe_time,
-        sample_count=config.sample_count,
-    )
+        return [StaticNoiseEstimate(0.0, 0.0, n) for _ in range(eps.shape[0])]
+    delta_sq = config.delta**2
+    mean, m2 = np.zeros((2, eps.shape[0]))
+    for start in range(0, n, _CHUNK):
+        size = min(_CHUNK, n - start)
+        q = config.w_rms * _chunk_samples(config.seed, start // _CHUNK)[:size]
+        rabi_sq = delta_sq + (eps + q) ** 2
+        occupancy = (delta_sq / rabi_sq) * np.sin(0.5 * np.sqrt(rabi_sq) * config.probe_time) ** 2
+        chunk_mean = occupancy.mean(axis=1)
+        jump = chunk_mean - mean
+        merged = start + size
+        mean += jump * (size / merged)
+        m2 += ((occupancy - chunk_mean[:, None]) ** 2).sum(axis=1)
+        m2 += jump * jump * (start * size / merged)
+    # one sample has m2 = 0 exactly: its spread reads 0
+    stderr = np.sqrt(m2 / max(n - 1, 1)) / math.sqrt(n)
+    return [
+        StaticNoiseEstimate(rate=float(m) / config.probe_time,
+                            stderr=float(s) / config.probe_time, sample_count=n)
+        for m, s in zip(mean, stderr)
+    ]
 
 
 def convolution_reference(
@@ -368,7 +384,7 @@ def ohmic_shift_reference(model: SpectralModel, t: float) -> float:
         cut *= 2.0
     half_periods = (math.pi / t) * np.arange(1, int(cut * t / math.pi) + 1)
     decades = model.omega_c * 10.0 ** np.arange(int(math.log10(cut / model.omega_c)) + 1)
-    edges = np.unique(np.concatenate(([0.0, cut], half_periods, decades)))
+    edges = _sorted_unique(np.concatenate(([0.0, cut], half_periods, decades)))
     edges = edges[edges <= cut]
 
     def head(w):

@@ -183,10 +183,37 @@ def bounded_minimum(f, lo: float, hi: float, xatol: float) -> float:
 
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# The 16-point Gauss-Legendre rule on [-1, 1]: np.polynomial.legendre.leggauss(16)
+# to the last bit, written out so that importing mrtkit does not load
+# numpy.polynomial.
+_GL_NODES = np.array([-0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+                      -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+                      -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+                      0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+                      0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+                      0.9894009349916499])
+_GL_WEIGHTS = np.array([0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+                        0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+                        0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+                        0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+                        0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+                        0.027152459411754176])
 # Largest tau-by-node block (elements) of one sine contraction: a fixed
 # bound, so the peak memory of a call does not grow with the number of tau.
 _BLOCK = 2**15
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D float array, as np.unique returns them.
+
+    np.unique's own float path without its masked-array check, whose first
+    call imports numpy.ma.
+    """
+    a = np.sort(a)
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 def _oscillation_edges(a: float, b: float, t: float) -> np.ndarray:
@@ -217,7 +244,7 @@ def _tabulated_nodes(
     knot that misses its twin by an ulp) is dropped; upper itself is kept.
     """
     knots = np.abs(knots)
-    edges = np.unique(np.concatenate((
+    edges = _sorted_unique(np.concatenate((
         [0.0], knots[knots < upper], _oscillation_edges(0.0, upper, t_max), [upper]
     )))
     inner = edges[1:-1]

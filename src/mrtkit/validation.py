@@ -34,7 +34,7 @@ from .oracle import (
     ohmic_shift_reference,
     static_noise_transition,
 )
-from .quadrature import gauss_kronrod
+from .quadrature import _sorted_unique, gauss_kronrod
 from .rates import (
     TwoStateParams,
     WellLevels,
@@ -126,7 +126,7 @@ def _static_noise_expectation(delta, w_rms, eps, probe_time) -> float:
     panels = np.linspace(-8.0 * w_rms, 8.0 * w_rms, 33)
     resonance = [p for p in (-eps - 2.0 * delta, -eps, -eps + 2.0 * delta)
                  if panels[0] < p < panels[-1]]
-    edges = np.unique(np.concatenate((panels, resonance)))
+    edges = _sorted_unique(np.concatenate((panels, resonance)))
     total = gauss_kronrod(integrand, edges, epsabs=1e-18, epsrel=1e-12, limit=4000)[0]
     return total / probe_time
 
@@ -140,17 +140,11 @@ def check_static_noise_mc(seed: int) -> list[CriterionRecord]:
     """
     w_rms, delta, probe = 1.0, 0.01, 10.0
     gp = peak_rate(delta, w_rms)
+    biases = (0.0, 1.0, 2.0)
+    config = McConfig(sample_count=100_000, seed=seed, w_rms=w_rms, delta=delta,
+                      probe_time=probe)
     records = []
-    for eps in (0.0, 1.0, 2.0):
-        config = McConfig(
-            sample_count=100_000,
-            seed=seed,
-            w_rms=w_rms,
-            delta=delta,
-            eps=eps,
-            probe_time=probe,
-        )
-        est = static_noise_transition(config)
+    for eps, est in zip(biases, static_noise_transition(config, biases)):
         expected = gp * math.exp(-0.5 * (eps / w_rms) ** 2)
         tag = f"eps={eps:g}"
         records.append(

@@ -25,7 +25,7 @@ from mrtkit import (
     short_time_rho11,
     voigt_rate,
 )
-from mrtkit.dynamics import ShortTimeResult, _gaussian_cosine_moments, _kernel_arrays
+from mrtkit.dynamics import _TO_SERIES, ShortTimeResult, _gaussian_cosine_moments, _kernel_arrays
 from mrtkit.rates import _SQRT_PI_OVER_8, _shifted_gaussian
 from mrtkit.oracle import corrected_rates_reference
 
@@ -289,6 +289,12 @@ class TestEvolveNonlocal:
 
 
 class TestEvolveLocal:
+    def test_series_matrix_is_the_legvander_one_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        legvander = np.polynomial.legendre.legvander(nodes, 15).T
+        expected = legvander * weights * (np.arange(16) + 0.5)[:, None]
+        assert _TO_SERIES.tobytes() == expected.tobytes()
+
     def test_symmetric_closed_form(self):
         grid = np.linspace(0.0, 30.0, 201)
         traj = evolve_local(0.1, 0.1, 0.0, grid)

@@ -1,6 +1,7 @@
 """Brute-force reference implementations: Monte Carlo, convolution, refinement."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from mrtkit import (
     OhmicCutoff,
     RegimeError,
     RegimeWarning,
+    StaticNoiseEstimate,
     TwoStateParams,
     convolution_reference,
     evolve_local,
@@ -23,6 +25,7 @@ from mrtkit import (
     voigt_rate,
 )
 from mrtkit.dynamics import Trajectory, _as_rate
+from mrtkit import oracle
 from mrtkit.oracle import _CHUNK, _refined, gaussian_noise_samples
 
 
@@ -106,59 +109,111 @@ class TestNoiseSampler:
         )
 
 
+def whole_array_transition(config, eps):
+    """The whole-array ``static_noise_transition`` that streaming replaced, verbatim.
+
+    All samples and temporaries at full length, one bias per call.
+    """
+    q = config.w_rms * gaussian_noise_samples(config.seed, config.sample_count)
+    if config.delta == 0.0:
+        return StaticNoiseEstimate(0.0, 0.0, config.sample_count)
+    rabi_sq = config.delta**2 + (eps + q) ** 2
+    occupancy = (config.delta**2 / rabi_sq) * np.sin(
+        0.5 * np.sqrt(rabi_sq) * config.probe_time
+    ) ** 2
+    # np.mean/np.var reduce pairwise in fixed index order
+    mean = float(np.mean(occupancy))
+    spread = float(np.std(occupancy, ddof=1)) if config.sample_count > 1 else 0.0
+    stderr = spread / math.sqrt(config.sample_count)
+    return StaticNoiseEstimate(
+        rate=mean / config.probe_time,
+        stderr=stderr / config.probe_time,
+        sample_count=config.sample_count,
+    )
+
+
 class TestMcConfig:
     def test_probe_window_enforced(self):
         with pytest.raises(RegimeError, match="5/W"):
-            McConfig(1000, 0, w_rms=1.0, delta=0.01, eps=0.0, probe_time=2.0)
+            McConfig(1000, 0, w_rms=1.0, delta=0.01, probe_time=2.0)
         with pytest.raises(RegimeError, match="0.2/Delta"):
-            McConfig(1000, 0, w_rms=1.0, delta=0.01, eps=0.0, probe_time=30.0)
+            McConfig(1000, 0, w_rms=1.0, delta=0.01, probe_time=30.0)
 
     def test_basic_validation(self):
         with pytest.raises(ValueError):
-            McConfig(0, 0, w_rms=1.0, delta=0.01, eps=0.0, probe_time=10.0)
+            McConfig(0, 0, w_rms=1.0, delta=0.01, probe_time=10.0)
         with pytest.raises(ValueError):
-            McConfig(10, 0, w_rms=-1.0, delta=0.01, eps=0.0, probe_time=10.0)
+            McConfig(10, 0, w_rms=-1.0, delta=0.01, probe_time=10.0)
 
 
 class TestStaticNoiseTransition:
     def test_zero_amplitude_gives_zero_rate(self):
-        config = McConfig(1000, 5, w_rms=1.0, delta=0.0, eps=0.0, probe_time=10.0)
-        estimate = static_noise_transition(config)
+        config = McConfig(1000, 5, w_rms=1.0, delta=0.0, probe_time=10.0)
+        (estimate,) = static_noise_transition(config, [0.0])
         assert estimate.rate == 0.0
         assert estimate.stderr == 0.0
 
+    def test_zero_amplitude_draws_no_sample(self, monkeypatch):
+        def refuse(seed, chunk_index):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(oracle, "_chunk_samples", refuse)
+        config = McConfig(10 * _CHUNK, 5, w_rms=1.0, delta=0.0, probe_time=10.0)
+        assert len(static_noise_transition(config, [0.0, 1.0])) == 2
+
     def test_matches_exact_expectation_within_errors(self):
         # the sampler is unbiased for the finite-time expectation
-        for eps in (0.0, 1.0, 2.0):
-            config = McConfig(
-                100_000, 20260810, w_rms=1.0, delta=0.01, eps=eps, probe_time=10.0
-            )
-            estimate = static_noise_transition(config)
+        biases = (0.0, 1.0, 2.0)
+        config = McConfig(100_000, 20260810, w_rms=1.0, delta=0.01, probe_time=10.0)
+        for eps, estimate in zip(biases, static_noise_transition(config, biases)):
             exact = finite_time_expectation(0.01, 1.0, eps, 10.0)
             assert abs(estimate.rate - exact) <= 3.0 * estimate.stderr
 
     def test_bias_suppression_factor(self):
         # long probe, wide window (W/Delta = 1000): rate(2W)/rate(0) ~ e^{-2}
-        kwargs = dict(sample_count=200_000, seed=11, w_rms=1.0, delta=0.001,
-                      probe_time=100.0)
-        center = static_noise_transition(McConfig(eps=0.0, **kwargs))
-        offset = static_noise_transition(McConfig(eps=2.0, **kwargs))
+        config = McConfig(sample_count=200_000, seed=11, w_rms=1.0, delta=0.001,
+                          probe_time=100.0)
+        center, offset = static_noise_transition(config, [0.0, 2.0])
         assert offset.rate / center.rate == pytest.approx(math.exp(-2.0), rel=0.10)
 
     def test_standard_error_scaling(self):
         # SE ~ 1/sqrt(N) within 20%
         errors = []
         for count in (10_000, 40_000, 160_000):
-            config = McConfig(count, 7, w_rms=1.0, delta=0.01, eps=0.0, probe_time=10.0)
-            errors.append(static_noise_transition(config).stderr)
+            config = McConfig(count, 7, w_rms=1.0, delta=0.01, probe_time=10.0)
+            errors.append(static_noise_transition(config, [0.0])[0].stderr)
         assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.2)
         assert errors[1] / errors[2] == pytest.approx(2.0, rel=0.2)
 
     def test_deterministic_estimate(self):
-        config = McConfig(50_000, 123, w_rms=1.0, delta=0.01, eps=0.5, probe_time=10.0)
-        first = static_noise_transition(config)
-        second = static_noise_transition(config)
-        assert first.rate == second.rate and first.stderr == second.stderr
+        config = McConfig(50_000, 123, w_rms=1.0, delta=0.01, probe_time=10.0)
+        first = static_noise_transition(config, [0.5])
+        second = static_noise_transition(config, [0.5])
+        assert first == second
+
+    @pytest.mark.parametrize("count", [1, 2, _CHUNK, 3 * _CHUNK + 17, 100_000])
+    @pytest.mark.parametrize("biases", [(0.5,), (0.0, 1.0, 2.0)], ids=["1-bias", "3-biases"])
+    @pytest.mark.parametrize("delta", [0.01, 0.0], ids=["delta", "zero-delta"])
+    def test_streaming_matches_whole_array(self, count, biases, delta):
+        # chunk-merged moments agree with the whole-array np.mean/np.std
+        config = McConfig(count, 20260810, w_rms=1.0, delta=delta, probe_time=10.0)
+        streamed = static_noise_transition(config, biases)
+        assert len(streamed) == len(biases)
+        for eps, estimate in zip(biases, streamed):
+            reference = whole_array_transition(config, eps)
+            assert estimate.sample_count == count
+            assert estimate.rate == pytest.approx(reference.rate, rel=1e-13, abs=0.0)
+            assert estimate.stderr == pytest.approx(reference.stderr, rel=1e-13, abs=0.0)
+
+    def test_memory_does_not_grow_with_sample_count(self):
+        config = McConfig(1_000_000, 3, w_rms=1.0, delta=0.01, probe_time=10.0)
+        tracemalloc.start()
+        try:
+            static_noise_transition(config, [0.0, 1.0, 2.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestConvolutionReference:

@@ -15,7 +15,8 @@ from mrtkit import (
     peak_rate,
     peak_summary,
 )
-from mrtkit.quadrature import RULE_SIZE, bounded_minimum, gauss_kronrod
+from mrtkit.quadrature import (RULE_SIZE, _GL_NODES, _GL_WEIGHTS, _sorted_unique,
+                               bounded_minimum, gauss_kronrod)
 
 
 def lorentzian(gamma):
@@ -108,6 +109,21 @@ class TestBoundedMinimum:
     def test_agrees_with_minimize_scalar(self, f, lo, hi, xatol):
         expected = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
         assert bounded_minimum(f, lo, hi, xatol) == pytest.approx(expected.x, abs=xatol)
+
+
+def test_gauss_legendre_table_is_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 300])
+def test_sorted_unique_is_np_unique_bit_for_bit(size):
+    # repeated draws, signed zeros and an ulp-close pair, as panel edges have
+    rng = np.random.default_rng(size)
+    pool = np.concatenate((rng.normal(size=20), [0.0, -0.0, 1.0, np.nextafter(1.0, 2.0)]))
+    a = rng.choice(pool, size)
+    assert _sorted_unique(a).tobytes() == np.unique(a).tobytes()
 
 
 def quad_peak_summary(model, params, w_rms):
