@@ -31,7 +31,7 @@ from .dynamics import (evolve_local, evolve_nonlocal, nonlocal_corrected_scan, p
 from .errors import ConfigError, DecompositionError, DivergentMomentError, RegimeError
 from .oracle import (McConfig, convolution_reference, refined_local_reference,
                      refined_nonlocal_reference, static_noise_transition)
-from .rates import (_SQRT_PI_OVER_8, TwoStateParams, WellLevels, _shifted_gaussian,
+from .rates import (TwoStateParams, WellLevels, _gamma_p, _shifted_gaussian,
                     multichannel_rate, peak_rate, voigt_rate, warn_weak_coupling)
 from .schedules import LinearSchedule
 from .spectral import OhmicCutoff, Tabulated, White
@@ -329,13 +329,11 @@ def _local_rates(params: TwoStateParams, w_rms: float, eps_p: float):
         return (voigt_rate(delta.initial, w_rms, eps.initial, eps_p, 0.0),
                 voigt_rate(delta.initial, w_rms, eps.initial, -eps_p, 0.0))
 
-    # the rate depends on Delta^2 alone, so a ramp may pass through zero
-    def peak(t):
-        d = delta.value(t)
-        return _SQRT_PI_OVER_8 * d * d / w_rms
+    # not peak_rate: a Delta ramp may pass through zero
+    def rate(t, shift):
+        return _shifted_gaussian(_gamma_p(delta.value(t), w_rms), w_rms, eps.value(t), shift)
 
-    return (lambda t: _shifted_gaussian(peak(t), w_rms, eps.value(t), eps_p),
-            lambda t: _shifted_gaussian(peak(t), w_rms, eps.value(t), -eps_p))
+    return lambda t: rate(t, eps_p), lambda t: rate(t, -eps_p)
 
 
 def run_evolve(config: RunConfig) -> list[tuple[str, np.ndarray]]:

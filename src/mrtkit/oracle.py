@@ -15,9 +15,9 @@ with the path it checks is stated here, since that part goes unchecked:
 * the direct nonlocal reference sums the memory-kernel history step by step
   in O(n^2) from the solver's own kernel values (``dynamics._kernel_arrays``
   on ``shift_arrays``): the history summation is what it checks;
-* the corrected-rates reference integrates the full memory denominator that
-  the first-order rates expand, from the same ``_kernel_arrays`` and
-  ``rates._shifted_gaussian``;
+* the corrected-rates reference integrates the memory denominator that the
+  closed corrected rates estimate as a step at tau_R, from the same
+  ``_kernel_arrays`` and ``rates._shifted_gaussian``;
 * the ohmic shift reference integrates eps_p(t) over frequency from the
   model's ``antisymmetric``, against its closed form.
 
@@ -254,17 +254,19 @@ def refined_local_reference(rate_minus, rate_plus, rho11_0: float, t_grid) -> Tr
 
     def solve(fine):
         rho11 = [float(rho11_0)]
-        for a, b in zip(fine[:-1].tolist(), fine[1:].tolist()):
-            n, coarse, refined = 2, rk4(rho11[-1], a, b, 1), rk4(rho11[-1], a, b, 2)
-            while not abs(refined - coarse) <= _RK4_AGREEMENT:  # NaN never agrees
-                n *= 2
-                if n > _RK4_MAX_SUBSTEPS:
-                    raise RuntimeError(
-                        f"local evolution failed: RK4 on [{a}, {b}] not settled "
-                        f"within {_RK4_MAX_SUBSTEPS} substeps"
-                    )
-                coarse, refined = refined, rk4(rho11[-1], a, b, n)
-            rho11.append(refined)
+        # a trial too coarse for a stiff step overflows to inf or NaN, which never agrees
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in zip(fine[:-1].tolist(), fine[1:].tolist()):
+                n, coarse, refined = 2, rk4(rho11[-1], a, b, 1), rk4(rho11[-1], a, b, 2)
+                while not abs(refined - coarse) <= _RK4_AGREEMENT:
+                    n *= 2
+                    if n > _RK4_MAX_SUBSTEPS:
+                        raise RuntimeError(
+                            f"local evolution failed: RK4 on [{a}, {b}] not settled "
+                            f"within {_RK4_MAX_SUBSTEPS} substeps"
+                        )
+                    coarse, refined = refined, rk4(rho11[-1], a, b, n)
+                rho11.append(refined)
         return Trajectory(fine, np.array(rho11))
 
     return _refined(solve, t_grid)
@@ -283,9 +285,9 @@ def corrected_rates_reference(
     """Memory-corrected local rates with the full denominator, (Gamma_-, Gamma_+).
 
     Gamma_pm = Lambda_pm(inf) / (1 - D), D = integral_0^inf [Lambda(inf) -
-    Lambda(tau)] dtau with Lambda = Lambda_- + Lambda_+: the quantity whose
-    first order in Gamma_p/omega_resp is ``nonlocal_corrected_scan``.  D is
-    integrated over [0, 60 tau_R]; a deficit that has not settled there,
+    Lambda(tau)] dtau with Lambda = Lambda_- + Lambda_+; the closed factor of
+    ``nonlocal_corrected_scan`` is 1 + D with D estimated as a step at tau_R.
+    D is integrated over [0, 60 tau_R]; a deficit that has not settled there,
     |Lambda(inf) - Lambda(cut)| * cut above the integral's own tolerance,
     has no converged value and raises RegimeError.
     """

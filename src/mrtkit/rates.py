@@ -121,11 +121,16 @@ class WellLevels:
         return self.energies[1] - self.energies[0]
 
 
+def _gamma_p(d, w):
+    """sqrt(pi/8) d^2 / w, unchecked: it depends on d^2 alone, so a Delta ramp may cross zero."""
+    return _SQRT_PI_OVER_8 * d * d / w
+
+
 def peak_rate(delta: float, w_rms: float) -> float:
     """Gamma_p = sqrt(pi/8) Delta^2 / W."""
     if delta <= 0 or w_rms <= 0:
         raise ValueError("peak_rate requires delta > 0 and w_rms > 0")
-    return _SQRT_PI_OVER_8 * delta * delta / w_rms
+    return _gamma_p(delta, w_rms)
 
 
 def _shifted_gaussian(gp, w, eps, eps_p):
@@ -300,7 +305,7 @@ def voigt_rate(delta_ij: float, w_rms: float, eps, eps_p: float, gamma_ij: float
     if gamma_ij < 0:
         raise ValueError("gamma_ij must be nonnegative")
     eps = np.asarray(eps, dtype=float)
-    amplitude = _SQRT_PI_OVER_8 * delta_ij * delta_ij / w_rms
+    amplitude = _gamma_p(delta_ij, w_rms)
     if gamma_ij == 0.0:
         out = _shifted_gaussian(amplitude, w_rms, eps, eps_p)
     else:

@@ -568,6 +568,43 @@ steps = 81
         assert header == ["sup_diff", "tolerance", "status"]
         assert rows[0][-1] == "1.0"
 
+    def test_refined_local_oracle_on_steps_of_many_relaxation_times(self, tmp_path, capsys):
+        # a step of 1e8 spans ~4e4 relaxation times 1/(G_- + G_+): the Duhamel
+        # step keeps its inflow, and the RK4 trials that overflow on the way to
+        # a stable substep count leave no warning
+        out = tmp_path / "oracle.csv"
+        config = write_config(tmp_path, f"""\
+[run]
+scenario = oracle
+out = {out}
+
+[spectral]
+kind = ohmic
+eta = 200.0
+omega_c = 0.01
+temperature = 1.0
+
+[two-state]
+delta = 0.02
+eps = 0.5
+eps_rate = 1e-13
+temperature = 1.0
+
+[oracle]
+name = refined-local
+rho11_0 = 0.0
+
+[time-grid]
+start = 0.0
+stop = 1e9
+steps = 11
+""")
+        assert main(["oracle", "--config", config]) == 0
+        captured = capsys.readouterr()
+        assert "oracle refined-local: PASS" in captured.out
+        assert "warning" not in captured.err
+        assert "warning" not in out.read_text()
+
 
 class TestEnvelope:
     def test_white_noise_envelope(self, tmp_path):

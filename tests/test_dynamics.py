@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mrtkit import (
@@ -25,7 +27,8 @@ from mrtkit import (
     short_time_rho11,
     voigt_rate,
 )
-from mrtkit.dynamics import _TO_SERIES, ShortTimeResult, _gaussian_cosine_moments, _kernel_arrays
+from mrtkit.dynamics import (_INTEGRAL, _TO_SERIES, ShortTimeResult, _gaussian_cosine_moments,
+                             _kernel_arrays)
 from mrtkit.rates import _SQRT_PI_OVER_8, _shifted_gaussian
 from mrtkit.oracle import corrected_rates_reference
 
@@ -294,6 +297,23 @@ class TestEvolveLocal:
         legvander = np.polynomial.legendre.legvander(nodes, 15).T
         expected = legvander * weights * (np.arange(16) + 0.5)[:, None]
         assert _TO_SERIES.tobytes() == expected.tobytes()
+
+    def test_integral_matrix_is_legint_at_the_nodes(self):
+        legendre = np.polynomial.legendre
+        nodes = legendre.leggauss(16)[0]
+        expected = np.column_stack([legendre.legval(nodes, legendre.legint(series, lbnd=-1.0))
+                                    for series in _TO_SERIES.T])
+        assert np.max(np.abs(_INTEGRAL - expected)) <= 4.0 * np.finfo(float).eps
+
+    @settings(max_examples=100, deadline=None)
+    @given(minus=st.floats(0.0, 10.0), plus=st.floats(0.0, 10.0), rho11_0=st.floats(0.0, 1.0),
+           span=st.floats(1e-3, 1e6))
+    def test_constant_callables_match_the_closed_exponential(self, minus, plus, rho11_0, span):
+        # a step may span up to ~10^6 relaxation times: its inflow must not be lost
+        grid = np.linspace(0.0, span, 9)
+        duhamel = evolve_local(lambda t: minus, lambda t: plus, rho11_0, grid)
+        closed = evolve_local(minus, plus, rho11_0, grid)
+        assert np.max(np.abs(duhamel.rho11 - closed.rho11)) <= 1e-13
 
     def test_symmetric_closed_form(self):
         grid = np.linspace(0.0, 30.0, 201)

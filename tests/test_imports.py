@@ -1,21 +1,22 @@
 """Import contract: the package runs on NumPy alone; SciPy serves the tests.
 
 Each case runs in a fresh interpreter and reports the ``scipy`` modules in
-``sys.modules`` afterwards, and whether ``numpy.ma`` is among them.
-Startup, config errors, every tabulated scenario, the ohmic moments, the
-ohmic envelope, peak, nonlocal and local evolve (constant rates and a
-ramped bias), gaussian, classical, voigt and nonlocal-corrected scans,
-multichannel sums with relaxation, the convolution oracle and the full
-memory-correction oracle load no SciPy.  With SciPy blocked
-(``sys.modules["scipy"] = None`` before mrtkit is imported) ``validate``,
-short-time evolve and the refined-local and static-noise oracles still
-run.  None of the CLI runs loads ``numpy.ma``, and importing the CLI
-loads no ``numpy.polynomial``.  A probe body that imports
-``scipy.integrate`` itself is the positive control that the probe sees a
-SciPy import, one that calls ``np.unique`` the control that it sees
-``numpy.ma``, and one that touches ``np.polynomial`` the control for
-``numpy.polynomial``.  A static check parses the sources: no module of the package
-imports SciPy.  Every ``__all__`` entry of the package's layers resolves.
+``sys.modules`` afterwards, and whether ``numpy.ma`` and ``numpy.polynomial``
+are among them.  Startup, config errors, every tabulated scenario, the
+ohmic moments, the ohmic envelope, peak, nonlocal and local evolve
+(constant rates and a ramped bias), gaussian, classical, voigt and
+nonlocal-corrected scans, multichannel sums with relaxation, the
+convolution oracle and the full memory-correction oracle load no SciPy.
+With SciPy blocked (``sys.modules["scipy"] = None`` before mrtkit is
+imported) ``validate``, short-time evolve and the refined-local (ramped
+bias) and static-noise oracles still run.  None of the CLI runs loads
+``numpy.ma`` or ``numpy.polynomial``, and neither does importing the CLI.
+A probe body that imports ``scipy.integrate`` itself is the positive
+control that the probe sees a SciPy import, one that calls ``np.unique``
+the control that it sees ``numpy.ma``, and one that touches
+``np.polynomial`` the control for ``numpy.polynomial``.  A static check
+parses the sources: no module of the package imports SciPy.  Every
+``__all__`` entry of the package's layers resolves.
 """
 
 import ast
@@ -41,10 +42,13 @@ code = None
 print(json.dumps({{"code": code, "scipy": sorted(
     m for m, module in sys.modules.items()
     if module is not None and (m == "scipy" or m.startswith("scipy."))),
-    "numpy_ma": "numpy.ma" in sys.modules}}))
+    "numpy_ma": "numpy.ma" in sys.modules,
+    "numpy_polynomial": "numpy.polynomial" in sys.modules}}))
 """
 # an import of scipy or any submodule raises ImportError after this line
 BLOCK_SCIPY = 'sys.modules["scipy"] = None'
+# the report of a run that loaded none of SciPy, numpy.ma and numpy.polynomial
+NO_EXTRAS = {"scipy": [], "numpy_ma": False, "numpy_polynomial": False}
 
 
 def run_probe(body: str, block_scipy: bool = False) -> dict:
@@ -103,13 +107,12 @@ def test_startup_imports_no_scipy(body):
     ids=["import-cli", "positive-control"],
 )
 def test_startup_loads_no_numpy_polynomial(body, loaded):
-    probe = body + "\ncode = 'numpy.polynomial' in sys.modules"
-    assert run_probe(probe)["code"] is loaded
+    assert run_probe(body)["numpy_polynomial"] is loaded
 
 
 def test_config_error_imports_no_scipy(tmp_path):
     report = run_probe(cli_body(["mrt-scan", "--config", str(tmp_path / "absent.ini")]))
-    assert report == {"code": 2, "scipy": [], "numpy_ma": False}
+    assert report == {"code": 2, **NO_EXTRAS}
 
 
 @pytest.mark.parametrize(
@@ -126,7 +129,7 @@ def test_config_error_imports_no_scipy(tmp_path):
 def test_tabulated_scenarios_import_no_scipy(tmp_path, scenario, body):
     config = tabulated_config(tmp_path, scenario, body)
     report = run_probe(cli_body([scenario, "--config", config]))
-    assert report == {"code": 0, "scipy": [], "numpy_ma": False}
+    assert report == {"code": 0, **NO_EXTRAS}
     assert (tmp_path / "out.csv").exists()
 
 
@@ -163,7 +166,7 @@ _BIAS_GRID = "[bias-grid]\nstart = -0.5\nstop = 0.5\nsteps = 3\n"
 def test_ohmic_scenarios_import_no_scipy(tmp_path, scenario, body):
     config = ohmic_config(tmp_path, scenario, body)
     report = run_probe(cli_body([scenario, "--config", config]))
-    assert report == {"code": 0, "scipy": [], "numpy_ma": False}
+    assert report == {"code": 0, **NO_EXTRAS}
     assert (tmp_path / "out.csv").exists()
 
 
@@ -172,7 +175,7 @@ def test_local_evolve_imports_no_scipy(tmp_path, ramp):
     config = ohmic_config(tmp_path, "evolve", "[evolve]\nmode = local\neps_p = auto\n\n"
                           "[time-grid]\nstart = 0.0\nstop = 40.0\nsteps = 41\n", ramp)
     report = run_probe(cli_body(["evolve", "--config", config]))
-    assert report == {"code": 0, "scipy": [], "numpy_ma": False}
+    assert report == {"code": 0, **NO_EXTRAS}
     assert (tmp_path / "out.csv").exists()
 
 
@@ -184,7 +187,7 @@ def test_convolution_oracle_imports_no_integrator(tmp_path):
         + _BIAS_GRID
     )
     report = run_probe(cli_body(["oracle", "--config", str(config)]))
-    assert report == {"code": 0, "scipy": [], "numpy_ma": False}
+    assert report == {"code": 0, **NO_EXTRAS}
 
 
 def test_ohmic_moments_import_no_scipy():
@@ -212,13 +215,13 @@ def test_probe_sees_numpy_ma_loaded_by_unique():
 
 def test_blocked_probe_refuses_a_scipy_import():
     body = ("try:\n    import scipy.integrate\nexcept ImportError:\n    code = 'blocked'")
-    assert run_probe(body, block_scipy=True) == {"code": "blocked", "scipy": [], "numpy_ma": False}
+    assert run_probe(body, block_scipy=True) == {"code": "blocked", **NO_EXTRAS}
 
 
 def test_validate_runs_without_scipy(tmp_path):
     out = tmp_path / "validation.csv"
     report = run_probe(cli_body(["validate", "--out", str(out)]), block_scipy=True)
-    assert report == {"code": 1, "scipy": [], "numpy_ma": False}
+    assert report == {"code": 1, **NO_EXTRAS}
     rows = [line.split(",") for line in out.read_text().splitlines()
             if line and line[0].isdigit()]
     assert {row[0] for row in rows} == {str(c) for c in range(1, 11)}
@@ -240,7 +243,7 @@ def test_validate_runs_without_scipy(tmp_path):
 def test_ohmic_scenarios_run_without_scipy(tmp_path, scenario, body):
     config = ohmic_config(tmp_path, scenario, body, ramp="eps_rate = 0.01\n")
     report = run_probe(cli_body([scenario, "--config", config]), block_scipy=True)
-    assert report == {"code": 0, "scipy": [], "numpy_ma": False}
+    assert report == {"code": 0, **NO_EXTRAS}
     assert (tmp_path / "out.csv").exists()
 
 
@@ -252,7 +255,7 @@ def test_static_noise_oracle_runs_without_scipy(tmp_path):
         "samples = 20000\neps = 0.0 1.0\ntolerance_rel = 0.5\n"
     )
     report = run_probe(cli_body(["oracle", "--config", str(config)]), block_scipy=True)
-    assert report == {"code": 0, "scipy": [], "numpy_ma": False}
+    assert report == {"code": 0, **NO_EXTRAS}
     assert (tmp_path / "out.csv").exists()
 
 
