@@ -137,9 +137,12 @@ def _shifted_gaussian(gp, w, eps, eps_p):
     """Gamma_p exp(-(eps - eps_p)^2 / 2W^2) for a float or an array of eps.
 
     The one copy of the line shape.  It is Gamma_-, peaking at eps = +eps_p;
-    Gamma_+ is the same call with -eps_p.
+    Gamma_+ is the same call with -eps_p.  The square is z * z, as NumPy
+    squares an array: a float's z ** 2 goes to libm pow, which can round
+    the other way, and a point would then differ from its value in a scan.
     """
-    return gp * np.exp(-0.5 * ((eps - eps_p) / w) ** 2)
+    z = (eps - eps_p) / w
+    return gp * np.exp(-0.5 * (z * z))
 
 
 def faddeeva(z):
