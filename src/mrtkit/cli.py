@@ -31,8 +31,8 @@ from .dynamics import (evolve_local, evolve_nonlocal, nonlocal_corrected_scan, p
 from .errors import ConfigError, DecompositionError, DivergentMomentError, RegimeError
 from .oracle import (McConfig, convolution_reference, refined_local_reference,
                      refined_nonlocal_reference, static_noise_transition)
-from .rates import (TwoStateParams, WellLevels, _gamma_p, _shifted_gaussian,
-                    multichannel_rate, peak_rate, voigt_rate, warn_weak_coupling)
+from .rates import (TwoStateParams, WellLevels, _ramped_line, multichannel_rate, peak_rate,
+                    voigt_rate, warn_weak_coupling)
 from .schedules import LinearSchedule
 from .spectral import OhmicCutoff, Tabulated, White
 
@@ -59,6 +59,11 @@ class RunConfig:
         self.out = out if out is not None else self.get("run", "out", fallback=None)
         if self.out is None:
             raise ConfigError(f"{path}: no output path ([run] out or --out)")
+        # a continuation line would put a bare line among the CSV's comments
+        for section in parser.sections():
+            for key, value in parser.items(section, raw=True):
+                if "\n" in value:
+                    raise ConfigError(f"{path}: [{section}] {key} spans several lines")
         self.seed = seed if seed is not None else self.get_int("run", "seed", 0)
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"{path}: seed must fit in 64 bits")
@@ -328,12 +333,8 @@ def _local_rates(params: TwoStateParams, w_rms: float, eps_p: float):
     if delta.is_constant and eps.is_constant:
         return (voigt_rate(delta.initial, w_rms, eps.initial, eps_p, 0.0),
                 voigt_rate(delta.initial, w_rms, eps.initial, -eps_p, 0.0))
-
-    # not peak_rate: a Delta ramp may pass through zero
-    def rate(t, shift):
-        return _shifted_gaussian(_gamma_p(delta.value(t), w_rms), w_rms, eps.value(t), shift)
-
-    return lambda t: rate(t, eps_p), lambda t: rate(t, -eps_p)
+    return (lambda t: _ramped_line(params, w_rms, t, eps_p),
+            lambda t: _ramped_line(params, w_rms, t, -eps_p))
 
 
 def run_evolve(config: RunConfig) -> list[tuple[str, np.ndarray]]:
@@ -513,6 +514,8 @@ def run(config: RunConfig) -> int:
 
 
 def run_validate(out: str | None, seed: int) -> int:
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"--seed {seed}: seed must fit in 64 bits")
     # open the output before the suite runs, so a bad path fails at once
     try:
         sink = open(out, "w", newline="") if out else contextlib.nullcontext()

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import RegimeError, RegimeWarning
 from .quadrature import _GL_NODES, _GL_WEIGHTS, bounded_minimum, gauss_kronrod
-from .rates import (TwoStateParams, _gamma_p, _shifted_gaussian, faddeeva, peak_rate,
+from .rates import (TwoStateParams, _ramped_line, _shifted_gaussian, faddeeva, peak_rate,
                     warn_weak_coupling)
 from .spectral import SpectralModel
 
@@ -422,11 +422,11 @@ def _first_order_curve(
 
 @dataclass(frozen=True)
 class PeakSummary:
-    """Numerically located peak of the corrected Gamma_-(eps) curve.
+    """Peak of the corrected Gamma_-(eps) curve: eps_peak located numerically.
 
     asymmetry is the dimensionless skewness (third central moment over the
-    second to the 3/2) of the area-normalized curve; the first_order fields
-    are the closed-form leading estimates.
+    second to the 3/2) of the area-normalized curve, a closed moment of its
+    four Gaussians; the first_order fields are the closed-form leading estimates.
     """
 
     gamma_peak: float
@@ -441,11 +441,19 @@ def peak_summary(
 ) -> PeakSummary:
     """Locate and characterise the memory-corrected Gamma_-(eps) peak.
 
-    eps_peak is accurate to about 1e-8 relative, not to the xatol of
-    1e-11 max(W, |eps_p0|) it asks for: ``bounded_minimum`` stops on
-    fminbound's rule, a bracket within 2 (sqrt(eps_mach) |x| + xatol/3).
-    Against a 40-digit mpmath maximum of the same curve it is off by 9e-11
-    to 2.8e-8 relative on the tested models.
+    Only eps_peak is located numerically.  It is accurate to about 1e-8
+    relative, not to the xatol of 1e-11 max(W, |eps_p0|) it asks for:
+    ``bounded_minimum`` stops on fminbound's rule, a bracket within
+    2 (sqrt(eps_mach) |x| + xatol/3).  Against a 40-digit mpmath maximum of
+    the same curve it is off by 9e-11 to 2.8e-8 relative on the tested
+    models.  The skewness is closed: with r = Gamma_p/omega_resp,
+    s = e^{-eps_p0^2/2W^2} and b = W^2/4T, Gamma_-/Gamma_p is the line
+    (centre eps_p0, variance W^2, weight 1) plus three Gaussians of variance
+    W^2/2: weight -2r e^{-eps_p0^2/4W^2} at eps_p0/2 and weights
+    r s e^{(b^2 +- b eps_p0 - eps_p0^2/4)/W^2} at eps_p0/2 +- b, so norm,
+    mean and central moments are sums over four terms.  The cosh factor
+    peaks at the saddles +-W^2/2T; a curve that overflows there is refused
+    with RegimeError.
     """
     rates = _first_order_curve(model, params, w_rms)
     gp, ratio, eps_p0, w = rates.gp, rates.ratio, rates.eps_p0, rates.w
@@ -461,19 +469,19 @@ def peak_summary(
     # through the array path of nonlocal_corrected_scan, which it equals
     gamma_peak = float(curve(np.array([eps_peak]))[0])
 
-    # moments of the normalized curve; window covers the cosh saddle
-    half = 10.0 * w + w * w / rates.temperature
-    edges = [eps_p0 - half, eps_p0 - w, eps_p0, eps_p0 + w, eps_p0 + half]
-
-    def moment(f, epsabs):
-        return gauss_kronrod(f, edges, epsabs=epsabs, epsrel=1e-12, limit=400)[0]
-
-    norm = moment(curve, 1e-14 * gp)
-    mean = moment(lambda e: e * curve(e), 0.0) / norm
-    m2 = moment(lambda e: (e - mean) ** 2 * curve(e), 0.0) / norm
-    # the third moment nearly cancels; a floor on epsabs keeps the rule from
-    # chasing relative accuracy below the roundoff of the cancellation
-    m3 = moment(lambda e: (e - mean) ** 3 * curve(e), 1e-10 * norm * m2**1.5) / norm
+    b = 0.25 * w * w / rates.temperature
+    rates(np.array([-2.0 * b, 2.0 * b]))  # refuses an overflow at the cosh saddles
+    x, y = eps_p0 / w, b / w
+    centres = np.array([eps_p0, 0.5 * eps_p0, 0.5 * eps_p0 + b, 0.5 * eps_p0 - b])
+    variances = w * w * np.array([1.0, 0.5, 0.5, 0.5])
+    # the areas (weight times width) of the docstring's four Gaussians
+    areas = np.sqrt(variances) * [1.0, -2.0 * ratio * math.exp(-0.25 * x * x),
+                                  ratio * math.exp(y * y + x * y - 0.75 * x * x),
+                                  ratio * math.exp(y * y - x * y - 0.75 * x * x)]
+    areas /= areas.sum()
+    offsets = centres - areas @ centres
+    m2 = float(areas @ (variances + offsets * offsets))
+    m3 = float(areas @ (offsets * (offsets * offsets + 3.0 * variances)))
     return PeakSummary(
         gamma_peak=gamma_peak,
         eps_peak=eps_peak,
@@ -561,9 +569,7 @@ def short_time_rho11(
         return 0.5 * val
 
     def local_rate(s):
-        # not peak_rate: a Delta ramp may pass through zero
-        return _shifted_gaussian(_gamma_p(delta_s.value(s), w), w, eps_s.value(s),
-                                 model.shift_arrays(s)[0])
+        return _ramped_line(params, w, s, model.shift_arrays(s)[0])
 
     rate_int, _, _ = gauss_kronrod(local_rate, [0.0, t], epsabs=1e-15, epsrel=1e-13,
                                    limit=200)

@@ -45,7 +45,6 @@ __all__ = [
     "refined_local_reference",
     "refined_nonlocal_reference",
     "corrected_rates_reference",
-    "gaussian_noise_samples",
     "ohmic_shift_reference",
 ]
 
@@ -109,15 +108,6 @@ def _chunk_samples(seed: int, chunk_index: int) -> np.ndarray:
         np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64))
     )
     return rng.standard_normal(_CHUNK)
-
-
-def gaussian_noise_samples(seed: int, count: int) -> np.ndarray:
-    """Standard-normal draws, sample i a pure function of (seed, i)."""
-    out = np.empty(count)
-    for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
-        out[start:stop] = _chunk_samples(seed, start // _CHUNK)[: stop - start]
-    return out
 
 
 def static_noise_transition(config: McConfig, eps_values) -> list[StaticNoiseEstimate]:

@@ -145,6 +145,16 @@ def _shifted_gaussian(gp, w, eps, eps_p):
     return gp * np.exp(-0.5 * (z * z))
 
 
+def _ramped_line(params: TwoStateParams, w, t, eps_p):
+    """Lambda_-(t), the line at Delta(t) and eps(t) of the schedules, for a float or an array.
+
+    Lambda_+ is the same call with -eps_p.  Gamma_p comes from ``_gamma_p``,
+    not peak_rate: a Delta ramp may pass through zero.
+    """
+    return _shifted_gaussian(_gamma_p(params.delta_schedule.value(t), w), w,
+                             params.eps_schedule.value(t), eps_p)
+
+
 def faddeeva(z):
     """Faddeeva function w(z) = exp(-z^2) erfc(-iz) on the upper half plane.
 

@@ -356,6 +356,36 @@ temperature = 1.0
         # peak sits near eps_p0 = 0.5 with a tiny memory enhancement
         assert float(rows[0][1]) == pytest.approx(0.5, abs=0.05)
 
+    @pytest.mark.parametrize("temperature, code", [(0.01, 3), (0.0135, 3), (0.02, 0)])
+    def test_cosh_overflow_is_precondition(self, tmp_path, capsys, temperature, code):
+        # W^2/8T^2 = 1991 and 1093 at T = 0.01 and 0.0135: the cosh factor
+        # overflows at its saddle eps = W^2/2T, though at T = 0.0135 the
+        # skewness of the curve's four Gaussians would still be finite
+        out = tmp_path / "peak.csv"
+        config = write_config(
+            tmp_path,
+            f"""\
+[run]
+scenario = peak
+out = {out}
+
+[spectral]
+kind = ohmic
+eta = 10.0
+omega_c = 1.0
+temperature = {temperature}
+
+[two-state]
+delta = 0.05
+eps = 2.5
+temperature = {temperature}
+""",
+        )
+        assert main(["peak", "--config", config]) == code
+        overflow = "memory-corrected rate overflows" in capsys.readouterr().err
+        assert overflow == (code == 3)
+        assert out.exists() == (code == 0)
+
 
 class TestEvolveShortTime:
     def test_short_time_mode(self, tmp_path):
@@ -788,6 +818,30 @@ out = x.csv
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "scenario, section, body",
+        [("envelope", "run", "units = GHz\n  and more"),
+         ("oracle", "oracle", "name = static-noise\nw = 1.0\ndelta = 0.01\n"
+                              "probe_time = 18.0\nsamples = 100\neps = 0.0\n  1.0")],
+        ids=["continued-units", "continued-eps-list"],
+    )
+    def test_multi_line_value_is_config_error(self, tmp_path, capsys, scenario, section, body):
+        # an echoed continuation line would sit bare among the CSV's "# " comments
+        out = tmp_path / "x.csv"
+        sections = {
+            "run": f"scenario = {scenario}\nout = {out}",
+            "spectral": "kind = white\ns0 = 1.0",
+            "time-grid": "start = 0.0\nstop = 1.0\nsteps = 5",
+        }
+        sections[section] = sections[section] + "\n" + body if section == "run" else body
+        text = "".join(f"[{name}]\n{lines}\n\n" for name, lines in sections.items())
+        config = write_config(tmp_path, text)
+        assert main([scenario, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"[{section}]" in err and "several lines" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "rows",
         ["-1.0,1.0\n0.0,abc\n1.0,1.0\n2.0,1.0",
          "-1.0,1.0\n0.0,1.0\n0.0,2.0\n1.0,1.0",
@@ -1141,6 +1195,17 @@ class TestValidateCommand:
         assert captured.err.startswith("config error:")
         assert "criterion" not in captured.out
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_is_config_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "validation.csv"
+        out.write_text("previous\n")
+        assert main(["validate", "--out", str(out), f"--seed={seed}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert "64 bits" in captured.err and "Traceback" not in captured.err
+        assert "criterion" not in captured.out
+        assert out.read_text() == "previous\n"
 
     def test_csv_byte_identical_across_runs(self, tmp_path):
         first = tmp_path / "v1.csv"

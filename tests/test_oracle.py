@@ -26,7 +26,7 @@ from mrtkit import (
 )
 from mrtkit.dynamics import Trajectory, _as_rate
 from mrtkit import oracle
-from mrtkit.oracle import _CHUNK, _refined, gaussian_noise_samples
+from mrtkit.oracle import _CHUNK, _chunk_samples, _refined
 
 
 def finite_time_expectation(delta, w_rms, eps, probe_time):
@@ -76,6 +76,15 @@ def rk45_local_reference(rate_minus, rate_plus, rho11_0, t_grid):
         return Trajectory(fine, sol.y[0])
 
     return _refined(solve, t_grid)
+
+
+def gaussian_noise_samples(seed, count):
+    """The first ``count`` draws of the chunked streams, sample i a pure function of (seed, i)."""
+    out = np.empty(count)
+    for start in range(0, count, _CHUNK):
+        stop = min(start + _CHUNK, count)
+        out[start:stop] = _chunk_samples(seed, start // _CHUNK)[: stop - start]
+    return out
 
 
 class TestNoiseSampler:

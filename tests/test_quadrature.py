@@ -15,6 +15,7 @@ from mrtkit import (
     peak_rate,
     peak_summary,
 )
+from mrtkit import dynamics
 from mrtkit.quadrature import (RULE_SIZE, _GL_NODES, _GL_WEIGHTS, _sorted_unique,
                                bounded_minimum, gauss_kronrod)
 
@@ -209,3 +210,72 @@ class TestPeakSummaryAgainstQuad:
             summary = peak_summary(model, params, 1.0)
         values = (summary.gamma_peak, summary.eps_peak, summary.asymmetry)
         assert all(math.isfinite(v) for v in values)
+
+
+def skewness_mpmath_oracle(model, delta, w_rms, temperature, digits=30):
+    """Skewness of the corrected Gamma_-(eps) curve by mpmath.quad at `digits` digits.
+
+    The curve as ``quad_peak_summary`` writes it, integrated as it stands on
+    panels of at most 8 W.  They reach 16 W past the line at eps_p0 and past
+    eps_p0/2 +- W^2/4T, where e^{-eps^2/2W^2} cosh(eps/2T) times the line
+    peaks.  Raw moments about eps_p0 lose nothing to cancellation at this
+    precision.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        gp = mpmath.mpf(peak_rate(delta, w_rms))
+        ratio = gp / model.response_frequency()
+        eps_p0 = mpmath.mpf(model.reorganization_shift())
+        w, temperature = mpmath.mpf(w_rms), mpmath.mpf(temperature)
+        suppression = mpmath.exp(-eps_p0**2 / (2 * w**2))
+
+        def curve(e):
+            gauss = mpmath.exp(-e**2 / (2 * w**2))
+            factor = 1 + 2 * ratio * gauss * (suppression * mpmath.cosh(e / (2 * temperature)) - 1)
+            return gp * mpmath.exp(-(e - eps_p0) ** 2 / (2 * w**2)) * factor
+
+        b = w**2 / (4 * temperature)
+        lo = min(eps_p0, eps_p0 / 2 - b) - 16 * w
+        hi = max(eps_p0, eps_p0 / 2 + b) + 16 * w
+        panels = int(mpmath.ceil((hi - lo) / (8 * w)))
+        edges = [lo + (hi - lo) * k / panels for k in range(panels + 1)]
+        norm, first, second, third = (
+            mpmath.quad(lambda e: (e - eps_p0) ** k * curve(e), edges) for k in range(4)
+        )
+        mean = first / norm
+        m2 = second / norm - mean**2
+        m3 = third / norm - 3 * mean * second / norm + 2 * mean**3
+        return float(m3 / m2**1.5)
+
+
+# TestPeakSummaryAgainstQuad's cases and the T = W/50 case, with W (None: the model's)
+PEAK_CASES = [
+    (fdt_model(2.5, 1.0), math.sqrt(1e-3 / math.sqrt(math.pi / 8.0)), 2.5, None),
+    (fdt_model(2.5, 1.0), math.sqrt(0.1 / math.sqrt(math.pi / 8.0)), 2.5, None),
+    (fdt_model(0.5, 0.3), 0.05, 0.5, None),
+    (OhmicCutoff(eta=200.0, omega_c=0.01, temperature=1.0), 0.02, 0.4, None),
+    (OhmicCutoff(eta=8.0, omega_c=1.0, temperature=0.25), 0.4, 2.0, None),
+    (OhmicCutoff(eta=4.0, omega_c=1.0, temperature=0.02), 0.05, 1.0, 1.0),
+]
+
+
+class TestPeakSkewnessClosedForm:
+    @pytest.mark.parametrize("model, delta, eps, w", PEAK_CASES)
+    def test_matches_mpmath(self, model, delta, eps, w):
+        w = model.noise_rms() if w is None else w
+        params = TwoStateParams(delta=delta, eps=eps, temperature=model.temperature)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            summary = peak_summary(model, params, w)
+        reference = skewness_mpmath_oracle(model, delta, w, model.temperature)
+        assert summary.asymmetry == pytest.approx(reference, rel=0.0, abs=1e-13)
+
+    def test_needs_no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("peak_summary integrated numerically")
+
+        monkeypatch.setattr(dynamics, "gauss_kronrod", refuse)
+        model, delta, eps, _ = PEAK_CASES[1]
+        params = TwoStateParams(delta=delta, eps=eps, temperature=model.temperature)
+        summary = peak_summary(model, params, model.noise_rms())
+        assert math.isfinite(summary.asymmetry)
