@@ -61,7 +61,7 @@ class RunConfig:
             raise ConfigError(f"{path}: no output path ([run] out or --out)")
         # a continuation line would put a bare line among the CSV's comments
         for section in parser.sections():
-            for key, value in parser.items(section, raw=True):
+            for key, value in parser.items(section):
                 if "\n" in value:
                     raise ConfigError(f"{path}: [{section}] {key} spans several lines")
         self.seed = seed if seed is not None else self.get_int("run", "seed", 0)
@@ -139,7 +139,7 @@ class RunConfig:
 
 
 def load_config(scenario: str, path: str, out: str | None, seed: int | None) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path) as handle:
             parser.read_file(handle, source=path)
@@ -559,10 +559,19 @@ def _build_argparser() -> argparse.ArgumentParser:
     return parser
 
 
+def _configure_logging() -> None:
+    level = os.environ.get("MRTKIT_LOG", "WARNING")
+    # getLevelName maps a level name to its number and anything else to a string
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        raise ConfigError(f"MRTKIT_LOG = {level!r} is not a log level "
+                          "(DEBUG, INFO, WARNING, ERROR or CRITICAL)")
+    logging.basicConfig(level=level.upper())
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("MRTKIT_LOG", "WARNING").upper())
     args = _build_argparser().parse_args(argv)
     try:
+        _configure_logging()
         if args.command == "validate":
             return run_validate(args.out, args.seed)
         config = load_config(args.command, args.config, args.out, args.seed)

@@ -573,8 +573,10 @@ def short_time_rho11(
 
     rate_int, _, _ = gauss_kronrod(local_rate, [0.0, t], epsabs=1e-15, epsrel=1e-13,
                                    limit=200)
+    double = outer(ramp_sq)
     return ShortTimeResult(
-        double_quadrature=outer(ramp_sq),
-        single_quadrature=outer(0.0),
+        double_quadrature=double,
+        # at constant Delta the two amplitude products are one integrand
+        single_quadrature=double if ramp_sq == 0.0 else outer(0.0),
         rate_approximation=rate_int,
     )

@@ -260,17 +260,22 @@ def _sine_contraction(taus, nodes, sin2_weights, sin_weights=None) -> np.ndarray
     """Rows sin^2(tau w / 2) @ sin2_weights and, if given, sin(tau w) @ sin_weights.
 
     Returns shape (1, n) or (2, n) for n values of tau, which are processed
-    in blocks of at most _BLOCK tau-node elements.
+    in blocks of at most _BLOCK tau-node elements.  Each block is computed
+    in place in two buffers, a phase and a sine, allocated once per call,
+    so the traced peak of a call is about two blocks beside its output.
     """
     taus = np.asarray(taus, dtype=float).ravel()
     out = np.zeros((1 if sin_weights is None else 2, taus.size))
     rows = max(1, _BLOCK // max(nodes.size, 1))
     half_nodes = 0.5 * nodes
+    phase_buf = np.empty((min(rows, taus.size), nodes.size))
+    sine_buf = np.empty_like(phase_buf)
     for start in range(0, taus.size, rows):
         block = slice(start, start + rows)
-        phase = np.multiply.outer(taus[block], half_nodes)
-        s = np.sin(phase)
-        out[0, block] = (s * s) @ sin2_weights
+        count = taus[block].size
+        phase = np.multiply.outer(taus[block], half_nodes, out=phase_buf[:count])
+        s = np.sin(phase, out=sine_buf[:count])
+        out[0, block] = np.multiply(s, s, out=s) @ sin2_weights
         if sin_weights is not None:
-            out[1, block] = np.sin(phase + phase) @ sin_weights
+            out[1, block] = np.sin(np.add(phase, phase, out=phase), out=s) @ sin_weights
     return out

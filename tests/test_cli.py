@@ -708,6 +708,23 @@ steps = 4
         )
         assert out.read_text().endswith(expected)
 
+    @pytest.mark.parametrize(
+        "run, spectral, key, value",
+        [("units = 100%", "", "units", "100%"),
+         ("", "note = 5%", "spectral.note", "5%")],
+        ids=["units", "header-only"],
+    )
+    def test_percent_sign_is_literal_text(self, tmp_path, run, spectral, key, value):
+        # no interpolation: a % is echoed as written, not read as a reference
+        out = tmp_path / "env.csv"
+        config = write_config(
+            tmp_path,
+            f"[run]\nscenario = envelope\nout = {out}\n{run}\n\n[spectral]\nkind = white\n"
+            f"s0 = 0.3\n{spectral}\n\n[time-grid]\nstart = 0.0\nstop = 1.0\nsteps = 3\n",
+        )
+        assert main(["envelope", "--config", config]) == 0
+        assert read_csv(out)[0][key] == value
+
     def test_every_row_is_range_checked(self, tmp_path, monkeypatch):
         out = tmp_path / "env.csv"
         config = write_config(
@@ -724,6 +741,19 @@ steps = 4
 
 
 class TestExitCodes:
+    def test_unknown_log_level_is_config_error(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "env.csv"
+        config = write_config(
+            tmp_path,
+            f"[run]\nscenario = envelope\nout = {out}\n\n[spectral]\nkind = white\n"
+            "s0 = 0.3\n\n[time-grid]\nstart = 0.0\nstop = 1.0\nsteps = 3\n",
+        )
+        monkeypatch.setenv("MRTKIT_LOG", "bogus")
+        assert main(["envelope", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: MRTKIT_LOG") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_key_is_config_error(self, tmp_path):
         config = write_config(
             tmp_path,

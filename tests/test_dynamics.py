@@ -27,6 +27,7 @@ from mrtkit import (
     short_time_rho11,
     voigt_rate,
 )
+from mrtkit import dynamics
 from mrtkit.dynamics import (_INTEGRAL, _TO_SERIES, ShortTimeResult, _gaussian_cosine_moments,
                              _kernel_arrays)
 from mrtkit.rates import _SQRT_PI_OVER_8, _shifted_gaussian
@@ -623,10 +624,26 @@ class TestShortTime:
             slope = (hi - lo) / (2.0 * step)
             assert slope == pytest.approx(kernel_at(model, params, t)[0], rel=0.01)
 
-    def test_constant_amplitude_collapses_product(self):
+    @staticmethod
+    def count_quadratures(monkeypatch) -> list:
+        calls = []
+        original = dynamics.gauss_kronrod
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "gauss_kronrod", counted)
+        return calls
+
+    def test_constant_amplitude_collapses_product(self, monkeypatch):
+        # at constant Delta the two amplitude products are one integrand,
+        # integrated once beside the rate integral
         model, params = self.setup_model()
+        calls = self.count_quadratures(monkeypatch)
         result = short_time_rho11(model, params, 1.0, 6.0)
         assert result.double_quadrature == result.single_quadrature
+        assert len(calls) == 2
 
     def test_rate_approximation_close_beyond_dephasing(self):
         model, params = self.setup_model()
@@ -635,16 +652,18 @@ class TestShortTime:
             result.rate_approximation, rel=0.1
         )
 
-    def test_linear_ramp_supported(self):
+    def test_linear_ramp_supported(self, monkeypatch):
         model, _ = self.setup_model()
         params = TwoStateParams(
             delta=LinearSchedule(0.01, 1e-4),
             eps=LinearSchedule(0.5, 0.02),
             temperature=1.0,
         )
+        calls = self.count_quadratures(monkeypatch)
         result = short_time_rho11(model, params, 1.0, 8.0)
         assert result.double_quadrature > 0.0
         assert result.double_quadrature != result.single_quadrature
+        assert len(calls) == 3
 
     def test_warns_beyond_perturbative_window(self):
         model, _ = self.setup_model()

@@ -1,6 +1,7 @@
 """NumPy Gauss-Kronrod quadrature and bounded Brent minimisation."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,8 +17,8 @@ from mrtkit import (
     peak_summary,
 )
 from mrtkit import dynamics
-from mrtkit.quadrature import (RULE_SIZE, _GL_NODES, _GL_WEIGHTS, _sorted_unique,
-                               bounded_minimum, gauss_kronrod)
+from mrtkit.quadrature import (_BLOCK, RULE_SIZE, _GL_NODES, _GL_WEIGHTS, _sine_contraction,
+                               _sorted_unique, bounded_minimum, gauss_kronrod)
 
 
 def lorentzian(gamma):
@@ -125,6 +126,54 @@ def test_sorted_unique_is_np_unique_bit_for_bit(size):
     pool = np.concatenate((rng.normal(size=20), [0.0, -0.0, 1.0, np.nextafter(1.0, 2.0)]))
     a = rng.choice(pool, size)
     assert _sorted_unique(a).tobytes() == np.unique(a).tobytes()
+
+
+def fresh_sine_contraction(taus, nodes, sin2_weights, sin_weights=None) -> np.ndarray:
+    """``_sine_contraction`` with new temporaries in every block: the reference."""
+    taus = np.asarray(taus, dtype=float).ravel()
+    out = np.zeros((1 if sin_weights is None else 2, taus.size))
+    rows = max(1, _BLOCK // max(nodes.size, 1))
+    half_nodes = 0.5 * nodes
+    for start in range(0, taus.size, rows):
+        block = slice(start, start + rows)
+        phase = np.multiply.outer(taus[block], half_nodes)
+        s = np.sin(phase)
+        out[0, block] = (s * s) @ sin2_weights
+        if sin_weights is not None:
+            out[1, block] = np.sin(phase + phase) @ sin_weights
+    return out
+
+
+def contraction_inputs(nodes: int, taus: int):
+    rng = np.random.default_rng(nodes + taus)
+    return (rng.uniform(0.0, 20.0, taus), np.sort(rng.uniform(0.0, 50.0, nodes)),
+            rng.normal(size=nodes), rng.normal(size=nodes))
+
+
+# 32 tau per block, and one tau per block once the nodes outnumber _BLOCK
+@pytest.mark.parametrize("nodes", [1000, 2 * _BLOCK + 3])
+def test_sine_contraction_in_place_is_bit_for_bit(nodes):
+    rows = max(1, _BLOCK // nodes)
+    for count in sorted({1, rows - 1, rows, rows + 1, 3 * rows + 2} - {0}):
+        taus, grid, sin2_weights, sin_weights = contraction_inputs(nodes, count)
+        for weights in (None, sin_weights):
+            assert np.array_equal(_sine_contraction(taus, grid, sin2_weights, weights),
+                                  fresh_sine_contraction(taus, grid, sin2_weights, weights))
+
+
+def test_sine_contraction_holds_two_blocks():
+    # the tabulated-spectrum benchmark's shape: 201 tau on 10 208 nodes
+    taus, grid, sin2_weights, sin_weights = contraction_inputs(10_208, 201)
+    rows = _BLOCK // grid.size
+    _sine_contraction(taus, grid, sin2_weights, sin_weights)
+    tracemalloc.start()
+    try:
+        _sine_contraction(taus, grid, sin2_weights, sin_weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output, half_nodes = 2 * taus.nbytes, grid.nbytes
+    assert peak <= 2 * rows * grid.nbytes + output + half_nodes + 64 * 1024
 
 
 def quad_peak_summary(model, params, w_rms):
