@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import logging
 import math
 import os
@@ -516,27 +515,24 @@ def run(config: RunConfig) -> int:
 def run_validate(out: str | None, seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise ConfigError(f"--seed {seed}: seed must fit in 64 bits")
-    # open the output before the suite runs, so a bad path fails at once
-    try:
-        sink = open(out, "w", newline="") if out else contextlib.nullcontext()
-    except OSError as err:
-        raise ConfigError(f"--out {out}: {err.strerror or err}") from None
-    with sink as handle:
-        records = validation.run_all(seed)
-        criteria = sorted({r.criterion for r in records})
-        all_ok = True
-        for cid in criteria:
-            group = [r for r in records if r.criterion == cid]
-            ok = all(r.passed for r in group)
-            all_ok = all_ok and ok
-            name = group[0].name
-            detail = "; ".join(
-                f"{r.metric} = {r.value:.6g} ({r.cmp} {r.bound:g})" for r in group if not r.passed
-            ) or f"{group[0].metric} = {group[0].value:.6g} ({group[0].cmp} {group[0].bound:g})"
-            print(f"criterion {cid:02d} [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-        if handle is not None:
-            handle.write(validation.render_csv(records, seed=seed))
+    # a bad path fails at once; an existing file is kept until the suite ends
     if out:
+        _check_writable(out)
+    records = validation.run_all(seed)
+    criteria = sorted({r.criterion for r in records})
+    all_ok = True
+    for cid in criteria:
+        group = [r for r in records if r.criterion == cid]
+        ok = all(r.passed for r in group)
+        all_ok = all_ok and ok
+        name = group[0].name
+        detail = "; ".join(
+            f"{r.metric} = {r.value:.6g} ({r.cmp} {r.bound:g})" for r in group if not r.passed
+        ) or f"{group[0].metric} = {group[0].value:.6g} ({group[0].cmp} {group[0].bound:g})"
+        print(f"criterion {cid:02d} [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    if out:
+        with open(out, "w", newline="") as handle:
+            handle.write(validation.render_csv(records, seed=seed))
         log.info("wrote %s", out)
     return 0 if all_ok else 1
 

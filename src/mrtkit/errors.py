@@ -6,7 +6,7 @@ class DivergentMomentError(ValueError):
 
 
 class DecompositionError(ValueError):
-    """Symmetric/antisymmetric decomposition is unavailable for this model."""
+    """Symmetric/antisymmetric decomposition is unavailable: no two-sided overlap of the grid."""
 
 
 class RegimeError(ValueError):

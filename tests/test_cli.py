@@ -327,6 +327,41 @@ steps = 11
             assert (float(gm), float(gp)) == (minus[0], plus[0])
 
 
+class TestEvenTabulatedSpectrum:
+    """A table even about omega = 0 has eps_p0 = 0 to roundoff, not a divergence."""
+
+    SPECTRUM = "omega,S\n-2.0,0.0\n-1.0,1.0\n0.0,0.0\n1.0,1.0\n2.0,0.0\n"
+
+    def config(self, tmp_path, scenario, body):
+        spectrum = tmp_path / "even.csv"
+        spectrum.write_text(self.SPECTRUM)
+        out = tmp_path / "out.csv"
+        text = (f"[run]\nscenario = {scenario}\nout = {out}\n\n"
+                f"[spectral]\nkind = tabulated\ncsv = {spectrum}\n\n"
+                "[two-state]\ndelta = 0.01\neps = 0.0\ntemperature = 1.0\n\n" + body)
+        return write_config(tmp_path, text), out
+
+    def test_gaussian_scan_runs_with_a_zero_shift(self, tmp_path):
+        config, out = self.config(
+            tmp_path, "mrt-scan",
+            "[mrt-scan]\nshape = gaussian\neps_p = auto\n\n"
+            "[bias-grid]\nstart = -1.0\nstop = 1.0\nsteps = 5\n")
+        assert main(["mrt-scan", "--config", config]) == 0
+        comments, _, rows = read_csv(out)
+        assert abs(float(comments["eps_p"])) < 1e-15
+        assert len(rows) == 5
+
+    def test_nonlocal_evolve_is_refused_by_the_response_time(self, tmp_path, capsys):
+        # S_a carries no weight, so the table has no response time
+        config, out = self.config(
+            tmp_path, "evolve",
+            "[evolve]\nmode = nonlocal\n\n"
+            "[time-grid]\nstart = 0.0\nstop = 10.0\nsteps = 101\n")
+        assert main(["evolve", "--config", config]) == 3
+        assert "carries no weight" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPeakCommand:
     def test_single_row_output(self, tmp_path):
         out = tmp_path / "peak.csv"
@@ -1225,6 +1260,18 @@ class TestValidateCommand:
         assert captured.err.startswith("config error:")
         assert "criterion" not in captured.out
         assert not out.exists()
+
+    def test_failed_suite_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "validation.csv"
+        out.write_text("previous\n")
+
+        def failing(seed):
+            raise RuntimeError("suite failed")
+
+        monkeypatch.setattr("mrtkit.validation.run_all", failing)
+        with pytest.raises(RuntimeError, match="suite failed"):
+            main(["validate", "--out", str(out)])
+        assert out.read_text() == "previous\n"
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_is_config_error(self, tmp_path, capsys, seed):

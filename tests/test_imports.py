@@ -15,8 +15,10 @@ A probe body that imports ``scipy.integrate`` itself is the positive
 control that the probe sees a SciPy import, one that calls ``np.unique``
 the control that it sees ``numpy.ma``, and one that touches
 ``np.polynomial`` the control for ``numpy.polynomial``.  A static check
-parses the sources: no module of the package imports SciPy.  Every
-``__all__`` entry of the package's layers resolves.
+parses the sources: no module of the package imports SciPy, and the
+relative imports between its modules (those under ``if TYPE_CHECKING:``
+included) form no cycle.  Every ``__all__`` entry of the package's layers
+resolves.
 """
 
 import ast
@@ -296,6 +298,69 @@ def test_scipy_is_imported_only_at_known_sites():
 def test_static_check_sees_a_scipy_import():
     tree = ast.parse("import numpy\ndef f():\n    from scipy.special import wofz\n")
     assert scipy_imports(tree) == [("f", 3)]
+
+
+def relative_imports(sources: dict[str, str]) -> dict[str, set[str]]:
+    """Module -> the package modules it imports relatively, anywhere in its source.
+
+    Imports under ``if TYPE_CHECKING:`` count too: a cycle hidden from the
+    interpreter is still a cycle between the modules.  ``from . import x``
+    names the module ``x`` if there is one, else the package's ``__init__``.
+    """
+    graph = {}
+    for module, text in sources.items():
+        targets = set()
+        for node in ast.walk(ast.parse(text, module)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    targets.add(node.module.split(".")[0])
+                else:
+                    targets.update(a.name if a.name in sources else "__init__"
+                                   for a in node.names)
+        graph[module] = targets - {module}
+    return graph
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the graph as a path [a, ..., a], or [] if it is acyclic."""
+    state = {}
+
+    def visit(node, path):
+        state[node] = "open"
+        for target in sorted(graph.get(node, ())):
+            if state.get(target) == "open":
+                return path[path.index(target):] + [target]
+            if target not in state:
+                found = visit(target, path + [target])
+                if found:
+                    return found
+        state[node] = "done"
+        return []
+
+    for start in sorted(graph):
+        if start not in state:
+            found = visit(start, [start])
+            if found:
+                return found
+    return []
+
+
+def test_relative_imports_are_acyclic():
+    sources = {path.stem: path.read_text() for path in Path(SRC, "mrtkit").glob("*.py")}
+    graph = relative_imports(sources)
+    assert "quadrature" in graph["spectral"] and "spectral" in graph["coherence"]
+    assert import_cycle(graph) == []
+
+
+def test_cycle_check_sees_a_type_checking_import():
+    sources = {
+        "a": "from .b import f\n",
+        "b": "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .a import g\n",
+        "c": "from . import a, __version__\n",
+    }
+    graph = relative_imports(sources)
+    assert graph == {"a": {"b"}, "b": {"a"}, "c": {"a", "__init__"}}
+    assert import_cycle(graph) == ["a", "b", "a"]
 
 
 # the layers whose ``__all__`` names a tracer wraps one by one with getattr
