@@ -422,9 +422,13 @@ def _oracle_static_noise(config: RunConfig):
                            w_rms=w_rms, delta=delta, probe_time=probe)
     tolerance = config.get_float("oracle", "tolerance_rel", 0.05)
     gp = peak_rate(delta, w_rms)
+    # e^{-z^2/2} is 0 from |z| = 39 on; the cap keeps z^2 from overflowing
+    closed = [gp * math.exp(-0.5 * min(abs(eps / w_rms), 40.0) ** 2) for eps in biases]
+    for eps, expected in zip(biases, closed):
+        if not 0.0 < expected < math.inf:
+            raise RegimeError(f"closed static-noise rate at eps = {eps!r} is {expected!r}")
     cols = {k: [] for k in ("eps", "estimate", "stderr", "expected", "rel_error", "status")}
-    for eps, mc in zip(biases, static_noise_transition(mc_config, biases)):
-        expected = gp * math.exp(-0.5 * (eps / w_rms) ** 2)
+    for eps, expected, mc in zip(biases, closed, static_noise_transition(mc_config, biases)):
         rel = abs(mc.rate - expected) / expected
         cols["eps"].append(eps)
         cols["estimate"].append(mc.rate)

@@ -26,6 +26,7 @@ Lambda(0)], a tau_R-step estimate of D (``nonlocal_corrected_scan``), and
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -147,7 +148,7 @@ def evolve_nonlocal(
     gp = peak_rate(delta, w)
     warn_weak_coupling(delta, w)
     omega_resp = model.response_frequency()
-    h_max = min(0.1 / omega_resp, 0.1 / gp)
+    h_max = 0.1 / max(omega_resp, gp)  # gp may underflow to 0
     if h > h_max * (1.0 + 1e-9):
         raise RegimeError(
             f"grid step {h:.3g} exceeds resolution bound "
@@ -482,6 +483,8 @@ def peak_summary(
     offsets = centres - areas @ centres
     m2 = float(areas @ (variances + offsets * offsets))
     m3 = float(areas @ (offsets * (offsets * offsets + 3.0 * variances)))
+    if not m2**1.5 >= sys.float_info.min:  # ~W^3: below it the skewness is rounding noise
+        raise RegimeError(f"W = {w:.3g}: the third moment of the line underflows")
     return PeakSummary(
         gamma_peak=gamma_peak,
         eps_peak=eps_peak,

@@ -124,7 +124,10 @@ def static_noise_transition(config: McConfig, eps_values) -> list[StaticNoiseEst
     n = config.sample_count
     if config.delta == 0.0:
         return [StaticNoiseEstimate(0.0, 0.0, n) for _ in range(eps.shape[0])]
-    delta_sq = config.delta**2
+    try:
+        delta_sq = config.delta**2
+    except OverflowError:
+        raise RegimeError(f"delta = {config.delta!r}: delta^2 overflows") from None
     mean, m2 = np.zeros((2, eps.shape[0]))
     for start in range(0, n, _CHUNK):
         size = min(_CHUNK, n - start)
@@ -164,14 +167,18 @@ def convolution_reference(
     if w_rms <= 0:
         raise ValueError("w_rms must be positive")
     eps_grid = np.atleast_1d(np.asarray(eps_grid, dtype=float))
-    prefactor = delta_ij**2 * gamma_ij / (math.sqrt(8.0 * math.pi) * w_rms)
+    try:
+        delta_sq, gamma_sq = delta_ij**2, gamma_ij**2
+    except OverflowError:
+        raise ValueError("convolution_reference: delta^2 or gamma^2 overflows") from None
+    prefactor = delta_sq * gamma_ij / (math.sqrt(8.0 * math.pi) * w_rms)
     lo = eps_p - 45.0 * w_rms
     hi = eps_p + 45.0 * w_rms
     out = np.empty_like(eps_grid)
     for i, eps in enumerate(eps_grid):
         def integrand(x):
             gauss = np.exp(-0.5 * ((x - eps_p) / w_rms) ** 2)
-            return gauss / ((eps - x) ** 2 + gamma_ij**2)
+            return gauss / ((eps - x) ** 2 + gamma_sq)
 
         # geometric ladder around the Lorentzian spike: lets the adaptive
         # rule zoom into widths far below the integration window
@@ -212,7 +219,7 @@ def refined_local_reference(rate_minus, rate_plus, rho11_0: float, t_grid) -> Tr
 
     d rho11/dt = G_-(t) (1 - rho11) - G_+(t) rho11: on each fine step the
     RK4 substep count doubles from 1 until two successive results agree to
-    1e-13, and RuntimeError is raised past 2^16 substeps.  A generic
+    1e-13, and RegimeError is raised past 2^16 substeps.  A generic
     integrator against ``evolve_local``'s closed and Duhamel forms.  Rates
     are checked for sign at every evaluation.
     """
@@ -251,7 +258,7 @@ def refined_local_reference(rate_minus, rate_plus, rho11_0: float, t_grid) -> Tr
                 while not abs(refined - coarse) <= _RK4_AGREEMENT:
                     n *= 2
                     if n > _RK4_MAX_SUBSTEPS:
-                        raise RuntimeError(
+                        raise RegimeError(
                             f"local evolution failed: RK4 on [{a}, {b}] not settled "
                             f"within {_RK4_MAX_SUBSTEPS} substeps"
                         )

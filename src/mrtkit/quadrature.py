@@ -221,13 +221,13 @@ def _oscillation_edges(a: float, b: float, t: float) -> np.ndarray:
     if t <= 0.0:
         return np.empty(0)
     half_period = math.pi / t
-    count = int((b - a) / half_period)
-    if count > 200_000:
+    count = (b - a) / half_period  # inf for a grid span near the float range
+    if not count < 200_001:
         raise ValueError(
             "oscillatory tabulated integral too fine to resolve "
-            f"({count} half-periods on the grid span)"
+            f"({count:.0f} half-periods on the grid span)"
         )
-    return a + half_period * np.arange(1, count + 1)
+    return a + half_period * np.arange(1, int(count) + 1)
 
 
 def _tabulated_nodes(

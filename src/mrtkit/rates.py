@@ -168,9 +168,9 @@ def faddeeva(z):
       Dawson's F from Rybicki's sampling sum (``_w_near_axis``).  This keeps
       the e^{-x^2} part of Re w, which a truncated continued fraction drops
       and which dominates Re w there when y is small;
-    - elsewhere, Algorithm 680 of Poppe & Wijers, ACM TOMS 16, 38 (1990): a
-      power series near the origin, Gautschi's Taylor expansion about z + ih
-      with continued-fraction derivatives in a ring, and the Laplace
+    - elsewhere, Algorithm 680 of Poppe & Wijers, ACM TOMS 16, 38 (1990):
+      Gautschi's Taylor expansion about z + ih with continued-fraction
+      derivatives inside an ellipse about the origin, and the Laplace
       continued fraction beyond (``_w_poppe_wijers``).  Its recurrences run
       in complex arithmetic on slices of the points sorted by level count,
       so a level costs a few NumPy operations on the points it updates.
@@ -239,11 +239,11 @@ def _w_near_axis(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _w_poppe_wijers(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Re w, Im w) for x, y >= 0 by Algorithm 680 (Poppe & Wijers, 1990).
 
-    With q = (x/6.3)^2 + (y/4.4)^2: for q < 0.085264 the power series of
-    erfc(-iz) (30 terms, enough on that ellipse); for q > 1 the Laplace
-    continued fraction, nu terms; between, Gautschi's method: the continued
-    fraction at z + ih gives the derivatives of w there, and kapn terms of
-    their Taylor series step back to z.
+    With q = (x/6.3)^2 + (y/4.4)^2: for q > 1 the Laplace continued
+    fraction, nu terms; below, Gautschi's method: the fraction at z + ih
+    gives the derivatives of w there, and kapn Taylor terms step back to z.
+    Algorithm 680's power series for q < 0.085264 (off the strip, 0.5 <= y
+    <= 1.285) is not used: it cancels near the imaginary axis, this does not.
 
     Both recurrences run in complex arithmetic: the fraction levels
     R <- 0.5/(U + (n+1) R) with U = (y + h) - ix, and the Taylor steps
@@ -257,13 +257,6 @@ def _w_poppe_wijers(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     im = np.empty_like(x)
     ys = y / 4.4
     q = (x / 6.3) ** 2 + ys * ys
-    series = q < 0.085264
-    if series.any():
-        re[series], im[series] = _w_power_series(x[series], y[series])
-    rest = np.flatnonzero(~series)
-    if not rest.size:
-        return re, im
-    x, y, q, ys = x[rest], y[rest], q[rest], ys[rest]
     # s = 0 (q >= 1, or y = 4.4) is the plain continued fraction
     s = (1.0 - ys) * np.sqrt(np.maximum(1.0 - q, 0.0))
     taylor_pts = s > 0.0
@@ -277,7 +270,7 @@ def _w_poppe_wijers(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     # float key and bisect: NumPy's integer sorts and searchsorted would
     # map library code that no other step of a run touches (64-256 KB RSS).
     order = np.argsort(-(np.where(taylor_pts, 4096.0, 0.0) + 64.0 * nu + kapn), kind="stable")
-    rest, nu, kapn = rest[order], nu[order], kapn[order]
+    nu, kapn = nu[order], kapn[order]
     taylor_pts, h = taylor_pts[order], h[order]
     u = (y[order] + h) - 1j * x[order]
     h2 = np.where(taylor_pts, 2.0 * h, 1.0)
@@ -298,22 +291,8 @@ def _w_poppe_wijers(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
                 t[lo:m] = r[lo:m] * (qlambda[lo:m] + t[lo:m])
                 qlambda[lo:m] /= h2[lo:m]
     w = _TWO_OVER_SQRT_PI * np.where(taylor_pts, t, r)
-    re[rest], im[rest] = w.real, w.imag
+    re[order], im[order] = w.real, w.imag
     return re, im
-
-
-def _w_power_series(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Re w, Im w) = e^{-z^2} (1 + (2i/sqrt(pi)) z sum_k z^{2k} / (k! (2k+1))).
-
-    The 30-term sum by complex Horner steps in z^2.
-    """
-    z = x + 1j * y
-    zz = z * z
-    total = np.full_like(z, 1.0 / 61.0)
-    for i in range(30, 0, -1):
-        total = total * zz / i + 1.0 / (2 * i - 1)
-    w = np.exp(-zz) * (1.0 + 1j * _TWO_OVER_SQRT_PI * z * total)
-    return w.real, w.imag
 
 
 def voigt_rate(delta_ij: float, w_rms: float, eps, eps_p: float, gamma_ij: float):

@@ -146,6 +146,9 @@ class OhmicCutoff(SpectralModel):
     def __post_init__(self):
         if self.eta <= 0 or self.omega_c <= 0 or self.temperature <= 0:
             raise ValueError("OhmicCutoff requires eta > 0, omega_c > 0, T > 0")
+        # every rate divides by W, and W^2 overflows before omega_c / 2 pi T does
+        if not 0.0 < self.noise_rms() < math.inf:
+            raise ValueError("OhmicCutoff requires 0 < W < inf; these scales leave that range")
 
     def density(self, omega):
         omega = float(omega)
@@ -346,8 +349,8 @@ class Tabulated(SpectralModel):
     def noise_rms(self):
         """W from the exact integral of the interpolant."""
         w2 = self._interp.integral / (2.0 * math.pi)
-        if w2 <= 0:
-            raise ValueError("tabulated spectrum integrates to zero")
+        if not 0.0 < w2 < math.inf:
+            raise ValueError("tabulated spectrum integrates to zero or overflows")
         return math.sqrt(w2)
 
     def reorganization_shift(self):
@@ -359,10 +362,13 @@ class Tabulated(SpectralModel):
         """1/omega*, where omega* holds 99 % of the weight of S_a(omega)/omega."""
         upper = self._positive_overlap()
         grid = np.linspace(0.0, upper, 8193)[1:]
+        # S(w) - S(-w) rounds by ~eps (S(w) + S(-w)): a weight below 1e-12 of that sum
+        # (grid[0] is the step) is noise; summed first, while no other array is held
+        floor = 1e-12 * grid[0] * np.sum((self._interp(grid) + self._interp(-grid)) / grid)
         g = self.antisymmetric(grid) / grid
         cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(grid))))
         total = cumulative[-1]
-        if total <= 0:
+        if not total > floor:
             raise DivergentMomentError("tabulated antisymmetric part carries no weight")
         idx = int(np.searchsorted(cumulative, 0.99 * total))
         omega_star = float(grid[min(idx, grid.size - 1)])

@@ -775,6 +775,96 @@ steps = 4
         assert not out.exists()
 
 
+OHMIC_NONLOCAL = """\
+[spectral]
+kind = ohmic
+eta = 1.0
+omega_c = 1.0
+temperature = 1.0
+
+[two-state]
+delta = 1e-170
+eps = 0.0
+temperature = 1.0
+
+[time-grid]
+start = 0.0
+stop = 1.0
+steps = 11
+"""
+CONVOLUTION = """\
+[oracle]
+name = convolution
+w = 1.0
+delta = {delta}
+gamma = {gamma}
+
+[bias-grid]
+start = -1.0
+stop = 1.0
+steps = 3
+"""
+
+
+class TestExtremeValues:
+    """Values that underflow or overflow a float end by the exit-code contract."""
+
+    @pytest.mark.parametrize("scenario, body", [
+        ("evolve", OHMIC_NONLOCAL + "[evolve]\nmode = nonlocal\n"),
+        ("oracle", OHMIC_NONLOCAL + "[oracle]\nname = refined-nonlocal\n"),
+    ], ids=["evolve", "refined-nonlocal"])
+    def test_peak_rate_underflow_runs(self, tmp_path, capsys, scenario, body):
+        # Gamma_p = 0: the step bound is set by omega_c alone
+        out = tmp_path / "o.csv"
+        config = write_config(tmp_path, f"[run]\nscenario = {scenario}\nout = {out}\n\n{body}")
+        assert main([scenario, "--config", config]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, body, code, message", [
+        ("oracle", "[oracle]\nname = static-noise\nw = 1.0\ndelta = 0.01\nprobe_time = 10.0\n"
+         "samples = 100\neps = 0.0 40.0\n", 3,
+         "precondition violated: closed static-noise rate at eps = 40.0 is 0.0"),
+        # inside the window [5/W, 0.2/Delta], with a finite Gamma_p
+        ("oracle", "[oracle]\nname = static-noise\nw = 1e300\ndelta = 1.5e154\n"
+         "probe_time = 1e-155\nsamples = 10\neps = 0.0\n", 3,
+         "precondition violated: delta = 1.5e+154: delta^2 overflows"),
+        ("oracle", CONVOLUTION.format(delta="1e200", gamma="0.1"), 3,
+         "precondition violated: convolution_reference: delta^2 or gamma^2 overflows"),
+        ("oracle", CONVOLUTION.format(delta="0.1", gamma="1e200"), 3,
+         "precondition violated: convolution_reference: delta^2 or gamma^2 overflows"),
+        ("mrt-scan", OHMIC_NONLOCAL.replace("temperature = 1.0", "temperature = 1e-320", 1)
+         + "[mrt-scan]\nshape = gaussian\n[bias-grid]\nstart = -1\nstop = 1\nsteps = 3\n", 2,
+         "OhmicCutoff requires 0 < W < inf"),
+        ("envelope", OHMIC_NONLOCAL.replace("temperature = 1.0", "temperature = 1e-320", 1), 2,
+         "OhmicCutoff requires 0 < W < inf"),
+        ("evolve", OHMIC_NONLOCAL.replace("eta = 1.0", "eta = 5e-324")
+         .replace("omega_c = 1.0", "omega_c = 1e-320")
+         .replace("delta = 1e-170", "delta = 0.01\neps_rate = 0.1")
+         + "[evolve]\nmode = local\n", 2, "OhmicCutoff requires 0 < W < inf"),
+    ], ids=["static-noise-underflow", "static-noise-delta", "convolution-delta",
+            "convolution-gamma", "scan-infinite-ratio", "envelope-infinite-ratio",
+            "ramped-local-zero-w"])
+    def test_one_line_message(self, tmp_path, capsys, scenario, body, code, message):
+        out = tmp_path / "o.csv"
+        config = write_config(tmp_path, f"[run]\nscenario = {scenario}\nout = {out}\n\n{body}")
+        assert main([scenario, "--config", config]) == code
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_tabulated_span_near_the_float_range(self, tmp_path, capsys):
+        # the half-periods of t = 1e10 on a 1e300 span overflow to inf
+        spectrum = tmp_path / "huge.csv"
+        spectrum.write_text("omega,S\n-1e300,1\n0,1\n1e300,1\n2e300,1\n")
+        out = tmp_path / "o.csv"
+        config = write_config(tmp_path, f"[run]\nscenario = envelope\nout = {out}\n\n"
+                              f"[spectral]\nkind = tabulated\ncsv = {spectrum}\n\n"
+                              "[time-grid]\nstart = 0\nstop = 1e10\nsteps = 3\n")
+        assert main(["envelope", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert "(inf half-periods on the grid span)" in err and err.count("\n") == 1
+
+
 class TestExitCodes:
     def test_unknown_log_level_is_config_error(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "env.csv"

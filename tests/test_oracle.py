@@ -321,7 +321,7 @@ class TestRefinedReference:
 
     def test_unsettled_substeps_raise(self):
         # rate * fine step = 6e6: RK4 needs over 2^21 substeps to be stable
-        with pytest.raises(RuntimeError, match="not settled"):
+        with pytest.raises(RegimeError, match="not settled"):
             refined_local_reference(lambda t: 1e8, 0.0, 0.0, [0.0, 1.0])
 
     def test_negative_rate_is_refused(self):

@@ -133,7 +133,11 @@ class TestEvalSpectralDensity:
 
 class TestModelValidation:
     def test_ohmic_requires_positive_parameters(self):
-        for bad in (dict(eta=0.0), dict(omega_c=-1.0), dict(temperature=0.0)):
+        # the last three are positive, but omega_c / 2 pi T is infinite, W
+        # underflows to 0 and W overflows
+        for bad in (dict(eta=0.0), dict(omega_c=-1.0), dict(temperature=0.0),
+                    dict(temperature=1e-320), dict(eta=5e-324, omega_c=1e-320),
+                    dict(eta=1e300, omega_c=1e300)):
             kwargs = {"eta": 1.0, "omega_c": 1.0, "temperature": 1.0, **bad}
             with pytest.raises(ValueError):
                 OhmicCutoff(**kwargs)
@@ -221,6 +225,12 @@ class TestSymmetricAntisymmetric:
 
 
 class TestNoiseRms:
+    def test_tabulated_w_is_finite(self):
+        # the integral of this table overflows: W would read inf
+        model = Tabulated(np.array([-1e300, 0.0, 1e300, 2e300]), np.full(4, 1e300))
+        with pytest.raises(ValueError, match="integrates to zero or overflows"):
+            model.noise_rms()
+
     def test_white_diverges(self):
         with pytest.raises(DivergentMomentError):
             White(s0=1.0).noise_rms()
