@@ -9,7 +9,6 @@ units throughout (hbar = k_B = 1).
 from .coherence import dephasing_exponent, offdiag_element
 from .dynamics import (
     PeakSummary,
-    ShortTimeResult,
     Trajectory,
     evolve_local,
     evolve_nonlocal,

@@ -350,9 +350,7 @@ def run_evolve(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     elif mode == "nonlocal":
         traj = evolve_nonlocal(model, params, rho11_0, grid, w_rms=w_rms)
     elif mode == "short-time":
-        rho11 = np.array(
-            [short_time_rho11(model, params, w_rms, float(t)).double_quadrature for t in grid]
-        )
+        rho11 = np.array([short_time_rho11(model, params, w_rms, float(t)) for t in grid])
         return [("t", grid), ("rho00", 1.0 - rho11), ("rho11", rho11)]
     else:
         raise ConfigError(f"{config.path}: unknown evolve mode {mode!r}")

@@ -35,14 +35,12 @@ import numpy as np
 
 from .errors import RegimeError, RegimeWarning
 from .quadrature import _GL_NODES, _GL_WEIGHTS, bounded_minimum, gauss_kronrod
-from .rates import (TwoStateParams, _ramped_line, _shifted_gaussian, faddeeva, peak_rate,
-                    warn_weak_coupling)
+from .rates import TwoStateParams, _shifted_gaussian, faddeeva, peak_rate, warn_weak_coupling
 from .spectral import SpectralModel
 
 __all__ = [
     "Trajectory",
     "PeakSummary",
-    "ShortTimeResult",
     "evolve_nonlocal",
     "evolve_local",
     "nonlocal_corrected_scan",
@@ -151,8 +149,8 @@ def evolve_nonlocal(
     h_max = 0.1 / max(omega_resp, gp)  # gp may underflow to 0
     if h > h_max * (1.0 + 1e-9):
         raise RegimeError(
-            f"grid step {h:.3g} exceeds resolution bound "
-            f"min(1/(10*omega_c), 1/(10*Gamma_p)) = {h_max:.3g}"
+            f"grid step {h:.3g} exceeds resolution bound min(1/(10*omega_resp), "
+            f"1/(10*Gamma_p)) = {h_max:.3g}, omega_resp = 1/tau_R = {omega_resp:.3g}"
         )
 
     eps_p, deps = model.shift_arrays(h * np.arange(t.size))
@@ -411,11 +409,11 @@ def _first_order_curve(
     delta, _ = _require_constant(params)
     gp = peak_rate(delta, w)
     warn_weak_coupling(delta, w)
-    ratio = gp / model.response_frequency()
+    omega_resp = model.response_frequency()
+    ratio = gp / omega_resp
     if ratio >= 0.5:
-        raise RegimeError(
-            f"Gamma_p/omega_c = {ratio:.3g} >= 0.5: memory correction out of regime"
-        )
+        raise RegimeError(f"Gamma_p/omega_resp = {ratio:.3g} >= 0.5 (omega_resp = 1/tau_R = "
+                          f"{omega_resp:.3g}): memory correction out of regime")
     eps_p0 = model.reorganization_shift()
     suppression = math.exp(-0.5 * (eps_p0 / w) ** 2)
     return _FirstOrderCurve(gp, ratio, eps_p0, w, params.temperature, suppression)
@@ -427,14 +425,12 @@ class PeakSummary:
 
     asymmetry is the dimensionless skewness (third central moment over the
     second to the 3/2) of the area-normalized curve, a closed moment of its
-    four Gaussians; the first_order fields are the closed-form leading estimates.
+    four Gaussians.
     """
 
     gamma_peak: float
     eps_peak: float
     asymmetry: float
-    gamma_peak_first_order: float
-    eps_peak_first_order: float
 
 
 def peak_summary(
@@ -457,7 +453,7 @@ def peak_summary(
     with RegimeError.
     """
     rates = _first_order_curve(model, params, w_rms)
-    gp, ratio, eps_p0, w = rates.gp, rates.ratio, rates.eps_p0, rates.w
+    ratio, eps_p0, w = rates.ratio, rates.eps_p0, rates.w
 
     def curve(e):
         return rates(e)[0]
@@ -485,31 +481,7 @@ def peak_summary(
     m3 = float(areas @ (offsets * (offsets * offsets + 3.0 * variances)))
     if not m2**1.5 >= sys.float_info.min:  # ~W^3: below it the skewness is rounding noise
         raise RegimeError(f"W = {w:.3g}: the third moment of the line underflows")
-    return PeakSummary(
-        gamma_peak=gamma_peak,
-        eps_peak=eps_peak,
-        asymmetry=m3 / m2**1.5,
-        gamma_peak_first_order=gp * (1.0 + ratio),
-        eps_peak_first_order=eps_p0 * (1.0 + 2.0 * ratio * rates.suppression),
-    )
-
-
-@dataclass(frozen=True)
-class ShortTimeResult:
-    """Perturbative rho11(t) at three levels of approximation.
-
-    double_quadrature : exact tunneling amplitudes Delta(tau_m + tau/2)
-                        Delta(tau_m - tau/2) over history and relative time.
-    single_quadrature : tunneling amplitudes evaluated at the midpoint tau_m.
-    rate_approximation: running integral of the Gaussian rate Lambda_-(t).
-
-    The first two are one quadrature over tau_m each: the relative-time
-    integral inside is closed (``_gaussian_cosine_moments``).
-    """
-
-    double_quadrature: float
-    single_quadrature: float
-    rate_approximation: float
+    return PeakSummary(gamma_peak=gamma_peak, eps_peak=eps_peak, asymmetry=m3 / m2**1.5)
 
 
 def _gaussian_cosine_moments(f, a, c: float):
@@ -533,7 +505,7 @@ def _gaussian_cosine_moments(f, a, c: float):
 
 def short_time_rho11(
     model: SpectralModel, params: TwoStateParams, w_rms: float, t: float
-) -> ShortTimeResult:
+) -> float:
     """Second-order population growth rho11(t) for rho(0) = |0><0|.
 
     rho11(t) = (1/2) integral_0^t dtau_m integral_0^a dtau
@@ -541,16 +513,16 @@ def short_time_rho11(
     a = min(2 tau_m, 2(t - tau_m)), f = eps(tau_m) - eps_p(tau_m).  Valid
     for t below ~1/Delta (warned beyond).  Constant and linear schedules
     only: for those the phase is exactly f tau, and the amplitude product is
-    Delta(tau_m)^2 - (dDelta/dt tau/2)^2, so the tau integral is closed.
-    The tau_m integrals and the rate integral run on ``gauss_kronrod``.
+    Delta(tau_m)^2 - (dDelta/dt tau/2)^2, so the tau integral is closed
+    (``_gaussian_cosine_moments``) and the tau_m integral is one
+    ``gauss_kronrod`` quadrature.
     """
     if t < 0:
         raise ValueError("short_time_rho11 requires t >= 0")
     delta_s = params.delta_schedule
     eps_s = params.eps_schedule
-    w = w_rms
     if t == 0.0:
-        return ShortTimeResult(0.0, 0.0, 0.0)
+        return 0.0
     delta_max = max(abs(delta_s.value(0.0)), abs(delta_s.value(t)))
     if delta_max * t > 1.0:
         warnings.warn(
@@ -560,26 +532,13 @@ def short_time_rho11(
         )
     ramp_sq = (0.5 * delta_s.rate) ** 2
 
-    def growth(tau_m, ramp_sq):
+    def growth(tau_m):
         eps_p = model.shift_arrays(tau_m)[0]
         window = 2.0 * np.minimum(tau_m, t - tau_m)
-        j, i2 = _gaussian_cosine_moments(eps_s.value(tau_m) - eps_p, window, 0.5 * w * w)
+        j, i2 = _gaussian_cosine_moments(eps_s.value(tau_m) - eps_p, window,
+                                         0.5 * w_rms * w_rms)
         return delta_s.value(tau_m) ** 2 * j - ramp_sq * i2
 
-    def outer(ramp_sq):
-        val, _, _ = gauss_kronrod(lambda tm: growth(tm, ramp_sq), [0.0, 0.5 * t, t],
-                                  epsabs=1e-15, epsrel=1e-13, limit=200)
-        return 0.5 * val
-
-    def local_rate(s):
-        return _ramped_line(params, w, s, model.shift_arrays(s)[0])
-
-    rate_int, _, _ = gauss_kronrod(local_rate, [0.0, t], epsabs=1e-15, epsrel=1e-13,
-                                   limit=200)
-    double = outer(ramp_sq)
-    return ShortTimeResult(
-        double_quadrature=double,
-        # at constant Delta the two amplitude products are one integrand
-        single_quadrature=double if ramp_sq == 0.0 else outer(0.0),
-        rate_approximation=rate_int,
-    )
+    val, _, _ = gauss_kronrod(growth, [0.0, 0.5 * t, t], epsabs=1e-15, epsrel=1e-13,
+                              limit=200)
+    return 0.5 * val

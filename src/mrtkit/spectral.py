@@ -52,9 +52,9 @@ class SpectralModel:
     finite moments it has: ``antisymmetric``, ``noise_rms``,
     ``reorganization_shift``, ``tau_r`` and ``shift_arrays``.  The defaults
     here are the refusals of a flat spectrum, whose frequency moments
-    diverge.  ``shift``, ``symmetric_antisymmetric`` and
-    ``response_frequency`` follow from ``shift_arrays``, ``density`` and
-    ``tau_r``, and check their arguments here, once for every model.
+    diverge.  ``shift`` and ``response_frequency`` follow from
+    ``shift_arrays`` and ``tau_r``, and check their arguments here, once for
+    every model.
     """
 
     def density(self, omega: float) -> float:
@@ -64,17 +64,6 @@ class SpectralModel:
     def dephasing_exponent(self, times: np.ndarray) -> np.ndarray:
         """X(t) for an array of times t >= 0, in the same shape."""
         raise NotImplementedError
-
-    def symmetric_antisymmetric(self, omega: float) -> tuple[float, float]:
-        """(S_s, S_a) = ((S(w) + S(-w))/2, (S(w) - S(-w))/2) at omega >= 0.
-
-        For an equilibrium model S_s = S_a coth(w/2T).
-        """
-        if omega < 0:
-            raise ValueError("decomposition is defined for omega >= 0")
-        plus = self.density(omega)
-        minus = self.density(-omega)
-        return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
     def antisymmetric(self, omega: float) -> float:
         """S_a(omega) for omega >= 0, the integrand of the shift moments."""
@@ -329,10 +318,6 @@ class Tabulated(SpectralModel):
             )
         return float(self._interp(omega))
 
-    def symmetric_antisymmetric(self, omega):
-        self._positive_overlap()
-        return super().symmetric_antisymmetric(omega)
-
     def antisymmetric(self, omega):
         """S_a = (S(w) - S(-w))/2 on a float or an array: the one tabulated S_a.
 
@@ -448,6 +433,9 @@ _RESONANCE_WINDOW = 0.2
 _TAYLOR_TERMS = 26
 # Largest (time, term) block of one evaluation: bounds the memory of a call.
 _BLOCK = 2**16
+# X(t) sums O(omega_c/T) Matsubara terms per time (1.3e6 at this ratio);
+# beyond it the ohmic X(t) is refused rather than left to run for minutes.
+_MAX_OMEGA_C_OVER_T = 1e6
 # B_2, B_4, B_6 of the Euler-Maclaurin tail corrections
 _EM_BERNOULLI = (1 / 6, -1 / 30, 1 / 42)
 _EULER_GAMMA = 0.5772156649015329
@@ -469,8 +457,15 @@ def _ohmic_exponent(model: SpectralModel, times: np.ndarray) -> np.ndarray:
     its Taylor series.  Terms past n_head are summed in closed form: the
     rational parts as Hurwitz zeta values, the rest by Euler-Maclaurin with
     exponential integrals.  Each t is one row, reduced along the Matsubara
-    index, so a time gives the same bits alone or inside an array.
+    index in blocks of at most _BLOCK terms, so a time gives the same bits
+    alone or inside an array, and a call holds O(_BLOCK) floats whatever
+    omega_c/T is.
     """
+    if not model.omega_c / model.temperature <= _MAX_OMEGA_C_OVER_T:
+        raise RegimeError(
+            f"omega_c/T = {model.omega_c / model.temperature:.3g} exceeds "
+            f"{_MAX_OMEGA_C_OVER_T:.0e}: X(t) needs O(omega_c/T) Matsubara terms per time"
+        )
     x = model.omega_c / (2.0 * math.pi * model.temperature)
     n_head = _HEAD_TERMS + math.ceil(_HEAD_SPAN * x)
     ratio = (x / (n_head + 1.0)) ** 2
@@ -482,12 +477,10 @@ def _ohmic_exponent(model: SpectralModel, times: np.ndarray) -> np.ndarray:
     first = n_head + 1.0
     tail_1 = float(np.sum(x ** (2 * j) * _hurwitz_zeta(2.0 * j + 2.0, first)))
     tail_2 = float(np.sum((j + 1) * x ** (2 * j) * _hurwitz_zeta(2.0 * j + 4.0, first)))
-    weights = np.full(n_head + 1, 2.0)
-    weights[0] = 1.0
-    n = np.arange(n_head + 1, dtype=float)
+    terms = min(n_head + 1, _BLOCK)
 
     out = np.zeros(times.size)
-    rows = max(1, _BLOCK // n.size)
+    rows = max(1, _BLOCK // terms)
     for start in range(0, times.size, rows):
         t = times[start:start + rows]
         live = t > 0.0
@@ -495,7 +488,14 @@ def _ohmic_exponent(model: SpectralModel, times: np.ndarray) -> np.ndarray:
         y = model.omega_c * t
         tau = 2.0 * math.pi * model.temperature * t
         e = _exp_moments(y, _TAYLOR_TERMS)
-        head = np.sum(weights * _matsubara_terms(y, np.multiply.outer(tau, n), e), axis=-1)
+        head = None
+        for first_n in range(0, n_head + 1, terms):
+            n = np.arange(first_n, min(first_n + terms, n_head + 1), dtype=float)
+            weights = np.full(n.size, 2.0)
+            if first_n == 0:
+                weights[0] = 1.0
+            part = np.sum(weights * _matsubara_terms(y, np.multiply.outer(tau, n), e), axis=-1)
+            head = part if head is None else head + part
         # tail, with z_n = tau n and E(z) - E(y) = y q(y) - z q(z)
         q = e[0] - e[1]
         sums = _phi_sums(2 * j[:, None] + 5, tau, first)

@@ -269,8 +269,8 @@ def check_short_time_slope(seed: int) -> list[CriterionRecord]:
     w_rms = 1.0
     params = TwoStateParams(delta=0.01, eps=0.7, temperature=1.0)
     t, step = 10.0, 0.5
-    upper = short_time_rho11(model, params, w_rms, t + step).double_quadrature
-    lower = short_time_rho11(model, params, w_rms, t - step).double_quadrature
+    upper = short_time_rho11(model, params, w_rms, t + step)
+    lower = short_time_rho11(model, params, w_rms, t - step)
     slope = (upper - lower) / (2.0 * step)
     eps_p = model.shift(t)
     lam = peak_rate(0.01, w_rms) * math.exp(-0.5 * ((0.7 - eps_p) / w_rms) ** 2)

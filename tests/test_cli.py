@@ -841,9 +841,12 @@ class TestExtremeValues:
          .replace("omega_c = 1.0", "omega_c = 1e-320")
          .replace("delta = 1e-170", "delta = 0.01\neps_rate = 0.1")
          + "[evolve]\nmode = local\n", 2, "OhmicCutoff requires 0 < W < inf"),
+        # W is finite; X(t) would need 8e19 Matsubara terms per time
+        ("envelope", OHMIC_NONLOCAL.replace("omega_c = 1.0", "omega_c = 6.3e19", 1), 3,
+         "precondition violated: omega_c/T = 6.3e+19 exceeds 1e+06"),
     ], ids=["static-noise-underflow", "static-noise-delta", "convolution-delta",
             "convolution-gamma", "scan-infinite-ratio", "envelope-infinite-ratio",
-            "ramped-local-zero-w"])
+            "ramped-local-zero-w", "envelope-beyond-the-ratio-cap"])
     def test_one_line_message(self, tmp_path, capsys, scenario, body, code, message):
         out = tmp_path / "o.csv"
         config = write_config(tmp_path, f"[run]\nscenario = {scenario}\nout = {out}\n\n{body}")

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from mrtkit.cli import main
 
-# Ratios of these values to each other and to 0.05..5 are below 1e4 or
-# above 1e99: the ohmic X(t) holds O(omega_c/T) Matsubara terms at once,
-# so a ratio near 1e9 would allocate gigabytes before it could fail.
-EXTREMES = ["5e-324", "1e-320", "1e-170", "0", "-0.5", "-1e300", "1e200", "1e300",
-            "nan", "inf", "abc", ""]
+# 1e-5, 1e-8 and 1e8 put omega_c/T on both sides of the ohmic X(t)'s cap of
+# 1e6 (5e3..5e5 below it, 5e6..2e10 above it), as well as past 1e99.
+EXTREMES = ["5e-324", "1e-320", "1e-170", "1e-8", "1e-5", "0", "-0.5", "-1e300", "1e8",
+            "1e200", "1e300", "nan", "inf", "abc", ""]
 
 
 def mostly(valid, invalid):
@@ -148,6 +147,10 @@ def convolution(delta, gamma):
                      "two-state": {"delta": "1.0", "eps": "5e-324", "temperature": "5e-324"},
                      "time-grid": {"start": "0", "stop": "1e200", "steps": "2"},
                      "oracle": {"name": "refined-local"}}))
+# omega_c/T = 5e5, just below the X(t) cap: 6.4e5 Matsubara terms in ten blocks
+@example(("envelope", {"run": {"scenario": "envelope"},
+                       "spectral": ohmic(omega_c="5.0", temperature="1e-5"),
+                       "time-grid": {"start": "0", "stop": "1", "steps": "2"}}))
 def test_fuzzed_config_keeps_the_exit_code_contract(case):
     command, config = case
     with tempfile.TemporaryDirectory() as workdir:
@@ -160,8 +163,22 @@ def test_fuzzed_config_keeps_the_exit_code_contract(case):
         path = os.path.join(workdir, "run.ini")
         with open(path, "w") as handle:
             handle.write(render(config))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, "--config", path, "--out", os.path.join(workdir, "out.csv")])
-    assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+        out = os.path.join(workdir, "out.csv")
+
+        def run():
+            err, stdout = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+                code = main([command, "--config", path, "--out", out])
+            return code, err.getvalue(), stdout.getvalue()
+
+        code, err, stdout = run()
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code == 0:
+            # a rerun of the same config writes the same bytes
+            with open(out, "rb") as handle:
+                first = handle.read()
+            os.remove(out)
+            assert run() == (0, err, stdout)
+            with open(out, "rb") as handle:
+                assert handle.read() == first

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,12 +13,14 @@ from hypothesis import strategies as st
 from mrtkit import (
     LinearSchedule,
     OhmicCutoff,
+    RegimeError,
     SpectralModel,
     Tabulated,
     White,
     dephasing_exponent,
     offdiag_element,
 )
+from mrtkit.spectral import _BLOCK, _MAX_OMEGA_C_OVER_T
 from scipy.integrate import IntegrationWarning, quad
 
 
@@ -312,6 +315,27 @@ class TestOhmicMatsubaraSum:
         assert dephasing_exponent(model, t) == pytest.approx(
             exponent_mpmath_oracle(1.0, omega_c, 1.0, t), rel=1e-13, abs=0.0
         )
+
+    @pytest.mark.parametrize("ratio", [1e4, 1e5, _MAX_OMEGA_C_OVER_T])
+    def test_memory_does_not_grow_with_omega_c_over_t(self, ratio):
+        # 64 + 8 x Matsubara terms per time, x = omega_c/2 pi T (1.3e6 at the cap),
+        # summed in blocks of _BLOCK: a call holds about 14 blocks of floats at most
+        model = OhmicCutoff(eta=1.0, omega_c=ratio, temperature=1.0)
+        t = np.array([1.0 / ratio])
+        tracemalloc.start()
+        try:
+            value = dephasing_exponent(model, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value[0] > 0.0
+        assert peak <= 16 * _BLOCK * 8
+
+    def test_refused_beyond_the_ratio_cap(self):
+        omega_c = _MAX_OMEGA_C_OVER_T * (1.0 + 1e-12)
+        model = OhmicCutoff(eta=1.0, omega_c=omega_c, temperature=1.0)
+        with pytest.raises(RegimeError, match="omega_c/T = 1e\\+06 exceeds 1e\\+06"):
+            dephasing_exponent(model, 1.0)
 
     def test_short_time_limit(self):
         # X = W^2 t^2 / 2 (1 + O(omega_c t log)) as t -> 0

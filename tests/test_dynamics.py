@@ -28,9 +28,8 @@ from mrtkit import (
     voigt_rate,
 )
 from mrtkit import dynamics
-from mrtkit.dynamics import (_INTEGRAL, _TO_SERIES, ShortTimeResult, _gaussian_cosine_moments,
-                             _kernel_arrays)
-from mrtkit.rates import _SQRT_PI_OVER_8, _shifted_gaussian
+from mrtkit.dynamics import _INTEGRAL, _TO_SERIES, _gaussian_cosine_moments, _kernel_arrays
+from mrtkit.rates import _shifted_gaussian
 from mrtkit.oracle import corrected_rates_reference
 
 
@@ -402,6 +401,22 @@ class TestNonlocalCorrectedRates:
         with pytest.raises(RegimeError, match="out of regime"):
             corrected_at(model, params, 1.0)
 
+    def test_tabulated_refusals_name_omega_resp(self):
+        # a table has no omega_c: both regime bounds are set by omega_resp = 1/tau_R
+        source = fdt_model(0.5, 0.01)
+        model = tabulated_model(source)
+        omega_resp = f"omega_resp = 1/tau_R = {model.response_frequency():.3g}"
+        params = TwoStateParams(delta=0.2, eps=0.0, temperature=source.temperature)
+        refusals = [lambda: corrected_at(model, params, 1.0),
+                    lambda: evolve_nonlocal(model, params, 0.0, np.linspace(0.0, 100.0, 11),
+                                            w_rms=1.0)]
+        for refusal in refusals:
+            with pytest.raises(RegimeError) as info, warnings.catch_warnings():
+                warnings.simplefilter("ignore", RegimeWarning)
+                refusal()
+            assert omega_resp in str(info.value)
+            assert "omega_c" not in str(info.value)
+
     def test_overflow_at_low_temperature_rejected(self):
         # cosh(eps/2T) at eps/2T = 2000 overflows a double
         model = OhmicCutoff(eta=10.0, omega_c=1.0, temperature=0.001)
@@ -472,9 +487,10 @@ class TestPeakSummary:
         delta = math.sqrt(0.1 / math.sqrt(math.pi / 8.0))
         params = TwoStateParams(delta=delta, eps=2.5, temperature=model.temperature)
         summary = peak_summary(model, params, 1.0)
-        assert summary.gamma_peak == pytest.approx(
-            summary.gamma_peak_first_order, rel=0.1
-        )
+        # the leading estimate Gamma_p (1 + r), r = Gamma_p/omega_resp
+        gp = peak_rate(delta, 1.0)
+        first_order = gp * (1.0 + gp / model.response_frequency())
+        assert summary.gamma_peak == pytest.approx(first_order, rel=0.1)
         assert summary.eps_peak > 2.5
 
     def test_asymmetry_sign_follows_correction_structure(self):
@@ -525,74 +541,32 @@ class TestPeakSummary:
 
 def nested_quad_short_time(
     model: SpectralModel, params: TwoStateParams, w_rms: float, t: float
-) -> ShortTimeResult:
-    """The nested-quad rho11(t) that ``short_time_rho11`` replaced, verbatim.
+) -> float:
+    """The nested-quad rho11(t) that ``short_time_rho11`` replaced.
 
-    Valid for t below ~1/Delta (warned beyond).  Constant and linear
-    schedules only: for those the inner phase integral is exactly
-    (eps(tau') - eps_p(tau')) * tau.
+    Constant and linear schedules only: for those the inner phase integral
+    is exactly (eps(tau') - eps_p(tau')) * tau.
     """
-    if t < 0:
-        raise ValueError("short_time_rho11 requires t >= 0")
     delta_s = params.delta_schedule
     eps_s = params.eps_schedule
     w = w_rms
-    if t == 0.0:
-        return ShortTimeResult(0.0, 0.0, 0.0)
-    delta_max = max(abs(delta_s.value(0.0)), abs(delta_s.value(t)))
-    if delta_max * t > 1.0:
-        warnings.warn(
-            "t * Delta > 1: second-order short-time expansion degrades",
-            RegimeWarning,
-            stacklevel=2,
-        )
-
-    from scipy.integrate import quad
-
     inner_cap = 12.0 / w
 
-    def inner(tau_mid: float, product: bool) -> float:
+    def inner(tau_mid: float) -> float:
         window = min(2.0 * tau_mid, 2.0 * (t - tau_mid))
         if window <= 0.0:
             return 0.0
         freq = eps_s.value(tau_mid) - model.shift(tau_mid)
-        if product:
-            def f(tau):
-                amp = delta_s.value(tau_mid + 0.5 * tau) * delta_s.value(tau_mid - 0.5 * tau)
-                return amp * math.exp(-0.5 * (w * tau) ** 2) * math.cos(freq * tau)
-        else:
-            amp0 = delta_s.value(tau_mid) ** 2
 
-            def f(tau):
-                return amp0 * math.exp(-0.5 * (w * tau) ** 2) * math.cos(freq * tau)
+        def f(tau):
+            amp = delta_s.value(tau_mid + 0.5 * tau) * delta_s.value(tau_mid - 0.5 * tau)
+            return amp * math.exp(-0.5 * (w * tau) ** 2) * math.cos(freq * tau)
 
         val, _ = quad(f, 0.0, min(window, inner_cap), epsabs=1e-14, epsrel=1e-10, limit=200)
         return 2.0 * val
 
-    def outer(product: bool) -> float:
-        val, _ = quad(
-            lambda tp: inner(tp, product),
-            0.0,
-            t,
-            epsabs=1e-13,
-            epsrel=1e-9,
-            limit=200,
-            points=[0.5 * t],
-        )
-        return 0.25 * val
-
-    def local_rate(s: float) -> float:
-        # not peak_rate: a Delta ramp may pass through zero
-        d = delta_s.value(s)
-        return _shifted_gaussian(_SQRT_PI_OVER_8 * d * d / w, w, eps_s.value(s),
-                                 model.shift(s))
-
-    rate_int, _ = quad(local_rate, 0.0, t, epsabs=1e-14, epsrel=1e-10, limit=200)
-    return ShortTimeResult(
-        double_quadrature=outer(True),
-        single_quadrature=outer(False),
-        rate_approximation=rate_int,
-    )
+    val, _ = quad(inner, 0.0, t, epsabs=1e-13, epsrel=1e-9, limit=200, points=[0.5 * t])
+    return 0.25 * val
 
 
 class TestShortTime:
@@ -603,24 +577,23 @@ class TestShortTime:
 
     def test_zero_time(self):
         model, params = self.setup_model()
-        result = short_time_rho11(model, params, 1.0, 0.0)
-        assert result.double_quadrature == result.rate_approximation == 0.0
+        assert short_time_rho11(model, params, 1.0, 0.0) == 0.0
 
     def test_quadratic_scaling_in_delta(self):
         model, _ = self.setup_model()
         w = 1.0
         small = TwoStateParams(delta=0.001, eps=0.7, temperature=1.0)
         large = TwoStateParams(delta=0.002, eps=0.7, temperature=1.0)
-        r_small = short_time_rho11(model, small, w, 8.0).double_quadrature
-        r_large = short_time_rho11(model, large, w, 8.0).double_quadrature
+        r_small = short_time_rho11(model, small, w, 8.0)
+        r_large = short_time_rho11(model, large, w, 8.0)
         assert r_large == pytest.approx(4.0 * r_small, rel=1e-9)
 
     def test_growth_slope_matches_rate(self):
         ohmic, params = self.setup_model()
         t, step = 10.0, 0.5
         for model in (ohmic, tabulated_model(ohmic)):
-            hi = short_time_rho11(model, params, 1.0, t + step).double_quadrature
-            lo = short_time_rho11(model, params, 1.0, t - step).double_quadrature
+            hi = short_time_rho11(model, params, 1.0, t + step)
+            lo = short_time_rho11(model, params, 1.0, t - step)
             slope = (hi - lo) / (2.0 * step)
             assert slope == pytest.approx(kernel_at(model, params, t)[0], rel=0.01)
 
@@ -637,20 +610,20 @@ class TestShortTime:
         return calls
 
     def test_constant_amplitude_collapses_product(self, monkeypatch):
-        # at constant Delta the two amplitude products are one integrand,
-        # integrated once beside the rate integral
+        # at constant Delta the amplitude product is Delta^2: the tau
+        # integral is closed, and tau_m takes one quadrature
         model, params = self.setup_model()
         calls = self.count_quadratures(monkeypatch)
-        result = short_time_rho11(model, params, 1.0, 6.0)
-        assert result.double_quadrature == result.single_quadrature
-        assert len(calls) == 2
+        assert short_time_rho11(model, params, 1.0, 6.0) > 0.0
+        assert len(calls) == 1
 
     def test_rate_approximation_close_beyond_dephasing(self):
+        # beyond 1/W the growth is the running integral of Lambda_-(t)
         model, params = self.setup_model()
-        result = short_time_rho11(model, params, 1.0, 10.0)
-        assert result.double_quadrature == pytest.approx(
-            result.rate_approximation, rel=0.1
-        )
+        gp = peak_rate(params.delta, 1.0)
+        rate_int, _ = quad(lambda s: _shifted_gaussian(gp, 1.0, params.eps, model.shift(s)),
+                           0.0, 10.0, epsabs=1e-14, epsrel=1e-10, limit=200)
+        assert short_time_rho11(model, params, 1.0, 10.0) == pytest.approx(rate_int, rel=0.1)
 
     def test_linear_ramp_supported(self, monkeypatch):
         model, _ = self.setup_model()
@@ -660,10 +633,8 @@ class TestShortTime:
             temperature=1.0,
         )
         calls = self.count_quadratures(monkeypatch)
-        result = short_time_rho11(model, params, 1.0, 8.0)
-        assert result.double_quadrature > 0.0
-        assert result.double_quadrature != result.single_quadrature
-        assert len(calls) == 3
+        assert short_time_rho11(model, params, 1.0, 8.0) > 0.0
+        assert len(calls) == 1
 
     def test_warns_beyond_perturbative_window(self):
         model, _ = self.setup_model()
@@ -689,9 +660,7 @@ class TestShortTime:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
             got = short_time_rho11(model, params, 1.0, t)
-            expected = nested_quad_short_time(model, params, 1.0, t)
-        for name in ("double_quadrature", "single_quadrature", "rate_approximation"):
-            assert getattr(got, name) == pytest.approx(getattr(expected, name), rel=1e-12)
+        assert got == pytest.approx(nested_quad_short_time(model, params, 1.0, t), rel=1e-12)
 
 
 def mpmath_moments(f, a, c):

@@ -173,16 +173,18 @@ class TestModelValidation:
 
 
 class TestSymmetricAntisymmetric:
+    # S_s = (S(w) + S(-w))/2 and S_a = (S(w) - S(-w))/2, from density(+-w)
     def test_white_has_no_odd_part(self):
-        assert White(s0=3.0).symmetric_antisymmetric(2.0) == (3.0, 0.0)
+        model = White(s0=3.0)
+        assert model.density(2.0) == model.density(-2.0) == 3.0
 
     def test_ohmic_fluctuation_dissipation_identity(self):
         model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
         rng = np.random.default_rng(11)
         for w in np.concatenate(([0.1, 1.0, 2.0, 8.0], rng.uniform(0.05, 20.0, 40))):
-            s_s, s_a = model.symmetric_antisymmetric(float(w))
+            plus, minus = model.density(float(w)), model.density(-float(w))
             coth = 1.0 / math.tanh(0.5 * w / model.temperature)
-            assert s_s == pytest.approx(s_a * coth, rel=1e-12)
+            assert plus + minus == pytest.approx((plus - minus) * coth, rel=1e-12)
 
     def test_ohmic_antisymmetric_closed_form(self):
         # sympy decomposition of S = 2 e w/(1+(w/wc)^2)^2 / (1 - exp(-w/T)):
@@ -194,23 +196,9 @@ class TestSymmetricAntisymmetric:
         value = odd.subs({w: 2, eta: 1, wc: 1, T: 1})
         assert float(value) == pytest.approx(2.0 / 25.0, rel=1e-12)
         model = OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0)
-        assert model.symmetric_antisymmetric(2.0)[1] == pytest.approx(0.08, rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "model",
-        [White(s0=3.0), OhmicCutoff(eta=1.0, omega_c=1.0, temperature=1.0),
-         ohmic_grid_model(span=5.0, points=51)],
-        ids=["white", "ohmic", "tabulated"],
-    )
-    def test_negative_frequency_rejected(self, model):
-        with pytest.raises(ValueError, match="omega >= 0"):
-            model.symmetric_antisymmetric(-1.0)
-
-    def test_one_sided_tabulated_rejected(self):
-        grid = np.linspace(0.0, 10.0, 101)
-        model = Tabulated(grid, np.ones_like(grid))
-        with pytest.raises(DecompositionError):
-            model.symmetric_antisymmetric(1.0)
+        assert model.antisymmetric(2.0) == pytest.approx(0.08, rel=1e-12)
+        odd_part = 0.5 * (model.density(2.0) - model.density(-2.0))
+        assert odd_part == pytest.approx(0.08, rel=1e-12)
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 10.0), (-10.0, 0.0), (-10.0, -1.0)])
     def test_moments_need_data_on_both_sides(self, lo, hi):
