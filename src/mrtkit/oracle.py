@@ -4,7 +4,9 @@ Each reference recomputes a result by a different method; what it shares
 with the path it checks is stated here, since that part goes unchecked:
 
 * the static-noise Monte Carlo averages exact closed-system Rabi
-  oscillations over static Gaussian noise, and shares nothing;
+  oscillations over static Gaussian noise, and shares nothing; its normal
+  samples are NumPy's Philox stream, drawn by ``_philox`` with NumPy
+  arithmetic and no ``numpy.random``;
 * the convolution reference integrates the Gaussian-Lorentzian product
   directly, and shares nothing with the Faddeeva path it checks;
 * the refined local reference integrates the local rate equation by
@@ -54,6 +56,9 @@ __all__ = [
 # Monte Carlo moments are merged chunk by chunk in increasing chunk index,
 # so each estimate is a pure function of the configuration as well.
 _CHUNK = 4096
+# chunks drawn per Philox call: fewer NumPy calls per chunk, and under a
+# megabyte of temporaries
+_LANES = 5
 
 
 @dataclass(frozen=True)
@@ -100,14 +105,27 @@ class StaticNoiseEstimate:
 
 
 def _chunk_samples(seed: int, chunk_index: int) -> np.ndarray:
-    """All _CHUNK standard-normal draws of the stream keyed by (seed, chunk_index).
+    """All _CHUNK standard-normal draws of the stream keyed (seed, chunk_index).
 
-    A chunk is always drawn in full so in-chunk positions never shift.
+    They equal ``np.random.Generator(np.random.Philox(key=(seed,
+    chunk_index))).standard_normal(_CHUNK)`` bit for bit, drawn by
+    ``_philox`` without ``numpy.random``.  A chunk is always drawn in full
+    so in-chunk positions never shift.
     """
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64))
-    )
-    return rng.standard_normal(_CHUNK)
+    from ._philox import standard_normal  # imported here: runs that never sample skip its tables
+
+    return standard_normal(seed, [chunk_index], _CHUNK)[0]
+
+
+def _chunk_stream(seed: int, count: int):
+    """Chunks 0, ..., count - 1 of seed's streams in order, _LANES per Philox call.
+
+    Each chunk equals ``_chunk_samples(seed, c)``.
+    """
+    from ._philox import standard_normal
+
+    for first in range(0, count, _LANES):
+        yield from standard_normal(seed, range(first, min(first + _LANES, count)), _CHUNK)
 
 
 def static_noise_transition(config: McConfig, eps_values) -> list[StaticNoiseEstimate]:
@@ -129,9 +147,10 @@ def static_noise_transition(config: McConfig, eps_values) -> list[StaticNoiseEst
     except OverflowError:
         raise RegimeError(f"delta = {config.delta!r}: delta^2 overflows") from None
     mean, m2 = np.zeros((2, eps.shape[0]))
-    for start in range(0, n, _CHUNK):
+    chunks = _chunk_stream(config.seed, -(-n // _CHUNK))
+    for start, samples in zip(range(0, n, _CHUNK), chunks):
         size = min(_CHUNK, n - start)
-        q = config.w_rms * _chunk_samples(config.seed, start // _CHUNK)[:size]
+        q = config.w_rms * samples[:size]
         rabi_sq = delta_sq + (eps + q) ** 2
         occupancy = (delta_sq / rabi_sq) * np.sin(0.5 * np.sqrt(rabi_sq) * config.probe_time) ** 2
         chunk_mean = occupancy.mean(axis=1)

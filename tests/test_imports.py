@@ -1,8 +1,9 @@
 """Import contract: the package runs on NumPy alone; SciPy serves the tests.
 
 Each case runs in a fresh interpreter and reports the ``scipy`` modules in
-``sys.modules`` afterwards, and whether ``numpy.ma`` and ``numpy.polynomial``
-are among them.  Startup, config errors, every tabulated scenario, the
+``sys.modules`` afterwards, and whether ``numpy.ma``, ``numpy.polynomial``,
+``numpy.random`` and ``_hashlib`` (OpenSSL, which ``numpy.random`` pulls in
+through ``secrets``) are among them.  Startup, config errors, every tabulated scenario, the
 ohmic moments, the ohmic envelope, peak, nonlocal and local evolve
 (constant rates and a ramped bias), gaussian, classical, voigt and
 nonlocal-corrected scans, multichannel sums with relaxation, the
@@ -10,12 +11,16 @@ convolution oracle and the full memory-correction oracle load no SciPy.
 With SciPy blocked (``sys.modules["scipy"] = None`` before mrtkit is
 imported) ``validate``, short-time evolve and the refined-local (ramped
 bias) and static-noise oracles still run.  None of the CLI runs loads
-``numpy.ma`` or ``numpy.polynomial``, and neither does importing the CLI.
-A probe body that imports ``scipy.integrate`` itself is the positive
-control that the probe sees a SciPy import, one that calls ``np.unique``
-the control that it sees ``numpy.ma``, and one that touches
-``np.polynomial`` the control for ``numpy.polynomial``.  A static check
-parses the sources: no module of the package imports SciPy, and the
+``numpy.ma``, ``numpy.polynomial``, ``numpy.random`` or ``_hashlib``, and
+neither does importing the CLI: the static-noise Monte Carlo draws its
+samples without ``numpy.random``.  A probe body that imports
+``scipy.integrate`` itself is the positive control that the probe sees a
+SciPy import, one that calls ``np.unique`` the control that it sees
+``numpy.ma``, one that touches ``np.polynomial`` the control for
+``numpy.polynomial``, and one that touches ``np.random`` the control for
+``numpy.random`` and ``_hashlib``.  Importing the CLI leaves the sampler's
+tables (``mrtkit._philox``) unloaded.  A static check parses the sources: no
+module of the package imports SciPy or refers to ``numpy.random``, and the
 relative imports between its modules (those under ``if TYPE_CHECKING:``
 included) form no cycle.  Every ``__all__`` entry of the package's layers
 resolves.
@@ -45,12 +50,16 @@ print(json.dumps({{"code": code, "scipy": sorted(
     m for m, module in sys.modules.items()
     if module is not None and (m == "scipy" or m.startswith("scipy."))),
     "numpy_ma": "numpy.ma" in sys.modules,
-    "numpy_polynomial": "numpy.polynomial" in sys.modules}}))
+    "numpy_polynomial": "numpy.polynomial" in sys.modules,
+    "numpy_random": "numpy.random" in sys.modules,
+    "hashlib": "_hashlib" in sys.modules}}))
 """
 # an import of scipy or any submodule raises ImportError after this line
 BLOCK_SCIPY = 'sys.modules["scipy"] = None'
-# the report of a run that loaded none of SciPy, numpy.ma and numpy.polynomial
-NO_EXTRAS = {"scipy": [], "numpy_ma": False, "numpy_polynomial": False}
+# the report of a run that loaded none of SciPy, numpy.ma, numpy.polynomial,
+# numpy.random and _hashlib
+NO_EXTRAS = {"scipy": [], "numpy_ma": False, "numpy_polynomial": False,
+             "numpy_random": False, "hashlib": False}
 
 
 def run_probe(body: str, block_scipy: bool = False) -> dict:
@@ -110,6 +119,21 @@ def test_startup_imports_no_scipy(body):
 )
 def test_startup_loads_no_numpy_polynomial(body, loaded):
     assert run_probe(body)["numpy_polynomial"] is loaded
+
+
+@pytest.mark.parametrize(
+    "body, loaded",
+    [("import mrtkit.cli", False), ("import numpy as np\nnp.random", True)],
+    ids=["import-cli", "positive-control"],
+)
+def test_startup_loads_no_numpy_random(body, loaded):
+    report = run_probe(body)
+    assert (report["numpy_random"], report["hashlib"]) == (loaded, loaded)
+
+
+def test_startup_skips_the_sampler_tables():
+    # mrtkit._philox and its tables load on the first Monte Carlo draw
+    assert run_probe("import mrtkit.cli\ncode = 'mrtkit._philox' in sys.modules")["code"] is False
 
 
 def test_config_error_imports_no_scipy(tmp_path):
@@ -249,14 +273,26 @@ def test_ohmic_scenarios_run_without_scipy(tmp_path, scenario, body):
     assert (tmp_path / "out.csv").exists()
 
 
-def test_static_noise_oracle_runs_without_scipy(tmp_path):
+def static_noise_config(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text(
         f"[run]\nscenario = oracle\nout = {tmp_path / 'out.csv'}\nseed = 3\n\n"
         "[oracle]\nname = static-noise\nw = 1.0\ndelta = 0.01\nprobe_time = 18.0\n"
         "samples = 20000\neps = 0.0 1.0\ntolerance_rel = 0.5\n"
     )
-    report = run_probe(cli_body(["oracle", "--config", str(config)]), block_scipy=True)
+    return str(config)
+
+
+def test_static_noise_oracle_runs_without_scipy(tmp_path):
+    report = run_probe(cli_body(["oracle", "--config", static_noise_config(tmp_path)]),
+                       block_scipy=True)
+    assert report == {"code": 0, **NO_EXTRAS}
+    assert (tmp_path / "out.csv").exists()
+
+
+def test_static_noise_oracle_loads_no_numpy_random(tmp_path):
+    # its Monte Carlo draws 5 chunks without numpy.random, so without OpenSSL
+    report = run_probe(cli_body(["oracle", "--config", static_noise_config(tmp_path)]))
     assert report == {"code": 0, **NO_EXTRAS}
     assert (tmp_path / "out.csv").exists()
 
@@ -298,6 +334,39 @@ def test_scipy_is_imported_only_at_known_sites():
 def test_static_check_sees_a_scipy_import():
     tree = ast.parse("import numpy\ndef f():\n    from scipy.special import wofz\n")
     assert scipy_imports(tree) == [("f", 3)]
+
+
+def numpy_random_references(tree: ast.Module) -> list[int]:
+    """Lines that import ``numpy.random`` or read ``np.random``/``numpy.random``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.random") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = node.level == 0 and (
+                module.startswith("numpy.random")
+                or module == "numpy" and any(a.name == "random" for a in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                   and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        if hit:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_refers_to_numpy_random():
+    stray = [f"{path.name}:{line}"
+             for path in sorted(Path(SRC, "mrtkit").glob("*.py"))
+             for line in numpy_random_references(ast.parse(path.read_text(), str(path)))]
+    assert stray == []
+
+
+def test_static_check_sees_numpy_random():
+    tree = ast.parse("import numpy as np\nimport numpy.random\nfrom numpy import random\n"
+                     "from numpy.random import Philox\nnp.random.default_rng\n"
+                     "numpy.random.Generator\nnp.randomize\nrng.random()\n")
+    assert numpy_random_references(tree) == [2, 3, 4, 5, 6]
 
 
 def relative_imports(sources: dict[str, str]) -> dict[str, set[str]]:

@@ -25,8 +25,9 @@ from mrtkit import (
     voigt_rate,
 )
 from mrtkit.dynamics import Trajectory, _as_rate
-from mrtkit import oracle
+from mrtkit import _philox
 from mrtkit.oracle import _CHUNK, _chunk_samples, _refined
+from mrtkit.validation import DEFAULT_SEED
 
 
 def finite_time_expectation(delta, w_rms, eps, probe_time):
@@ -118,6 +119,112 @@ class TestNoiseSampler:
         )
 
 
+def numpy_philox(seed, chunk):
+    return np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64))
+
+
+def numpy_walk(seed, chunk, count=_CHUNK):
+    """(first word, words read, layer) of each of NumPy's first count draws of one stream.
+
+    NumPy's own ``Generator`` draws one value at a time; the Philox state
+    after each draw gives the words it read.  A layer-0 try that reads more
+    than one word went to the tail; a try of another layer that reads more
+    than two was a rejected wedge (an accepted one reads two).
+    """
+    bitgen = numpy_philox(seed, chunk)
+    words = numpy_philox(seed, chunk).random_raw(2 * count + 64)
+    generator = np.random.Generator(bitgen)
+    walk, before = [], 0
+    for _ in range(count):
+        generator.standard_normal()
+        state = bitgen.state
+        after = (int(state["state"]["counter"][0]) - 1) * 4 + state["buffer_pos"]
+        walk.append((before, after - before, int(words[before]) & 0xFF))
+        before = after
+    return walk
+
+
+# NumPy's Generator is the reference of the stream: the extreme keys and every
+# chunk of a default validate run
+STREAM_KEYS = [(0, 0), (2**64 - 1, 2**64 - 1), *((DEFAULT_SEED, c) for c in range(25))]
+
+
+class TestStreamIdentity:
+    """The NumPy-only stream equals ``np.random.Generator(np.random.Philox(key))``."""
+
+    @pytest.mark.parametrize("seed, chunk", STREAM_KEYS)
+    def test_samples_match_numpy_bit_for_bit(self, seed, chunk):
+        reference = np.random.Generator(numpy_philox(seed, chunk)).standard_normal(_CHUNK)
+        assert np.array_equal(_chunk_samples(seed, chunk).view(np.uint64),
+                              reference.view(np.uint64))
+
+    def test_tables_satisfy_the_ziggurat_relations(self):
+        # Layer i spans x_i = wi[i] 2^52, with r = x_255 on the tail; fi[i] =
+        # exp(-x_i^2/2), ki[i] = floor(2^52 x_(i-1)/x_i), and every layer has
+        # the area v of the base strip, whose width is wi[0] 2^52 = v/f(r).
+        # NumPy's tables meet these to about 1e-15, so a typo in any of the
+        # first 12 digits of an entry fails here.
+        ki = np.array(_philox._KI, dtype=float)
+        wi, fi = np.array(_philox._WI), np.array(_philox._FI)
+        x, r = wi * 2.0**52, _philox._R
+        assert r == x[255] and _philox._INV_R * r == 1.0
+        assert fi[0] == 1.0 and ki[1] == 0.0
+        np.testing.assert_allclose(fi[1:], np.exp(-0.5 * x[1:] ** 2), rtol=1e-15, atol=0)
+        assert np.max(np.abs(ki[2:] - np.floor(2.0**52 * x[1:255] / x[2:]))) <= 1.0
+        f_r = math.exp(-0.5 * r * r)
+        v = r * f_r + math.sqrt(math.pi / 2) * math.erfc(r / math.sqrt(2))
+        np.testing.assert_allclose(x[2:] * (fi[1:255] - fi[2:]), v, rtol=1e-13)
+        np.testing.assert_allclose([x[1] * (1.0 - fi[1]), x[0] * f_r, ki[0]],
+                                   [v, v, 2.0**52 * r * f_r / v], rtol=1e-13)
+
+    def test_raw_words_match_numpy(self):
+        for seed, chunks in [(0, [0]), (2**64 - 1, [2**64 - 1]), (DEFAULT_SEED, range(25))]:
+            words = _philox._philox(seed, np.array(chunks, dtype=np.uint64), 300)
+            for chunk, row in zip(chunks, words):
+                assert np.array_equal(row, numpy_philox(seed, chunk).random_raw(1200))
+
+    def test_keys_reach_the_tail_and_a_rejected_wedge(self):
+        # both slow branches run on these keys, so their constants are checked too
+        tails = rejected = 0
+        for seed, chunk in STREAM_KEYS:
+            for _, read, layer in numpy_walk(seed, chunk):
+                tails += layer == 0 and read > 1
+                rejected += layer != 0 and read > 2
+            if tails and rejected:
+                break
+        assert tails and rejected
+
+    def test_words_running_out_mid_try_redraw_the_stream(self, monkeypatch):
+        # Blocks end inside a tail try (after 1 or 2 of its words) and on a
+        # wedge try's last word: the stream is drawn again, longer, and still
+        # equals NumPy's.
+        ran_out = []
+        real_tail = _philox._tail
+
+        def tail(words, j, end):
+            drawn = real_tail(words, j, end)
+            if drawn is None:
+                ran_out.append(j)
+            return drawn
+
+        monkeypatch.setattr(_philox, "_tail", tail)
+        cases = {}
+        for seed, chunk in STREAM_KEYS[2:]:
+            for draw, (first, read, layer) in enumerate(numpy_walk(seed, chunk)):
+                tail_cut = layer == 0 and read > 1 and first % 4 >= 2
+                wedge_cut = layer != 0 and read > 1 and first % 4 == 3
+                if tail_cut or wedge_cut:
+                    cases.setdefault(tail_cut, (seed, chunk, draw, first // 4 + 1))
+            if len(cases) == 2:
+                break
+        assert len(cases) == 2
+        for seed, chunk, draw, blocks in cases.values():
+            reference = np.random.Generator(numpy_philox(seed, chunk)).standard_normal(draw + 1)
+            (row,) = _philox.standard_normal(seed, [chunk], draw + 1, blocks)
+            assert np.array_equal(row.view(np.uint64), reference.view(np.uint64))
+        assert ran_out
+
+
 def whole_array_transition(config, eps):
     """The whole-array ``static_noise_transition`` that streaming replaced, verbatim.
 
@@ -163,10 +270,10 @@ class TestStaticNoiseTransition:
         assert estimate.stderr == 0.0
 
     def test_zero_amplitude_draws_no_sample(self, monkeypatch):
-        def refuse(seed, chunk_index):
+        def refuse(seed, keys, size, blocks=None):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(oracle, "_chunk_samples", refuse)
+        monkeypatch.setattr(_philox, "standard_normal", refuse)
         config = McConfig(10 * _CHUNK, 5, w_rms=1.0, delta=0.0, probe_time=10.0)
         assert len(static_noise_transition(config, [0.0, 1.0])) == 2
 

@@ -208,11 +208,27 @@ def assert_shift_matches_oracle(model, taus):
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale
 
 
+def subnormal_floor(model, upper, t_max):
+    """One step of 5e-324 per shared Gauss node: the rounding of subnormal results.
+
+    Below the smallest normal float the spacing is fixed, so each rounding
+    errs by up to half a step however small the value, and the shared-node
+    and per-t quadratures of a subnormal spectrum differ by up to about a
+    step per node, times the bound of the kernel.
+    """
+    nodes, _ = _tabulated_nodes(model.omega, upper, t_max)
+    return nodes.size * np.finfo(float).smallest_subnormal
+
+
 def assert_exponent_matches_oracle(model, times):
     got = dephasing_exponent(model, times)
     want = np.array([scalar_exponent(model, float(t)) for t in times])
     assert isinstance(got, np.ndarray) and got.shape == want.shape
-    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    # X(0) = 0 exactly on both sides; the kernel (sin(w t/2)/w)^2 is at most t^2/4
+    upper = float(max(model.omega[-1], -model.omega[0]))
+    kernel = np.where(times > 0, np.maximum(1.0, times * times), 0.0)
+    floor = subnormal_floor(model, upper, float(np.max(times, initial=0.0))) * kernel
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + floor)
 
 
 def test_shift_arrays_equal_per_tau_quadrature():
@@ -351,13 +367,24 @@ tau_grids = st.lists(st.floats(0.0, 30.0), min_size=0, max_size=6).map(np.array)
          lead=0.75, taus=np.array([1.0, 6.0]))
 @example(data=EVEN_TABLE[0], lead=EVEN_TABLE[1], taus=np.array([1.0, 6.0]))
 @example(data=ODD_KNOT_TABLE[0], lead=ODD_KNOT_TABLE[1], taus=np.array([1.0, 6.0]))
+# subnormal tables: shift and rate (lead 0.5) and the exponent (lead 0.25)
+# differed by one and two steps of 5e-324, above 1e-13 of their bounds, and
+# the shift by six at tau = 3
+@example(data=[(1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 2.225073858507e-311)],
+         lead=0.5, taus=np.array([1.0]))
+@example(data=[(1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 2.225073858507e-311)],
+         lead=0.25, taus=np.array([1.0]))
+@example(data=[(1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 2.2250738585e-313)],
+         lead=0.5, taus=np.array([3.0]))
 def test_shared_nodes_match_per_tau_oracle_on_random_grids(data, lead, taus):
     model = grid_from(data, lead)
     shift, rate = model.shift_arrays(taus)
     oracle = np.array([scalar_shift_pair(model, float(t)) for t in taus]).reshape(-1, 2)
     # the shift kernel 2 sin^2(w tau/2)/w is at most tau, the rate kernel at most 1
     floor = cancellation_floor(model)
-    floors = (floor * np.max(taus, initial=0.0), floor)
+    t_max = np.max(taus, initial=0.0)
+    subnormal = subnormal_floor(model, model._positive_overlap(), t_max)
+    floors = (floor * t_max + subnormal * max(t_max, 1.0), floor + subnormal)
     for got, want, bound, rounding in zip((shift, rate), oracle.T,
                                           absolute_shift_bounds(model), floors):
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * bound + rounding
