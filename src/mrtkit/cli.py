@@ -45,6 +45,22 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+# the default of RunConfig.value for a key that must be present
+_REQUIRED = object()
+
+
+def _converted(path: str, section: str, key: str, raw: str, kind):
+    """kind(raw), a finite number where kind is float; a ConfigError names the key."""
+    try:
+        value = kind(raw)
+        if kind is float and not math.isfinite(value):
+            raise ValueError(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{path}: [{section}] {key} = {raw!r} is not {noun}") from None
+    return value
+
+
 class RunConfig:
     """Parsed scenario configuration plus the raw key-value pairs."""
 
@@ -55,7 +71,7 @@ class RunConfig:
         self.path = path
         # effective derived quantities a scenario wants echoed in the header
         self.derived: dict[str, str] = {}
-        self.out = out if out is not None else self.get("run", "out", fallback=None)
+        self.out = out if out is not None else self.value("run", "out", default=None)
         if self.out is None:
             raise ConfigError(f"{path}: no output path ([run] out or --out)")
         # a continuation line would put a bare line among the CSV's comments
@@ -63,63 +79,40 @@ class RunConfig:
             for key, value in parser.items(section):
                 if "\n" in value:
                     raise ConfigError(f"{path}: [{section}] {key} spans several lines")
-        self.seed = seed if seed is not None else self.get_int("run", "seed", 0)
+        self.seed = seed if seed is not None else self.value("run", "seed", int, 0)
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"{path}: seed must fit in 64 bits")
-        self.units = self.get("run", "units", fallback="natural")
-        declared = self.get("run", "scenario", fallback=scenario)
+        self.units = self.value("run", "units", default="natural")
+        declared = self.value("run", "scenario", default=scenario)
         if declared != scenario:
             raise ConfigError(
                 f"{path}: [run] scenario = {declared} does not match subcommand {scenario}"
             )
 
-    def get(self, section: str, key: str, fallback=None):
-        return self.parser.get(section, key, fallback=fallback)
+    def value(self, section: str, key: str, kind=str, default=_REQUIRED):
+        """[section] key as kind (str, int or a finite float); default if the key is absent.
 
-    def require(self, section: str, key: str) -> str:
-        value = self.parser.get(section, key, fallback=None)
-        if value is None:
-            raise ConfigError(f"{self.path}: missing [{section}] {key}")
-        return value
+        An absent key without a default is a config error.
+        """
+        raw = self.parser.get(section, key, fallback=None)
+        if raw is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"{self.path}: missing [{section}] {key}")
+            return default
+        return _converted(self.path, section, key, raw, kind)
 
-    def _convert(self, section: str, key: str, raw: str, kind):
-        try:
-            value = kind(raw)
-            if kind is float and not math.isfinite(value):
-                raise ValueError(raw)
-        except ValueError:
-            noun = "an integer" if kind is int else "a finite number"
-            raise ConfigError(
-                f"{self.path}: [{section}] {key} = {raw!r} is not {noun}"
-            ) from None
-        return value
-
-    def require_float(self, section: str, key: str) -> float:
-        return self._convert(section, key, self.require(section, key), float)
-
-    def get_float(self, section: str, key: str, fallback: float | None) -> float | None:
-        raw = self.get(section, key)
-        return fallback if raw is None else self._convert(section, key, raw, float)
-
-    def require_positive(self, section: str, key: str) -> float:
-        value = self.require_float(section, key)
+    def positive(self, section: str, key: str) -> float:
+        value = self.value(section, key, float)
         if not value > 0:
             raise ConfigError(f"{self.path}: [{section}] {key} = {value!r} must be positive")
         return value
 
-    def require_int(self, section: str, key: str) -> int:
-        return self._convert(section, key, self.require(section, key), int)
-
-    def get_int(self, section: str, key: str, fallback: int) -> int:
-        raw = self.get(section, key)
-        return fallback if raw is None else self._convert(section, key, raw, int)
-
-    def require_floats(self, section: str, key: str) -> list[float]:
+    def floats(self, section: str, key: str) -> list[float]:
         """A whitespace-separated list of at least one number."""
-        raw = self.require(section, key)
-        if not raw.split():
+        parts = self.value(section, key).split()
+        if not parts:
             raise ConfigError(f"{self.path}: [{section}] {key} is empty")
-        return [self._convert(section, key, part, float) for part in raw.split()]
+        return [_converted(self.path, section, key, part, float) for part in parts]
 
     def comments(self) -> dict[str, str]:
         items = {
@@ -163,23 +156,23 @@ def _construct(config: RunConfig, section: str, cls, **kwargs):
 
 
 def build_model(config: RunConfig):
-    kind = config.require("spectral", "kind").lower()
+    kind = config.value("spectral", "kind").lower()
     # white and tabulated spectra use no temperature: the key is checked and
     # echoed in the header, and nothing more
     if kind == "white":
-        s0 = config.require_float("spectral", "s0")
-        config.get_float("spectral", "temperature", None)
+        s0 = config.value("spectral", "s0", float)
+        config.value("spectral", "temperature", float, None)
         return _construct(config, "spectral", White, s0=s0)
     if kind in ("ohmic", "ohmic-cutoff"):
         return _construct(
             config, "spectral", OhmicCutoff,
-            eta=config.require_float("spectral", "eta"),
-            omega_c=config.require_float("spectral", "omega_c"),
-            temperature=config.require_float("spectral", "temperature"),
+            eta=config.value("spectral", "eta", float),
+            omega_c=config.value("spectral", "omega_c", float),
+            temperature=config.value("spectral", "temperature", float),
         )
     if kind == "tabulated":
-        csv_path = config.require("spectral", "csv")
-        config.get_float("spectral", "temperature", None)
+        csv_path = config.value("spectral", "csv")
+        config.value("spectral", "temperature", float, None)
         try:
             return Tabulated.from_csv(csv_path)
         except OSError as err:
@@ -193,23 +186,23 @@ def build_model(config: RunConfig):
 
 def build_params(config: RunConfig) -> TwoStateParams:
     delta = LinearSchedule(
-        config.require_float("two-state", "delta"),
-        config.get_float("two-state", "delta_rate", 0.0),
+        config.value("two-state", "delta", float),
+        config.value("two-state", "delta_rate", float, 0.0),
     )
     eps = LinearSchedule(
-        config.require_float("two-state", "eps"),
-        config.get_float("two-state", "eps_rate", 0.0),
+        config.value("two-state", "eps", float),
+        config.value("two-state", "eps_rate", float, 0.0),
     )
     return _construct(
         config, "two-state", TwoStateParams,
-        delta=delta, eps=eps, temperature=config.require_float("two-state", "temperature"),
+        delta=delta, eps=eps, temperature=config.value("two-state", "temperature", float),
     )
 
 
 def read_grid(config: RunConfig, section: str) -> np.ndarray:
-    start = config.require_float(section, "start")
-    stop = config.require_float(section, "stop")
-    steps = config.require_int(section, "steps")
+    start = config.value(section, "start", float)
+    stop = config.value(section, "stop", float)
+    steps = config.value(section, "steps", int)
     if steps < 2:
         raise ConfigError(f"{config.path}: [{section}] needs at least 2 grid points")
     if steps > 10**6:
@@ -225,23 +218,23 @@ def read_grid(config: RunConfig, section: str) -> np.ndarray:
 
 def _require_time_invariant(config: RunConfig) -> None:
     """Refuse a ramp where a scenario reads its line at t = 0 and would drop it."""
-    if (config.get_float("two-state", "delta_rate", 0.0)
-            or config.get_float("two-state", "eps_rate", 0.0)):
+    if (config.value("two-state", "delta_rate", float, 0.0)
+            or config.value("two-state", "eps_rate", float, 0.0)):
         raise RegimeError("time-invariant Hamiltonian required: delta and eps must be constant")
 
 
 def _read_rho11_0(config: RunConfig, section: str) -> float:
-    rho11_0 = config.get_float(section, "rho11_0", 0.0)
+    rho11_0 = config.value(section, "rho11_0", float, 0.0)
     if not 0.0 <= rho11_0 <= 1.0:
         raise ConfigError(f"{config.path}: [{section}] rho11_0 = {rho11_0!r} must lie in [0, 1]")
     return rho11_0
 
 
 def _resolve_eps_p(config: RunConfig, section: str, model) -> float:
-    raw = config.get(section, "eps_p", fallback="auto")
+    raw = config.value(section, "eps_p", default="auto")
     if raw.strip().lower() == "auto":
         return model.reorganization_shift()
-    return config.require_float(section, "eps_p")
+    return config.value(section, "eps_p", float)
 
 
 def _check_writable(path: str) -> None:
@@ -285,8 +278,8 @@ def write_csv(path: str, comments: dict[str, str], warnings_seen: list[str],
 def run_envelope(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     model = build_model(config)
     eps = LinearSchedule(
-        config.get_float("two-state", "eps", 0.0),
-        config.get_float("two-state", "eps_rate", 0.0),
+        config.value("two-state", "eps", float, 0.0),
+        config.value("two-state", "eps_rate", float, 0.0),
     )
     grid = read_grid(config, "time-grid")
     # math.exp row by row: np.exp may differ in the last bit
@@ -297,7 +290,7 @@ def run_envelope(config: RunConfig) -> list[tuple[str, np.ndarray]]:
 def run_mrt_scan(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     model = build_model(config)
     params = build_params(config)
-    shape = config.get("mrt-scan", "shape", fallback="gaussian").lower()
+    shape = config.value("mrt-scan", "shape", default="gaussian").lower()
     grid = read_grid(config, "bias-grid")
     w_rms = model.noise_rms()
     warn_weak_coupling(params.delta_schedule.initial, w_rms)
@@ -306,7 +299,7 @@ def run_mrt_scan(config: RunConfig) -> list[tuple[str, np.ndarray]]:
         _require_time_invariant(config)
         # the Gaussian is the zero-width Voigt line; classical is it at eps_p = 0
         eps_p = 0.0 if shape == "classical" else _resolve_eps_p(config, "mrt-scan", model)
-        gamma = config.require_float("mrt-scan", "gamma") if shape == "voigt" else 0.0
+        gamma = config.value("mrt-scan", "gamma", float) if shape == "voigt" else 0.0
         if gamma < 0:
             raise ConfigError(f"{config.path}: [mrt-scan] gamma = {gamma!r} must be nonnegative")
         delta = params.delta_schedule.initial
@@ -339,7 +332,7 @@ def _local_rates(params: TwoStateParams, w_rms: float, eps_p: float):
 def run_evolve(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     model = build_model(config)
     params = build_params(config)
-    mode = config.require("evolve", "mode").lower()
+    mode = config.value("evolve", "mode").lower()
     grid = read_grid(config, "time-grid")
     rho11_0 = _read_rho11_0(config, "evolve")
     w_rms = model.noise_rms()
@@ -378,7 +371,7 @@ def _read_levels(config: RunConfig) -> WellLevels:
                           "without gaps, and nothing else")
     rows = []
     for key in keys:
-        parts = config.require_floats("levels", key)
+        parts = config.floats("levels", key)
         if len(parts) != 3:
             raise ConfigError(
                 f"{config.path}: [levels] {key} must be 'energy delta gamma'"
@@ -395,12 +388,12 @@ def _read_levels(config: RunConfig) -> WellLevels:
 def run_multichannel(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     model = build_model(config)
     levels = _read_levels(config)
-    temperature = config.require_positive("two-state", "temperature")
+    temperature = config.positive("two-state", "temperature")
     _require_time_invariant(config)
     grid = read_grid(config, "bias-grid")
     w_rms = model.noise_rms()
     eps_p = _resolve_eps_p(config, "multichannel", model)
-    raw = config.get("multichannel", "normalized", fallback="true")
+    raw = config.value("multichannel", "normalized", default="true")
     normalized = config.parser.BOOLEAN_STATES.get(raw.lower())
     if normalized is None:
         raise ConfigError(f"{config.path}: [multichannel] normalized = {raw!r} is not a boolean")
@@ -411,14 +404,14 @@ def run_multichannel(config: RunConfig) -> list[tuple[str, np.ndarray]]:
 
 
 def _oracle_static_noise(config: RunConfig):
-    w_rms = config.require_positive("oracle", "w")
-    delta = config.require_positive("oracle", "delta")
-    probe = config.require_float("oracle", "probe_time")
-    samples = config.require_int("oracle", "samples")
-    biases = config.require_floats("oracle", "eps")
+    w_rms = config.positive("oracle", "w")
+    delta = config.positive("oracle", "delta")
+    probe = config.value("oracle", "probe_time", float)
+    samples = config.value("oracle", "samples", int)
+    biases = config.floats("oracle", "eps")
     mc_config = _construct(config, "oracle", McConfig, sample_count=samples, seed=config.seed,
                            w_rms=w_rms, delta=delta, probe_time=probe)
-    tolerance = config.get_float("oracle", "tolerance_rel", 0.05)
+    tolerance = config.value("oracle", "tolerance_rel", float, 0.05)
     gp = peak_rate(delta, w_rms)
     # e^{-z^2/2} is 0 from |z| = 39 on; the cap keeps z^2 from overflowing
     closed = [gp * math.exp(-0.5 * min(abs(eps / w_rms), 40.0) ** 2) for eps in biases]
@@ -438,11 +431,11 @@ def _oracle_static_noise(config: RunConfig):
 
 
 def _oracle_convolution(config: RunConfig):
-    w_rms = config.require_positive("oracle", "w")
-    delta = config.require_positive("oracle", "delta")
-    gamma = config.require_positive("oracle", "gamma")
-    eps_p = config.get_float("oracle", "eps_p", 0.0)
-    tolerance = config.get_float("oracle", "tolerance_rel", 1e-8)
+    w_rms = config.positive("oracle", "w")
+    delta = config.positive("oracle", "delta")
+    gamma = config.positive("oracle", "gamma")
+    eps_p = config.value("oracle", "eps_p", float, 0.0)
+    tolerance = config.value("oracle", "tolerance_rel", float, 1e-8)
     grid = read_grid(config, "bias-grid")
     fadd = np.asarray(voigt_rate(delta, w_rms, grid, eps_p, gamma))
     conv = convolution_reference(delta, w_rms, grid, eps_p, gamma)
@@ -461,7 +454,7 @@ def _oracle_refined(config: RunConfig, kind: str):
     params = build_params(config)
     grid = read_grid(config, "time-grid")
     rho11_0 = _read_rho11_0(config, "oracle")
-    tolerance = config.get_float("oracle", "tolerance_sup", 1e-6)
+    tolerance = config.value("oracle", "tolerance_sup", float, 1e-6)
     w_rms = model.noise_rms()
     if kind == "nonlocal":
         production = evolve_nonlocal(model, params, rho11_0, grid, w_rms=w_rms)
@@ -480,7 +473,7 @@ def _oracle_refined(config: RunConfig, kind: str):
 
 def run_oracle(config: RunConfig) -> list[tuple[str, np.ndarray]]:
     """The columns of one oracle; its verdict is the ``status`` column."""
-    name = config.require("oracle", "name").lower()
+    name = config.value("oracle", "name").lower()
     if name == "static-noise":
         return _oracle_static_noise(config)
     if name == "convolution":
@@ -510,7 +503,7 @@ def run(config: RunConfig) -> int:
         return 0
     failures = int(np.sum(dict(columns)["status"] == 0.0))
     verdict = "PASS" if failures == 0 else f"FAIL ({failures} rows)"
-    print(f"oracle {config.get('oracle', 'name')}: {verdict}")
+    print(f"oracle {config.value('oracle', 'name')}: {verdict}")
     return 0 if failures == 0 else 1
 
 

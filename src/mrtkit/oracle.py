@@ -5,8 +5,9 @@ with the path it checks is stated here, since that part goes unchecked:
 
 * the static-noise Monte Carlo averages exact closed-system Rabi
   oscillations over static Gaussian noise, and shares nothing; its normal
-  samples are NumPy's Philox stream, drawn by ``_philox`` with NumPy
-  arithmetic and no ``numpy.random``;
+  samples are NumPy's Philox stream of each chunk, drawn by
+  ``_philox.standard_normal`` with NumPy arithmetic and no ``numpy.random``,
+  ``_LANES`` chunks per call;
 * the convolution reference integrates the Gaussian-Lorentzian product
   directly, and shares nothing with the Faddeeva path it checks;
 * the refined local reference integrates the local rate equation by
@@ -104,30 +105,6 @@ class StaticNoiseEstimate:
     sample_count: int
 
 
-def _chunk_samples(seed: int, chunk_index: int) -> np.ndarray:
-    """All _CHUNK standard-normal draws of the stream keyed (seed, chunk_index).
-
-    They equal ``np.random.Generator(np.random.Philox(key=(seed,
-    chunk_index))).standard_normal(_CHUNK)`` bit for bit, drawn by
-    ``_philox`` without ``numpy.random``.  A chunk is always drawn in full
-    so in-chunk positions never shift.
-    """
-    from ._philox import standard_normal  # imported here: runs that never sample skip its tables
-
-    return standard_normal(seed, [chunk_index], _CHUNK)[0]
-
-
-def _chunk_stream(seed: int, count: int):
-    """Chunks 0, ..., count - 1 of seed's streams in order, _LANES per Philox call.
-
-    Each chunk equals ``_chunk_samples(seed, c)``.
-    """
-    from ._philox import standard_normal
-
-    for first in range(0, count, _LANES):
-        yield from standard_normal(seed, range(first, min(first + _LANES, count)), _CHUNK)
-
-
 def static_noise_transition(config: McConfig, eps_values) -> list[StaticNoiseEstimate]:
     """Monte Carlo static-noise (classical) tunneling rates, one per bias.
 
@@ -146,19 +123,26 @@ def static_noise_transition(config: McConfig, eps_values) -> list[StaticNoiseEst
         delta_sq = config.delta**2
     except OverflowError:
         raise RegimeError(f"delta = {config.delta!r}: delta^2 overflows") from None
+    from ._philox import standard_normal  # imported here: runs that never sample skip its tables
+
     mean, m2 = np.zeros((2, eps.shape[0]))
-    chunks = _chunk_stream(config.seed, -(-n // _CHUNK))
-    for start, samples in zip(range(0, n, _CHUNK), chunks):
-        size = min(_CHUNK, n - start)
-        q = config.w_rms * samples[:size]
-        rabi_sq = delta_sq + (eps + q) ** 2
-        occupancy = (delta_sq / rabi_sq) * np.sin(0.5 * np.sqrt(rabi_sq) * config.probe_time) ** 2
-        chunk_mean = occupancy.mean(axis=1)
-        jump = chunk_mean - mean
-        merged = start + size
-        mean += jump * (size / merged)
-        m2 += ((occupancy - chunk_mean[:, None]) ** 2).sum(axis=1)
-        m2 += jump * jump * (start * size / merged)
+    count = -(-n // _CHUNK)
+    for first in range(0, count, _LANES):
+        lanes = range(first, min(first + _LANES, count))
+        # only this loop holds the call's rows, so they are freed before the next call
+        for start, samples in zip(range(first * _CHUNK, n, _CHUNK),
+                                  standard_normal(config.seed, lanes, _CHUNK)):
+            size = min(_CHUNK, n - start)
+            q = config.w_rms * samples[:size]
+            rabi_sq = delta_sq + (eps + q) ** 2
+            occupancy = (delta_sq / rabi_sq) * np.sin(
+                0.5 * np.sqrt(rabi_sq) * config.probe_time) ** 2
+            chunk_mean = occupancy.mean(axis=1)
+            jump = chunk_mean - mean
+            merged = start + size
+            mean += jump * (size / merged)
+            m2 += ((occupancy - chunk_mean[:, None]) ** 2).sum(axis=1)
+            m2 += jump * jump * (start * size / merged)
     # one sample has m2 = 0 exactly: its spread reads 0
     stderr = np.sqrt(m2 / max(n - 1, 1)) / math.sqrt(n)
     return [

@@ -182,7 +182,6 @@ def bounded_minimum(f, lo: float, hi: float, xatol: float) -> float:
     return x
 
 
-
 # The 16-point Gauss-Legendre rule on [-1, 1]: np.polynomial.legendre.leggauss(16)
 # to the last bit, written out so that importing mrtkit does not load
 # numpy.polynomial.

@@ -349,11 +349,6 @@ def crossover_temperature(levels: WellLevels) -> float:
     return levels.plasma_frequency / (2.0 * math.log(d1 / d0))
 
 
-def _boltzmann_weights(levels: WellLevels, temperature: float, normalized: bool):
-    raw = np.array([math.exp(-en / temperature) for en in levels.energies])
-    return raw / raw.sum() if normalized else raw
-
-
 def multichannel_rate(
     levels: WellLevels,
     temperature: float,
@@ -377,7 +372,9 @@ def multichannel_rate(
         raise ValueError("w_rms must be positive")
     eps = np.asarray(eps, dtype=float)
     out = np.zeros_like(eps)
-    weights = _boltzmann_weights(levels, temperature, normalized)
+    weights = np.array([math.exp(-en / temperature) for en in levels.energies])
+    if normalized:
+        weights = weights / weights.sum()
     for weight, dn, gn in zip(weights, levels.deltas, levels.relax_rates):
         out = out + weight * np.asarray(voigt_rate(dn, w_rms, eps, eps_p, gn))
     return out if out.shape else float(out)

@@ -30,9 +30,6 @@ class LinearSchedule:
     def is_constant(self) -> bool:
         return self.rate == 0.0
 
-    def __call__(self, t: float):
-        return self.value(t)
-
 
 def as_schedule(value) -> LinearSchedule:
     """Coerce a plain number to a constant schedule; pass schedules through."""

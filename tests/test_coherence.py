@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mrtkit import (
@@ -149,6 +149,20 @@ class TestDephasingExponent:
     def test_zero_time(self):
         assert dephasing_exponent(White(s0=1.0), 0.0) == 0.0
         assert dephasing_exponent(OhmicCutoff(1.0, 1.0, 1.0), 0.0) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(white=st.booleans(), log_ratio=st.floats(-3.0, 5.3),
+           log_wct=st.lists(st.floats(-4.0, 3.0), min_size=2, max_size=8))
+    # omega_c/T on either side of 5.1e4, where the Matsubara head outgrows one block
+    @example(white=False, log_ratio=math.log10(5.0e4), log_wct=[-1.0, 0.0, 0.5, 2.0])
+    @example(white=False, log_ratio=math.log10(5.2e4), log_wct=[-1.0, 0.0, 0.5, 2.0])
+    def test_nondecreasing_in_time(self, white, log_ratio, log_wct):
+        # dX/dt is the sine transform of [S(w) + S(-w)]/w, positive and
+        # nonincreasing in w for these models, so it is >= 0; a tabulated
+        # line spectrum oscillates and is left out
+        model = White(s0=1.0) if white else OhmicCutoff(1.0, 1.0, 10.0**-log_ratio)
+        times = np.sort(10.0 ** np.array(log_wct))
+        assert np.all(np.diff(dephasing_exponent(model, times)) >= 0.0)
 
     def test_white_noise_closed_form(self):
         # 1/T2 = s0/2: exponent grows linearly

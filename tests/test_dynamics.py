@@ -395,6 +395,20 @@ class TestNonlocalCorrectedRates:
         estimate = (lam_inf - lam_zero) / model.omega_c
         assert 0.3 <= deficit / estimate <= 3.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(eta=st.floats(0.1, 10.0), omega_c=st.floats(0.1, 10.0), log_ratio=st.floats(-2.0, 2.0),
+           delta_w=st.floats(1e-3, 0.1, exclude_max=True), eps_w=st.floats(-4.0, 4.0))
+    def test_detailed_balance(self, eta, omega_c, log_ratio, delta_w, eps_w):
+        # with W^2 = 2 T eps_p0 the shared memory factor cancels from
+        # Gamma_-/Gamma_+ = e^{2 eps eps_p0/W^2} = e^{eps/T}
+        model = OhmicCutoff(eta=eta, omega_c=omega_c, temperature=omega_c / 10.0**log_ratio)
+        w = model.noise_rms()
+        temperature = w * w / (2.0 * model.reorganization_shift())
+        params = TwoStateParams(delta=delta_w * w, eps=eps_w * w, temperature=temperature)
+        minus, plus = corrected_at(model, params, w)
+        exponent = params.eps / temperature
+        assert abs(math.log(minus / plus) - exponent) <= 1e-12 * max(1.0, abs(exponent))
+
     def test_out_of_regime_rejected(self):
         model = fdt_model(0.5, 0.01)
         params = TwoStateParams(delta=0.2, eps=0.0, temperature=model.temperature)

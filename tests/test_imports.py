@@ -20,10 +20,11 @@ SciPy import, one that calls ``np.unique`` the control that it sees
 ``numpy.polynomial``, and one that touches ``np.random`` the control for
 ``numpy.random`` and ``_hashlib``.  Importing the CLI leaves the sampler's
 tables (``mrtkit._philox``) unloaded.  A static check parses the sources: no
-module of the package imports SciPy or refers to ``numpy.random``, and the
-relative imports between its modules (those under ``if TYPE_CHECKING:``
-included) form no cycle.  Every ``__all__`` entry of the package's layers
-resolves.
+module of the package imports SciPy or refers to ``numpy.random``, the
+package itself refers to every private top-level function and class it
+defines (none is kept for the tests alone), and the relative imports between
+its modules (those under ``if TYPE_CHECKING:`` included) form no cycle.
+Every ``__all__`` entry of the package's layers resolves.
 """
 
 import ast
@@ -367,6 +368,44 @@ def test_static_check_sees_numpy_random():
                      "from numpy.random import Philox\nnp.random.default_rng\n"
                      "numpy.random.Generator\nnp.randomize\nrng.random()\n")
     assert numpy_random_references(tree) == [2, 3, 4, 5, 6]
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """module.name of each private top-level function or class the package never refers to.
+
+    A reference is a name read in the defining module, a relative
+    ``from .module import name``, or an attribute ``<anything>.name``.
+    """
+    defined, referenced = [], set()
+    for module, text in sources.items():
+        tree = ast.parse(text, module)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add((module, node.id))
+            elif isinstance(node, ast.Attribute):
+                referenced.add((None, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                referenced.update((node.module, alias.name) for alias in node.names)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if (module, name) not in referenced and (None, name) not in referenced)
+
+
+def test_package_uses_its_private_functions():
+    # a private helper that only the tests call is dead code in the package
+    sources = {path.stem: path.read_text() for path in Path(SRC, "mrtkit").glob("*.py")}
+    assert unreferenced_private(sources) == []
+
+
+def test_static_check_sees_an_unreferenced_private_function():
+    sources = {
+        "a": "def _local():\n    pass\n\ndef _unused():\n    pass\n\nclass _Imported:\n"
+             "    pass\n\ndef _read():\n    pass\n\n_local()\n",
+        "b": "from .a import _Imported\nfrom . import a\na._read()\n\ndef _orphan():\n    pass\n",
+    }
+    assert unreferenced_private(sources) == ["a._unused", "b._orphan"]
 
 
 def relative_imports(sources: dict[str, str]) -> dict[str, set[str]]:
