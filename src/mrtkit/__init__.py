@@ -6,6 +6,11 @@ tunneling, and the brute-force references that validate them.  Natural
 units throughout (hbar = k_B = 1).
 """
 
+import os
+
+# read once as NumPy loads OpenBLAS: its idle workers sleep after 2^4 cycles, not spin 2^28
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .coherence import dephasing_exponent, offdiag_element
 from .dynamics import (
     PeakSummary,

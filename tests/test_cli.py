@@ -1,12 +1,18 @@
 """End-to-end CLI behaviour: scenarios, CSV schema, exit codes, reproducibility."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrtkit
 from mrtkit import LinearSchedule, OhmicCutoff, White, dephasing_exponent
 from mrtkit.cli import _RUNNERS, main
+from mrtkit.quadrature import _BLOCK, _tabulated_nodes
 
 BASE_SPECTRAL = """\
 [spectral]
@@ -804,6 +810,45 @@ start = -1.0
 stop = 1.0
 steps = 3
 """
+
+
+class TestBlasThreads:
+    """A tabulated run writes the same bytes with one OpenBLAS thread or two.
+
+    241 knots on +-0.6 give 2 032 shared nodes up to t = 40, so
+    ``quadrature._sine_contraction`` contracts blocks of 16 x 2 032 = 32 512
+    elements, above the 9 216 from which OpenBLAS threads a matrix-vector
+    product by default.  (The scipy-openblas build in NumPy's wheels threads
+    one only from 460 800 elements, above every block of the package.)
+    """
+
+    @pytest.mark.parametrize("scenario, body", [
+        ("envelope", ""),
+        ("evolve", "[evolve]\nmode = nonlocal\n\n"),
+    ], ids=["envelope", "evolve-nonlocal"])
+    def test_csv_is_byte_identical_under_one_and_two_threads(self, tmp_path, scenario, body):
+        grid = np.linspace(-0.6, 0.6, 241)
+        nodes = _tabulated_nodes(grid, 0.6, 40.0)[0].size
+        assert min(_BLOCK // nodes, 41) * nodes >= 9216
+        source = OhmicCutoff(8.0, 0.02, 1.0)
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("omega,S\n" + "".join(
+            f"{float(w)!r},{source.density(float(w))!r}\n" for w in grid))
+        out = tmp_path / "out.csv"
+        config = write_config(
+            tmp_path,
+            f"[run]\nscenario = {scenario}\nout = {out}\n\n"
+            f"[spectral]\nkind = tabulated\ncsv = {spectrum}\ntemperature = 1.0\n\n"
+            "[two-state]\ndelta = 0.003\neps = 0.05\ntemperature = 1.0\n\n" + body +
+            "[time-grid]\nstart = 0.0\nstop = 40.0\nsteps = 41\n")
+        src = str(Path(mrtkit.__file__).resolve().parents[1])
+        written = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "mrtkit.cli", scenario, "--config", config],
+                           env=env, timeout=120, check=True)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestExtremeValues:

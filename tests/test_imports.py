@@ -24,7 +24,10 @@ module of the package imports SciPy or refers to ``numpy.random``, the
 package itself refers to every private top-level function and class it
 defines (none is kept for the tests alone), and the relative imports between
 its modules (those under ``if TYPE_CHECKING:`` included) form no cycle.
-Every ``__all__`` entry of the package's layers resolves.
+Every ``__all__`` entry of the package's layers resolves.  Importing the
+package defaults ``OPENBLAS_THREAD_TIMEOUT`` to 4 and keeps a value the user
+set; with two OpenBLAS threads, the idle worker then spends no CPU time
+after a threaded product (a preset timeout of 28 is the control).
 """
 
 import ast
@@ -296,6 +299,73 @@ def test_static_noise_oracle_loads_no_numpy_random(tmp_path):
     report = run_probe(cli_body(["oracle", "--config", static_noise_config(tmp_path)]))
     assert report == {"code": 0, **NO_EXTRAS}
     assert (tmp_path / "out.csv").exists()
+
+
+def blas_env(timeout: str | None) -> dict:
+    """This environment with two OpenBLAS threads and the timeout as given (None: unset)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env.update(PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="2")
+    if timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+    return env
+
+
+@pytest.mark.parametrize("timeout, expected", [(None, "4"), ("12", "12")],
+                         ids=["unset", "user-set"])
+def test_import_defaults_the_openblas_thread_timeout(timeout, expected):
+    script = 'import os, mrtkit\nprint(os.environ["OPENBLAS_THREAD_TIMEOUT"])'
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=blas_env(timeout), timeout=120, check=True)
+    assert done.stdout.strip() == expected
+
+
+# CPU seconds of every thread but the main one, after mrtkit is imported, one
+# threaded matrix-vector product has run and the main thread has slept 0.3 s.
+# OpenBLAS threads a gemv from 2304 x GEMM_MULTITHREAD_THRESHOLD elements:
+# 9 216 by default, 460 800 in the scipy-openblas build of NumPy's wheels.
+WORKER_PROBE = """\
+import os, time
+import mrtkit
+import numpy as np
+np.ones((1000, 1000)) @ np.ones(1000)
+time.sleep(0.3)
+ticks = 0
+for task in os.listdir("/proc/self/task"):
+    if int(task) != os.getpid():
+        with open(f"/proc/self/task/{task}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+        ticks += int(fields[11]) + int(fields[12])
+print(ticks / os.sysconf("SC_CLK_TCK"))
+"""
+
+
+def worker_cpu_s(timeout: str | None) -> float:
+    import numpy as np
+
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads per-thread CPU time from /proc")
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        blas = "unknown"
+    if "openblas" not in blas.lower():
+        pytest.skip(f"NumPy's BLAS is {blas}, not OpenBLAS")
+    done = subprocess.run([sys.executable, "-c", WORKER_PROBE], capture_output=True,
+                          text=True, env=blas_env(timeout), timeout=120, check=True)
+    return float(done.stdout)
+
+
+def test_idle_blas_worker_sleeps():
+    # OpenBLAS's default lets a worker busy-wait 2^28 cycles after it starts
+    # and after each threaded call: 0.18-0.19 s in this probe on a 2-CPU machine
+    assert worker_cpu_s(None) < 0.02
+
+
+def test_probe_sees_a_spinning_worker():
+    # a user's own timeout wins: 28 is OpenBLAS's default
+    if sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts no worker thread on one CPU")
+    assert worker_cpu_s("28") > 0.02
 
 
 # (module, top-level function or None for anywhere in the module) that may import SciPy

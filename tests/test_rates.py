@@ -119,6 +119,21 @@ def test_gaussian_line_mirrors_and_matches_its_array_path_bit_for_bit(delta, w, 
     assert voigt_rate(delta, w, np.array([eps, -eps]), eps_p, 0.0).tolist() == [minus, mirrored]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    w=st.floats(1e-3, 1e3),
+    t_over_w=st.floats(0.05, 5.0),
+    delta_over_w=st.floats(1e-6, 0.1, exclude_max=True),
+    eps_over_w=st.floats(-4.0, 4.0),
+)
+def test_gaussian_shape_obeys_detailed_balance(w, t_over_w, delta_over_w, eps_over_w):
+    """ln(Gamma_-/Gamma_+) = eps/T where eps_p = W^2/2T, for eps_p/W in [0.1, 10]."""
+    temperature, delta, eps = t_over_w * w, delta_over_w * w, eps_over_w * w
+    eps_p = w * w / (2.0 * temperature)
+    ratio = voigt_rate(delta, w, eps, eps_p, 0.0) / voigt_rate(delta, w, eps, -eps_p, 0.0)
+    assert abs(math.log(ratio) - eps / temperature) <= 1e-12 * max(1.0, abs(eps / temperature))
+
+
 class TestFaddeeva:
     def test_origin(self):
         assert faddeeva(0.0) == pytest.approx(1.0 + 0.0j, abs=1e-15)
