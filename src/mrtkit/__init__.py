@@ -23,8 +23,6 @@ from .dynamics import (
 )
 from .errors import (
     ConfigError,
-    DecompositionError,
-    DivergentMomentError,
     IntegrationWarning,
     RegimeError,
     RegimeWarning,

@@ -7,8 +7,9 @@ comment header records every input parameter and the artifact version, so
 a run can be reproduced from its own output.  Physics is unit-agnostic
 (hbar = k_B = 1); the declared unit label is recorded verbatim.
 
-Exit codes: 0 success, 1 validation failure, 2 config/parse error,
-3 violated physics precondition (named in the diagnostic).
+Exit codes: 0 success, 1 validation failure, 2 config/parse error
+(ConfigError), 3 violated physics precondition (RegimeError, named in the
+diagnostic).  Any other exception is a defect and ends with its traceback.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import __version__, validation
 from .coherence import dephasing_exponent
 from .dynamics import (evolve_local, evolve_nonlocal, nonlocal_corrected_scan, peak_summary,
                        short_time_rho11)
-from .errors import ConfigError, DecompositionError, DivergentMomentError, RegimeError
+from .errors import ConfigError, RegimeError
 from .oracle import (McConfig, convolution_reference, refined_local_reference,
                      refined_nonlocal_reference, static_noise_transition)
 from .rates import (TwoStateParams, WellLevels, _ramped_line, multichannel_rate, peak_rate,
@@ -36,8 +37,6 @@ from .schedules import LinearSchedule
 from .spectral import OhmicCutoff, Tabulated, White
 
 log = logging.getLogger("mrtkit")
-
-_PHYSICS_ERRORS = (RegimeError, DivergentMomentError, DecompositionError, ValueError)
 
 
 def _fmt(x) -> str:
@@ -565,16 +564,11 @@ def main(argv=None) -> int:
         _configure_logging()
         if args.command == "validate":
             return run_validate(args.out, args.seed)
-        config = load_config(args.command, args.config, args.out, args.seed)
+        return run(load_config(args.command, args.config, args.out, args.seed))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    try:
-        return run(config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except _PHYSICS_ERRORS as err:
+    except RegimeError as err:
         print(f"precondition violated: {err}", file=sys.stderr)
         return 3
 

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .errors import RegimeError
 from .schedules import LinearSchedule, as_schedule
 from .spectral import SpectralModel
 
@@ -31,16 +32,16 @@ def dephasing_exponent(model: SpectralModel, t):
     the same shape is returned).  Every model evaluates all times at once:
     white noise in closed form, the ohmic cutoff as a Matsubara sum
     (``spectral._ohmic_exponent``), a tabulated model in one contraction on
-    shared nodes.  A value below -1e-12 (an envelope above 1) or NaN raises
-    ValueError.
+    shared nodes.  A negative t, or a value below -1e-12 (an envelope above
+    1) or NaN, raises RegimeError.
     """
     times = np.asarray(t, dtype=float)
     if np.any(times < 0):
-        raise ValueError("dephasing_exponent requires t >= 0")
+        raise RegimeError("dephasing_exponent requires t >= 0")
     values = model.dephasing_exponent(times)
     # written so that NaN fails too
     if not np.all(values >= -1e-12):
-        raise ValueError("dephasing exponent X(t) must be nonnegative: exp(-X) leaves [0, 1]")
+        raise RegimeError("dephasing exponent X(t) must be nonnegative: exp(-X) leaves [0, 1]")
     return float(values) if times.ndim == 0 else values
 
 

@@ -58,7 +58,7 @@ class Trajectory:
     """rho11 on a strictly increasing time grid; rho00 = 1 - rho11.
 
     Roundoff excursions out of [0, 1] are clipped.  An excursion above the
-    roundoff allowance (or a NaN) is a solver fault and raises ValueError
+    roundoff allowance (or a NaN) is a solver fault and raises RegimeError
     instead of being clipped away.
     """
 
@@ -69,12 +69,12 @@ class Trajectory:
         t = np.asarray(self.t, dtype=float)
         rho11 = np.asarray(self.rho11, dtype=float)
         if np.any(np.diff(t) <= 0):
-            raise ValueError("time grid must be strictly increasing")
+            raise RegimeError("time grid must be strictly increasing")
         if rho11.shape != t.shape:
             raise ValueError("rho11 must match the time grid")
         excursion = float(np.max(np.maximum(-rho11, rho11 - 1.0), initial=0.0))
         if not excursion <= _ROUNDOFF:
-            raise ValueError(f"rho11 leaves [0, 1] by {excursion:.3g}")
+            raise RegimeError(f"rho11 leaves [0, 1] by {excursion:.3g}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "rho11", np.clip(rho11, 0.0, 1.0))
 
@@ -139,7 +139,7 @@ def evolve_nonlocal(
     steps = np.diff(t)
     h = float(steps[0])
     if np.any(steps <= 0) or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
-        raise ValueError("nonlocal evolution requires a uniform increasing grid")
+        raise RegimeError("nonlocal evolution requires a uniform increasing grid")
 
     delta, _ = _require_constant(params)
     w = model.noise_rms() if w_rms is None else w_rms
@@ -240,7 +240,7 @@ def _checked_rates(rate, times) -> np.ndarray:
     if bad.any():
         k = int(np.argmax(bad))
         kind = "negative" if values[k] < 0 else "non-finite"
-        raise ValueError(f"{kind} rate at t = {times[k]}")
+        raise RegimeError(f"{kind} rate at t = {times[k]}")
     return values
 
 
@@ -479,9 +479,13 @@ def peak_summary(
     offsets = centres - areas @ centres
     m2 = float(areas @ (variances + offsets * offsets))
     m3 = float(areas @ (offsets * (offsets * offsets + 3.0 * variances)))
-    if not m2**1.5 >= sys.float_info.min:  # ~W^3: below it the skewness is rounding noise
+    try:
+        w3 = m2**1.5
+    except OverflowError:
+        raise RegimeError(f"W = {w:.3g}: the third moment of the line overflows") from None
+    if not w3 >= sys.float_info.min:  # ~W^3: below it the skewness is rounding noise
         raise RegimeError(f"W = {w:.3g}: the third moment of the line underflows")
-    return PeakSummary(gamma_peak=gamma_peak, eps_peak=eps_peak, asymmetry=m3 / m2**1.5)
+    return PeakSummary(gamma_peak=gamma_peak, eps_peak=eps_peak, asymmetry=m3 / w3)
 
 
 def _gaussian_cosine_moments(f, a, c: float):
@@ -518,7 +522,7 @@ def short_time_rho11(
     ``gauss_kronrod`` quadrature.
     """
     if t < 0:
-        raise ValueError("short_time_rho11 requires t >= 0")
+        raise RegimeError("short_time_rho11 requires t >= 0")
     delta_s = params.delta_schedule
     eps_s = params.eps_schedule
     if t == 0.0:

@@ -1,19 +1,10 @@
 """Exception and warning types shared across the package."""
 
 
-class DivergentMomentError(ValueError):
-    """A frequency moment of the spectrum does not converge (e.g. white noise)."""
-
-
-class DecompositionError(ValueError):
-    """Symmetric/antisymmetric decomposition is unavailable: no two-sided overlap of the grid."""
-
-
 class RegimeError(ValueError):
-    """A physics-regime or resolution precondition is violated.
+    """A physics-regime or resolution precondition is violated: the CLI's exit code 3.
 
-    The message names the violated precondition so callers (and the CLI)
-    can report it verbatim.
+    The message names the violated precondition, and the CLI reports it verbatim.
     """
 
 

@@ -173,7 +173,7 @@ def convolution_reference(
     try:
         delta_sq, gamma_sq = delta_ij**2, gamma_ij**2
     except OverflowError:
-        raise ValueError("convolution_reference: delta^2 or gamma^2 overflows") from None
+        raise RegimeError("convolution_reference: delta^2 or gamma^2 overflows") from None
     prefactor = delta_sq * gamma_ij / (math.sqrt(8.0 * math.pi) * w_rms)
     lo = eps_p - 45.0 * w_rms
     hi = eps_p + 45.0 * w_rms
@@ -234,7 +234,7 @@ def refined_local_reference(rate_minus, rate_plus, rho11_0: float, t_grid) -> Tr
     def rates(time):
         minus, plus = gm(time), gp(time)
         if minus < 0 or plus < 0:
-            raise ValueError(f"negative rate at t = {time}")
+            raise RegimeError(f"negative rate at t = {time}")
         return minus, minus + plus
 
     def rk4(y, a, b, n):

@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .errors import IntegrationWarning
+from .errors import IntegrationWarning, RegimeError
 
 __all__ = ["gauss_kronrod", "bounded_minimum"]
 
@@ -222,7 +222,7 @@ def _oscillation_edges(a: float, b: float, t: float) -> np.ndarray:
     half_period = math.pi / t
     count = (b - a) / half_period  # inf for a grid span near the float range
     if not count < 200_001:
-        raise ValueError(
+        raise RegimeError(
             "oscillatory tabulated integral too fine to resolve "
             f"({count:.0f} half-periods on the grid span)"
         )

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError, DivergentMomentError, RegimeError
+from .errors import RegimeError
 from .quadrature import _sine_contraction, _tabulated_nodes
 
 __all__ = ["SpectralModel", "White", "OhmicCutoff", "Tabulated"]
@@ -67,15 +67,15 @@ class SpectralModel:
 
     def antisymmetric(self, omega: float) -> float:
         """S_a(omega) for omega >= 0, the integrand of the shift moments."""
-        raise DivergentMomentError("flat spectrum has no antisymmetric part")
+        raise RegimeError("flat spectrum has no antisymmetric part")
 
     def noise_rms(self) -> float:
         """W = sqrt(integral_{-inf}^{inf} S(omega) domega / 2pi)."""
-        raise DivergentMomentError("flat spectrum: integral of S(omega) diverges")
+        raise RegimeError("flat spectrum: integral of S(omega) diverges")
 
     def reorganization_shift(self) -> float:
         """eps_p0 = integral_0^inf (domega/pi) S_a(omega)/omega."""
-        raise DivergentMomentError("flat spectrum has no antisymmetric part")
+        raise RegimeError("flat spectrum has no antisymmetric part")
 
     def tau_r(self) -> float:
         """Environment response time tau_R."""
@@ -93,7 +93,7 @@ class SpectralModel:
         d eps_p/dtau vanishes at tau = 0 for every integrable S_a; the
         memory-kernel solver is second order only when it does.
         """
-        raise DivergentMomentError("flat spectrum has no antisymmetric part")
+        raise RegimeError("flat spectrum has no antisymmetric part")
 
     def shift(self, t: float) -> float:
         """eps_p(t) at one time t >= 0, with eps_p(0) = 0."""
@@ -145,7 +145,13 @@ class OhmicCutoff(SpectralModel):
             # limit of 2*eta*omega / (1 - exp(-omega/T))
             return 2.0 * self.eta * self.temperature
         lorentz = (1.0 + (omega / self.omega_c) ** 2) ** 2
-        occupation_denom = -math.expm1(-omega / self.temperature)
+        try:
+            occupation_denom = -math.expm1(-omega / self.temperature)
+        except OverflowError:
+            # -omega/T beyond ~709: S = 2 eta |omega| e^{-|omega|/T} / lorentz to double
+            # precision, 0 or subnormal, formed in logs and rounded once
+            return math.exp(math.log(2.0 * self.eta) + math.log(-omega) - math.log(lorentz)
+                            + omega / self.temperature)
         return 2.0 * self.eta * (omega / occupation_denom) / lorentz
 
     def antisymmetric(self, omega):
@@ -335,7 +341,7 @@ class Tabulated(SpectralModel):
         """W from the exact integral of the interpolant."""
         w2 = self._interp.integral / (2.0 * math.pi)
         if not 0.0 < w2 < math.inf:
-            raise ValueError("tabulated spectrum integrates to zero or overflows")
+            raise RegimeError("tabulated spectrum integrates to zero or overflows")
         return math.sqrt(w2)
 
     def reorganization_shift(self):
@@ -354,7 +360,7 @@ class Tabulated(SpectralModel):
         cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(grid))))
         total = cumulative[-1]
         if not total > floor:
-            raise DivergentMomentError("tabulated antisymmetric part carries no weight")
+            raise RegimeError("tabulated antisymmetric part carries no weight")
         idx = int(np.searchsorted(cumulative, 0.99 * total))
         omega_star = float(grid[min(idx, grid.size - 1)])
         return 1.0 / omega_star
@@ -393,7 +399,7 @@ class Tabulated(SpectralModel):
         """
         upper = min(self.omega[-1], -self.omega[0])
         if upper <= 0.0:
-            raise DecompositionError(
+            raise RegimeError(
                 "tabulated model needs data on both sides of omega = 0; "
                 "frequency moments need a two-sided grid"
             )

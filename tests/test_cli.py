@@ -889,10 +889,39 @@ class TestExtremeValues:
         # W is finite; X(t) would need 8e19 Matsubara terms per time
         ("envelope", OHMIC_NONLOCAL.replace("omega_c = 1.0", "omega_c = 6.3e19", 1), 3,
          "precondition violated: omega_c/T = 6.3e+19 exceeds 1e+06"),
+        # a grid may start before t = 0; X(t) and the short-time rho11 refuse it
+        ("envelope", "[spectral]\nkind = white\ns0 = 0.3\n\n"
+         "[time-grid]\nstart = -1\nstop = 1\nsteps = 3\n", 3,
+         "precondition violated: dephasing_exponent requires t >= 0"),
+        ("evolve", OHMIC_NONLOCAL.replace("start = 0.0", "start = -1.0")
+         + "[evolve]\nmode = short-time\n", 3,
+         "precondition violated: short_time_rho11 requires t >= 0"),
+        # Delta(t)^2 overflows from the second grid point on
+        ("evolve", OHMIC_NONLOCAL.replace("delta = 1e-170", "delta = 0.01\ndelta_rate = 1e300")
+         + "[evolve]\nmode = local\n", 3,
+         "precondition violated: non-finite rate at t = 0.1"),
+        ("mrt-scan", "[spectral]\nkind = tabulated\ncsv = zero.csv\n\n"
+         "[two-state]\ndelta = 0.01\neps = 0.0\ntemperature = 1.0\n\n"
+         "[mrt-scan]\nshape = gaussian\n[bias-grid]\nstart = -1\nstop = 1\nsteps = 3\n", 3,
+         "precondition violated: tabulated spectrum integrates to zero or overflows"),
+        # W^3 beyond a float: the asymmetry m3 / m2^1.5 cannot be formed
+        ("peak", "[spectral]\nkind = ohmic\neta = 4.0\nomega_c = 1.0\ntemperature = 1e300\n\n"
+         "[two-state]\ndelta = 1.0\neps = 1.0\ntemperature = 1e300\n", 3,
+         "precondition violated: W = 1.41e+150: the third moment of the line overflows"),
+        # the refined grid splits a step of one subnormal 16 ways into repeated times
+        ("oracle", OHMIC_NONLOCAL.replace("stop = 1.0\nsteps = 11", "stop = 5e-324\nsteps = 2")
+         + "[oracle]\nname = refined-local\n", 3,
+         "precondition violated: time grid must be strictly increasing"),
     ], ids=["static-noise-underflow", "static-noise-delta", "convolution-delta",
             "convolution-gamma", "scan-infinite-ratio", "envelope-infinite-ratio",
-            "ramped-local-zero-w", "envelope-beyond-the-ratio-cap"])
-    def test_one_line_message(self, tmp_path, capsys, scenario, body, code, message):
+            "ramped-local-zero-w", "envelope-beyond-the-ratio-cap", "envelope-negative-time",
+            "short-time-negative-time", "ramped-local-rate-overflow", "scan-all-zero-table",
+            "peak-third-moment-overflow", "refined-local-subnormal-step"])
+    def test_one_line_message(self, tmp_path, capsys, monkeypatch, scenario, body, code,
+                              message):
+        # the table a tabulated row names, relative to the run directory
+        (tmp_path / "zero.csv").write_text("omega,S\n-2,0\n-1,0\n0,0\n1,0\n2,0\n")
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "o.csv"
         config = write_config(tmp_path, f"[run]\nscenario = {scenario}\nout = {out}\n\n{body}")
         assert main([scenario, "--config", config]) == code
@@ -926,6 +955,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: MRTKIT_LOG") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_other_exception_is_a_defect(self, tmp_path, monkeypatch):
+        # only a RegimeError is a physics precondition (exit 3): any other
+        # ValueError is a fault of the program and propagates with its traceback
+        def broken(config):
+            raise ValueError("an internal fault")
+
+        monkeypatch.setitem(_RUNNERS, "peak", broken)
+        config = write_config(tmp_path, f"[run]\nscenario = peak\nout = {tmp_path / 'o.csv'}\n")
+        with pytest.raises(ValueError, match="an internal fault"):
+            main(["peak", "--config", config])
 
     def test_missing_key_is_config_error(self, tmp_path):
         config = write_config(

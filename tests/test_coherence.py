@@ -156,13 +156,18 @@ class TestDephasingExponent:
     # omega_c/T on either side of 5.1e4, where the Matsubara head outgrows one block
     @example(white=False, log_ratio=math.log10(5.0e4), log_wct=[-1.0, 0.0, 0.5, 2.0])
     @example(white=False, log_ratio=math.log10(5.2e4), log_wct=[-1.0, 0.0, 0.5, 2.0])
+    # times 1 and 1 + 2 ulp, where the float X(t) falls by 2 ulp
+    @example(white=False, log_ratio=1.0, log_wct=[0.0, 2.220446049250313e-16])
     def test_nondecreasing_in_time(self, white, log_ratio, log_wct):
         # dX/dt is the sine transform of [S(w) + S(-w)]/w, positive and
-        # nonincreasing in w for these models, so it is >= 0; a tabulated
-        # line spectrum oscillates and is left out
+        # nonincreasing in w for these models, so the exact X is nondecreasing;
+        # a tabulated line spectrum oscillates and is left out.  Only the
+        # exact X is monotone: times a rounding apart may fall by a few ulp
+        # of X (4 at worst over Hypothesis seeds 1-100), so the floor is 8 ulp.
         model = White(s0=1.0) if white else OhmicCutoff(1.0, 1.0, 10.0**-log_ratio)
         times = np.sort(10.0 ** np.array(log_wct))
-        assert np.all(np.diff(dephasing_exponent(model, times)) >= 0.0)
+        x = dephasing_exponent(model, times)
+        assert np.all(np.diff(x) >= -8.0 * np.spacing(x[1:]))
 
     def test_white_noise_closed_form(self):
         # 1/T2 = s0/2: exponent grows linearly

@@ -281,6 +281,33 @@ class TestCrossoverTemperature:
             crossover_temperature(levels)
 
 
+# 1-4 levels without relaxation, in units of W: (level gaps, tunneling amplitudes)
+unrelaxed_levels = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.01, 10.0), min_size=n - 1, max_size=n - 1),
+    st.lists(st.floats(1e-6, 0.1, exclude_max=True), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    w=st.floats(1e-3, 1e3),
+    t_over_w=st.floats(0.05, 5.0),
+    levels_over_w=unrelaxed_levels,
+    eps_over_w=st.floats(-4.0, 4.0),
+    normalized=st.booleans(),
+)
+def test_multichannel_shape_obeys_detailed_balance(w, t_over_w, levels_over_w, eps_over_w,
+                                                   normalized):
+    """Every Gaussian channel has the ratio e^{eps/T} at eps_p = W^2/2T, and so has their sum."""
+    gaps, deltas = levels_over_w
+    levels = WellLevels(energies=tuple(w * np.cumsum([0.0, *gaps])),
+                        deltas=tuple(w * d for d in deltas), relax_rates=(0.0,) * len(deltas))
+    temperature, eps = t_over_w * w, eps_over_w * w
+    eps_p = w * w / (2.0 * temperature)
+    ratio = (multichannel_rate(levels, temperature, w, eps, eps_p, normalized)
+             / multichannel_rate(levels, temperature, w, eps, -eps_p, normalized))
+    assert abs(math.log(ratio) - eps / temperature) <= 1e-12 * max(1.0, abs(eps / temperature))
+
+
 class TestMultichannelRate:
     def test_zero_temperature_ground_channel_only(self):
         levels = WellLevels((0.0, 1.0), (0.01, 1.0), (0.0, 0.0))
