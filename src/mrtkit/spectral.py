@@ -124,6 +124,23 @@ class White(SpectralModel):
         return 0.5 * self.s0 * times
 
 
+def _over_lorentz(scale, numerator, denominator, x):
+    """scale * (numerator / denominator) / (1 + x^2)^2, also where (1 + x^2)^2 overflows a float.
+
+    That happens for a float |x| beyond about 1.16e77, where (1 + x^2)^2 is
+    x^4 to double precision: the mantissas are combined and the binary
+    exponents applied last, so no partial product overflows and the result
+    is a normal float, a subnormal or 0.  An array x never raises, and takes
+    the plain expression.
+    """
+    try:
+        return scale * (numerator / denominator) / (1.0 + x ** 2) ** 2
+    except OverflowError:
+        (sm, se), (nm, ne), (dm, de), (xm, xe) = map(math.frexp,
+                                                     (scale, numerator, denominator, x))
+        return math.ldexp(sm * nm / dm / xm ** 4, se + ne - de - 4 * xe)
+
+
 @dataclass(frozen=True)
 class OhmicCutoff(SpectralModel):
     """Ohmic spectrum with soft cutoff and thermal occupation factor."""
@@ -144,20 +161,24 @@ class OhmicCutoff(SpectralModel):
         if omega == 0.0:
             # limit of 2*eta*omega / (1 - exp(-omega/T))
             return 2.0 * self.eta * self.temperature
-        lorentz = (1.0 + (omega / self.omega_c) ** 2) ** 2
+        x = omega / self.omega_c
         try:
             occupation_denom = -math.expm1(-omega / self.temperature)
         except OverflowError:
             # -omega/T beyond ~709: S = 2 eta |omega| e^{-|omega|/T} / lorentz to double
             # precision, 0 or subnormal, formed in logs and rounded once
-            return math.exp(math.log(2.0 * self.eta) + math.log(-omega) - math.log(lorentz)
+            try:
+                log_lorentz = math.log((1.0 + x ** 2) ** 2)
+            except OverflowError:
+                log_lorentz = 4.0 * math.log(-x)
+            return math.exp(math.log(2.0 * self.eta) + math.log(-omega) - log_lorentz
                             + omega / self.temperature)
-        return 2.0 * self.eta * (omega / occupation_denom) / lorentz
+        return _over_lorentz(2.0 * self.eta, omega, occupation_denom, x)
 
     def antisymmetric(self, omega):
         # the exact algebraic form, free of the cancellation that
         # (S(w) - S(-w))/2 suffers at omega/T -> 0
-        return self.eta * omega / (1.0 + (omega / self.omega_c) ** 2) ** 2
+        return _over_lorentz(self.eta, omega, 1.0, omega / self.omega_c)
 
     def noise_rms(self):
         """The closed Matsubara sum of W.

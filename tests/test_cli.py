@@ -1,17 +1,24 @@
 """End-to-end CLI behaviour: scenarios, CSV schema, exit codes, reproducibility."""
 
+import ast
+import gc
 import math
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mrtkit
 from mrtkit import LinearSchedule, OhmicCutoff, White, dephasing_exponent
-from mrtkit.cli import _RUNNERS, main
+from mrtkit import cli
+from mrtkit.cli import _CSV_BLOCK, _RUNNERS, main, write_csv
 from mrtkit.quadrature import _BLOCK, _tabulated_nodes
 
 BASE_SPECTRAL = """\
@@ -942,18 +949,28 @@ class TestExtremeValues:
         assert "(inf half-periods on the grid span)" in err and err.count("\n") == 1
 
 
+WHITE_ENVELOPE = ("[run]\nscenario = envelope\nout = {out}\n\n[spectral]\nkind = white\n"
+                  "s0 = 0.3\n\n[time-grid]\nstart = 0.0\nstop = 1.0\nsteps = 3\n")
+
+
 class TestExitCodes:
     def test_unknown_log_level_is_config_error(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "env.csv"
-        config = write_config(
-            tmp_path,
-            f"[run]\nscenario = envelope\nout = {out}\n\n[spectral]\nkind = white\n"
-            "s0 = 0.3\n\n[time-grid]\nstart = 0.0\nstop = 1.0\nsteps = 3\n",
-        )
+        config = write_config(tmp_path, WHITE_ENVELOPE.format(out=out))
         monkeypatch.setenv("MRTKIT_LOG", "bogus")
         assert main(["envelope", "--config", config]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: MRTKIT_LOG") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_empty_log_level_is_config_error(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "env.csv"
+        config = write_config(tmp_path, WHITE_ENVELOPE.format(out=out))
+        monkeypatch.setenv("MRTKIT_LOG", "")
+        assert main(["envelope", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            "config error: MRTKIT_LOG = '' is not a log level "
+            "(DEBUG, INFO, WARNING, ERROR or CRITICAL)\n")
         assert not out.exists()
 
     def test_other_exception_is_a_defect(self, tmp_path, monkeypatch):
@@ -1468,3 +1485,102 @@ class TestValidateCommand:
         main(["validate", "--out", str(first)])
         main(["validate", "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
+
+
+def _float64(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# the zeros, the smallest and largest subnormals, the smallest normal, the
+# largest float, the non-finite values and the edges of repr's switch between
+# positional and exponent form (1e16 and 1e-4 / 1e-5)
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                   1.7976931348623157e308, math.inf, -math.inf, math.nan, 1e16,
+                   9999999999999998.0, 1e-4, 1e-5, 9.999999999999999e-05, 0.1, 1 / 3]
+
+# one pool of values per column kind; a column of any length repeats its pool
+_COLUMN_POOLS = {
+    "float64": st.lists(st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                                  st.integers(0, 2**64 - 1).map(_float64)),
+                        min_size=1, max_size=24).map(np.array),
+    "int64": st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=24).map(
+        lambda pool: np.array(pool, dtype=np.int64)),
+    "bool": st.lists(st.booleans(), min_size=1, max_size=24).map(np.array),
+    "float32": st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=24).map(
+        lambda pool: np.array(pool, dtype=np.uint32).view(np.float32)),
+}
+_column_pool = st.sampled_from(sorted(_COLUMN_POOLS)).flatmap(_COLUMN_POOLS.get)
+
+
+class TestWriteCsv:
+    """``write_csv`` writes the bytes of a row-by-row ``repr(float(x))`` rendering."""
+
+    @staticmethod
+    def reference(comments, warnings_seen, columns) -> bytes:
+        lines = [f"# {key} = {value}" for key, value in comments.items()]
+        lines += [f"# warning: {message}" for message in warnings_seen]
+        lines.append(",".join(name for name, _ in columns))
+        lines += [",".join(repr(float(x)) for x in row)
+                  for row in zip(*(values for _, values in columns))]
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1,
+                                      2 * _CSV_BLOCK + 3])
+    @settings(max_examples=25, deadline=None)
+    @given(pools=st.lists(_column_pool, min_size=1, max_size=3))
+    @example(pools=[np.array(_SPECIAL_FLOATS)])
+    @example(pools=[np.array([-2**63, 2**53 + 1, 2**63 - 1]), np.array([True, False]),
+                    np.array([np.nan, -0.0, 1e-45, 3.4028235e38], dtype=np.float32)])
+    def test_bytes_equal_the_per_value_reference(self, rows, pools):
+        columns = [(f"c{index}", np.resize(pool, rows)) for index, pool in enumerate(pools)]
+        comments = {"artifact": "mrtkit test", "seed": "0"}
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "out.csv")
+            write_csv(path, comments, ["a warning"], columns)
+            with open(path, "rb") as handle:
+                written = handle.read()
+        assert written == self.reference(comments, ["a warning"], columns)
+
+
+class TestProgramEntry:
+    """``python -m mrtkit.cli`` and the installed ``mrtkit`` run one entry.
+
+    ``main`` leaves the collector alone (the entry's ``gc.freeze()`` is
+    checked in ``tests/test_imports.py``), and ``MRTKIT_LOG`` still logs the
+    written file once.
+    """
+
+    SRC = str(Path(mrtkit.__file__).resolve().parents[1])
+
+    def test_main_leaves_the_collector_as_it_finds_it(self, tmp_path):
+        config = write_config(tmp_path, WHITE_ENVELOPE.format(out=tmp_path / "o.csv"))
+        before = (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold())
+        assert main(["envelope", "--config", config]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()) == before
+
+    @pytest.mark.parametrize("command", ["envelope", "validate"])
+    def test_info_log_names_the_written_file_once(self, tmp_path, command):
+        out = tmp_path / "out.csv"
+        if command == "validate":
+            argv, code = ["validate", "--out", str(out)], 1
+        else:
+            config = write_config(tmp_path, WHITE_ENVELOPE.format(out=out))
+            argv, code = ["envelope", "--config", config], 0
+        env = dict(os.environ, PYTHONPATH=self.SRC, MRTKIT_LOG="INFO")
+        done = subprocess.run([sys.executable, "-m", "mrtkit.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert done.returncode == code
+        info = [line for line in done.stderr.splitlines() if line.startswith("INFO:")]
+        assert info == [f"INFO:mrtkit:wrote {out}"]
+
+    def test_console_script_is_the_main_block_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["mrtkit"]
+        module, _, name = target.partition(":")
+        assert module == cli.__name__ and callable(getattr(cli, name))
+        blocks = [node.body for node in ast.parse(Path(cli.__file__).read_text()).body
+                  if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [[ast.unparse(statement) for statement in body] for body in blocks] == [
+            [f"sys.exit({name}())"]]

@@ -24,7 +24,10 @@ module of the package imports SciPy or refers to ``numpy.random``, the
 package itself refers to every private top-level function and class it
 defines (none is kept for the tests alone), and the relative imports between
 its modules (those under ``if TYPE_CHECKING:`` included) form no cycle.
-Every ``__all__`` entry of the package's layers resolves.  Importing the
+Every ``__all__`` entry of the package's layers resolves.  The program
+(``python -m mrtkit.cli``, a scenario or ``validate``) loads ``logging``
+only when ``MRTKIT_LOG`` is set (set, the control), and freezes the heap
+its imports left before it runs.  Importing the
 package defaults ``OPENBLAS_THREAD_TIMEOUT`` to 4 and keeps a value the user
 set; with two OpenBLAS threads, the idle worker then spends no CPU time
 after a threaded product (a preset timeout of 28 is the control).
@@ -56,18 +59,23 @@ print(json.dumps({{"code": code, "scipy": sorted(
     "numpy_ma": "numpy.ma" in sys.modules,
     "numpy_polynomial": "numpy.polynomial" in sys.modules,
     "numpy_random": "numpy.random" in sys.modules,
-    "hashlib": "_hashlib" in sys.modules}}))
+    "hashlib": "_hashlib" in sys.modules,
+    "logging": "logging" in sys.modules}}))
 """
 # an import of scipy or any submodule raises ImportError after this line
 BLOCK_SCIPY = 'sys.modules["scipy"] = None'
 # the report of a run that loaded none of SciPy, numpy.ma, numpy.polynomial,
-# numpy.random and _hashlib
+# numpy.random, _hashlib and logging
 NO_EXTRAS = {"scipy": [], "numpy_ma": False, "numpy_polynomial": False,
-             "numpy_random": False, "hashlib": False}
+             "numpy_random": False, "hashlib": False, "logging": False}
 
 
-def run_probe(body: str, block_scipy: bool = False) -> dict:
-    env = dict(os.environ, PYTHONPATH=SRC)
+def run_probe(body: str, block_scipy: bool = False, log: str | None = None) -> dict:
+    """The probe's report; ``MRTKIT_LOG`` is set to log, or unset where log is None."""
+    env = {k: v for k, v in os.environ.items() if k != "MRTKIT_LOG"}
+    env["PYTHONPATH"] = SRC
+    if log is not None:
+        env["MRTKIT_LOG"] = log
     script = PROBE.format(block=BLOCK_SCIPY if block_scipy else "", body=body)
     done = subprocess.run(
         [sys.executable, "-c", script],
@@ -78,6 +86,16 @@ def run_probe(body: str, block_scipy: bool = False) -> dict:
 
 def cli_body(argv) -> str:
     return f"from mrtkit.cli import main\ncode = main({list(argv)!r})"
+
+
+def program_body(argv) -> str:
+    """``python -m mrtkit.cli argv``: the module run as ``__main__``, its exit code kept."""
+    return ("import runpy\n"
+            f"sys.argv = ['mrtkit', *{list(argv)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('mrtkit.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exit:\n"
+            "    code = exit.code\n")
 
 
 def write_spectrum(path, eta=8.0, omega_c=0.02, temperature=1.0, knots=241):
@@ -299,6 +317,31 @@ def test_static_noise_oracle_loads_no_numpy_random(tmp_path):
     report = run_probe(cli_body(["oracle", "--config", static_noise_config(tmp_path)]))
     assert report == {"code": 0, **NO_EXTRAS}
     assert (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command, log, code", [
+    ("envelope", None, 0), ("validate", None, 1), ("envelope", "INFO", 0),
+], ids=["envelope", "validate", "positive-control"])
+def test_program_loads_logging_only_for_mrtkit_log(tmp_path, command, log, code):
+    out = str(tmp_path / "out.csv")
+    if command == "validate":
+        argv = ["validate", "--out", out]
+    else:
+        body = "[time-grid]\nstart = 0.0\nstop = 5.0\nsteps = 21\n"
+        argv = [command, "--config", ohmic_config(tmp_path, command, body)]
+    report = run_probe(program_body(argv), log=log)
+    assert (report["code"], report["logging"]) == (code, log is not None)
+    assert os.path.exists(out)
+
+
+def test_program_freezes_the_import_heap(tmp_path):
+    # main() itself leaves the collector alone (tests/test_cli.py)
+    body = "[time-grid]\nstart = 0.0\nstop = 5.0\nsteps = 21\n"
+    argv = ["envelope", "--config", ohmic_config(tmp_path, "envelope", body)]
+    report = run_probe("import gc\nbefore = gc.get_freeze_count()\n" + program_body(argv)
+                       + "code = [code, before, gc.get_freeze_count()]\n")
+    code, before, after = report["code"]
+    assert (code, before) == (0, 0) and after > before
 
 
 def blas_env(timeout: str | None) -> dict:

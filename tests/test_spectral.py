@@ -125,6 +125,73 @@ class TestEvalSpectralDensity:
         assert abs(value - exact) <= 1e-13 * exact + 5e-324
         assert value < 1e-308
 
+    @pytest.mark.parametrize("eta, omega_c, temperature, omega", [
+        (1.0, 1.0, 1.0, 1.2e77), (1.0, 1.0, 1.0, -1.2e77), (1.0, 1.0, 1e80, -1.2e77),
+        (1.0, 1.0, 1.0, 1e100), (1.0, 1.0, 1.0, -1e100), (1.0, 1.0, 1.0, 1e103),
+        (1.0, 1.0, 1.0, 1e200), (1.0, 1.0, 1.0, -1e200), (1.0, 1e120, 1.0, 1e200),
+        (1e307, 1e-200, 1.0, 1e-100), (1e307, 1e-200, 1.0, -1e-100),
+    ])
+    def test_ohmic_far_beyond_the_cutoff(self, eta, omega_c, temperature, omega):
+        # (1 + (omega/omega_c)^2)^2 overflows a float from |omega/omega_c| ~ 1.16e77
+        # on; the density and its antisymmetric part there are normal (1e-231 at
+        # 1.2e77, 2e-120 at 1e200 with omega_c = 1e120), subnormal (1e103) or 0.
+        # At eta = 1e307 the product 2 eta omega/(1 - e^{-omega/T}) alone would
+        # overflow, though the density is 2e-93
+        mpmath = pytest.importorskip("mpmath")
+        model = OhmicCutoff(eta=eta, omega_c=omega_c, temperature=temperature)
+        with mpmath.workdps(30):
+            w, t = mpmath.mpf(omega), mpmath.mpf(temperature)
+            lorentz = (1 + (w / mpmath.mpf(omega_c)) ** 2) ** 2
+            density = float(2 * eta * w / -mpmath.expm1(-w / t) / lorentz)
+            antisymmetric = float(eta * w / lorentz)
+        # x = omega / omega_c is rounded once and raised to the 4th power: 3 ulp
+        # was the worst of 800 random points
+        assert abs(model.density(omega) - density) <= 4 * math.ulp(density)
+        assert abs(model.antisymmetric(omega) - antisymmetric) <= 4 * math.ulp(antisymmetric)
+
+    @settings(max_examples=400, deadline=None)
+    @given(eta=st.floats(-50.0, 50.0), omega_c=st.floats(-50.0, 50.0),
+           temperature=st.floats(-50.0, 50.0),
+           omega=st.floats(allow_nan=False, allow_infinity=False))
+    @example(eta=0.0, omega_c=0.0, temperature=0.0, omega=1.2e77)
+    @example(eta=0.0, omega_c=0.0, temperature=-2.0, omega=-800.0)
+    @example(eta=0.0, omega_c=0.0, temperature=1.0, omega=5e-324)
+    def test_ohmic_keeps_every_value_of_the_plain_expression(self, eta, omega_c, temperature,
+                                                             omega):
+        # the scales are powers of ten up to 1e+-50, where W is finite; only where
+        # the plain expression overflows does the result change, from the raise
+        # to a finite value
+        model = OhmicCutoff(10.0**eta, 10.0**omega_c, 10.0**temperature)
+
+        def plain_density(omega):
+            if omega == 0.0:
+                return 2.0 * model.eta * model.temperature
+            lorentz = (1.0 + (omega / model.omega_c) ** 2) ** 2
+            try:
+                occupation_denom = -math.expm1(-omega / model.temperature)
+            except OverflowError:
+                return math.exp(math.log(2.0 * model.eta) + math.log(-omega)
+                                - math.log(lorentz) + omega / model.temperature)
+            return 2.0 * model.eta * (omega / occupation_denom) / lorentz
+
+        def plain_antisymmetric(omega):
+            return model.eta * omega / (1.0 + (omega / model.omega_c) ** 2) ** 2
+
+        def outcome(function):
+            try:
+                return function(omega).hex()
+            except ArithmeticError as err:
+                return type(err)
+
+        for value, plain in ((model.density, plain_density),
+                             (model.antisymmetric, plain_antisymmetric)):
+            expected = outcome(plain)
+            if expected is OverflowError:
+                assert math.isfinite(value(omega))
+            else:
+                # a division by zero where omega/T rounds to 0 stays as it was
+                assert outcome(value) == expected
+
     def test_ohmic_nonnegative_everywhere(self):
         model = OhmicCutoff(eta=0.7, omega_c=0.3, temperature=0.5)
         for w in np.linspace(-50, 50, 101):
